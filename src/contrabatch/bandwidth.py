@@ -18,7 +18,8 @@ from .errors import CapacityError, ParameterError
 from .io import validate_permutation
 from .similarity import SparseSimilarityGraph
 
-# n! explodes past this; the exhaustive search is a test oracle, not a solver.
+# n! explodes past this; the exhaustive searches here and in oracle.py are
+# test oracles, not solvers.
 _MAX_EXHAUSTIVE_NODES = 10
 
 

@@ -14,17 +14,15 @@ flagged ``oversampled``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import chunk_spans, ordered_map
+from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
 from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import build_sparse_graph, estimate_quantile_threshold
-
-_ROW_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -43,33 +41,11 @@ class BatchAssignment:
     perm: np.ndarray | None = None
     oversampled: bool = False
 
-    # sample index -> batch ordinal, for partition assignments
-    _batch_of: np.ndarray | None = field(default=None, repr=False, compare=False)
-
     def __post_init__(self):
         for b in self.batches:
             if b.size and (int(b.min()) < 0 or int(b.max()) >= self.n):
                 raise ParameterError("batch references an index outside 0..N-1")
             b.setflags(write=False)
-        if not self.oversampled:
-            lookup = np.full(self.n, -1, dtype=np.int64)
-            for ordinal, batch in enumerate(self.batches):
-                lookup[batch] = ordinal
-            object.__setattr__(self, "_batch_of", lookup)
-
-    @property
-    def total_slots(self) -> int:
-        return sum(int(b.size) for b in self.batches)
-
-    def batch_of(self, i: int) -> int:
-        """Ordinal of the batch containing sample i (partition assignments only)."""
-        if self.oversampled or self._batch_of is None:
-            raise ParameterError("batch_of is ambiguous for oversampled assignments")
-        return int(self._batch_of[i])
-
-    def members(self, i: int) -> np.ndarray:
-        """Indices sharing a batch with sample i, including i itself."""
-        return self.batches[self.batch_of(i)]
 
 
 def sequential_batches(order: np.ndarray, k: int) -> BatchAssignment:
@@ -104,7 +80,7 @@ def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1) -> np.ndarray
         block[np.arange(start, stop) - start, np.arange(start, stop)] = -np.inf
         return np.argmax(block, axis=1)
 
-    parts = ordered_map(scan, chunk_spans(pair.n, _ROW_CHUNK), threads)
+    parts = ordered_map(scan, chunk_spans(pair.n, ROW_CHUNK), threads)
     return np.concatenate(parts).astype(np.int64)
 
 

@@ -34,20 +34,12 @@ from .io import (
     normalize_rows,
     save_permutation,
 )
-from .losses import GapReport, gap_report
+from .losses import _json_value, gap_report
 from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap
 from .similarity import build_sparse_graph, estimate_quantile_threshold
 
 _PARAM_EXIT = 2
 _IO_EXIT = 1
-
-
-def _num(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,9 +130,8 @@ def cmd_permute(args) -> int:
     if args.out_batches:
         Path(args.out_batches).write_text(format_batches(assignment))
     if args.report:
-        report = gap_report(pair, assignment, args.tau, strategy=strategy,
-                            quantile=quantile, threads=args.threads)
-        print(report.to_json())
+        print(gap_report(pair, assignment, args.tau, strategy=strategy,
+                         quantile=quantile, threads=args.threads).to_json())
     return 0
 
 
@@ -152,9 +143,8 @@ def cmd_analyze(args) -> int:
         strategy, quantile = "file", None
     else:
         _, assignment, strategy, quantile = _make_assignment(pair, args)
-    report = gap_report(pair, assignment, args.tau, strategy=strategy,
-                        quantile=quantile, threads=args.threads)
-    print(report.to_json())
+    print(gap_report(pair, assignment, args.tau, strategy=strategy,
+                     quantile=quantile, threads=args.threads).to_json())
     return 0
 
 
@@ -164,35 +154,23 @@ def cmd_compare(args) -> int:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
     pair = _load_normalized(args)
     k = args.batch_size
-    reports: list[GapReport] = []
-
-    _, assignment = bandwidth_pipeline(
+    _, pipeline = bandwidth_pipeline(
         pair, args.quantile, k, chunk_rows=args.chunk_rows,
         reverse=args.reverse_cm, threads=args.threads,
     )
-    reports.append(gap_report(pair, assignment, args.tau, strategy="gcbs",
-                              quantile=args.quantile, threads=args.threads))
-
     mined = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
-    reports.append(gap_report(pair, mined, args.tau, strategy="hardneg1",
-                              threads=args.threads))
-
-    for seed in range(args.seed, args.seed + args.seeds):
-        rnd = random_batches(pair.n, k, seed)
-        reports.append(gap_report(pair, rnd, args.tau, strategy="random",
-                                  threads=args.threads))
-
-    random_train = np.array([r.train_loss for r in reports if r.strategy == "random"])
-    random_gap = np.array([r.gap for r in reports if r.strategy == "random"])
-
-    def stats(values: np.ndarray) -> str:
-        return (f'{{"mean": {_num(values.mean())}, '
-                f'"stddev": {_num(values.std(ddof=0))}}}')
-
+    runs = [(pipeline, "gcbs", args.quantile), (mined, "hardneg1", None)]
+    runs += [(random_batches(pair.n, k, seed), "random", None)
+             for seed in range(args.seed, args.seed + args.seeds)]
+    reports = [gap_report(pair, assignment, args.tau, strategy=strategy,
+                          quantile=quantile, threads=args.threads)
+               for assignment, strategy, quantile in runs]
+    summary = {}
+    for field in ("train_loss", "gap"):
+        values = np.array([getattr(r, field) for r in reports if r.strategy == "random"])
+        summary[field] = {"mean": values.mean(), "stddev": values.std(ddof=0)}
     body = ", ".join(r.to_json() for r in reports)
-    summary = (f'{{"train_loss": {stats(random_train)}, '
-               f'"gap": {stats(random_gap)}}}')
-    print(f'{{"reports": [{body}], "random_summary": {summary}}}')
+    print(f'{{"reports": [{body}], "random_summary": {_json_value(summary)}}}')
     return 0
 
 
@@ -223,7 +201,7 @@ def cmd_bench(args) -> int:
             ("total", t3 - t0),
         ]
         for stage, seconds in stage_rows:
-            print(f"{n},{stage},{_num(seconds)}")
+            print(f"{n},{stage},{_json_value(seconds)}")
         totals.append((n, t3 - t0))
     if len(totals) >= 2:
         logs_n = np.log([t[0] for t in totals])
@@ -241,18 +219,14 @@ def cmd_oracle(args) -> int:
         "qap": exhaustive_qap(pair, k),
         "min_gap": exhaustive_min_gap(pair, k, args.tau),
     }
-    parts = []
-    for name, res in results.items():
-        batches = ", ".join(
-            "[" + ", ".join(str(int(i)) for i in b) + "]"
-            for b in res.best_assignment.batches
-        )
-        parts.append(
-            f'"{name}": {{"best_value": {_num(res.best_value)}, '
-            f'"batches": [{batches}], '
-            f'"enumerated_count": {res.enumerated_count}}}'
-        )
-    print("{" + ", ".join(parts) + "}")
+    print(_json_value({
+        name: {
+            "best_value": res.best_value,
+            "batches": res.best_assignment.batches,
+            "enumerated_count": res.enumerated_count,
+        }
+        for name, res in results.items()
+    }))
     return 0
 
 

@@ -18,6 +18,9 @@ above, and their gap from both sides.  The gap bounds use log(N/count) per
 row with the row's actual candidate count, which reduces to the familiar
 log(N/k) when every batch is full.
 
+Every loss and bound derives from two scans: one over all N candidates
+per sample, one over the in-batch candidates per slot.
+
 Two scalar objectives summarize how hard a batch assignment is:
 
 * bottleneck objective -- the smallest symmetric in-batch cross similarity
@@ -28,62 +31,69 @@ Two scalar objectives summarize how hard a batch assignment is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import log
+import json
+from dataclasses import dataclass, fields
+from math import inf, isfinite, log
 
 import numpy as np
 
-from ._parallel import chunk_spans, ordered_map
+from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
 
-_ROW_CHUNK = 2048
-
 
 def _check_tau(tau: float) -> float:
-    if not tau > 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    if not 0 < tau < inf:
+        raise ParameterError(f"temperature must be positive and finite, got {tau}")
     return float(tau)
 
 
-def _check_assignment(pair: EmbeddingPair, assignment: BatchAssignment) -> None:
+def _batch_candidates(
+    pair: EmbeddingPair, assignment: BatchAssignment
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(batch, candidate rows) per batch; an oversampled batch counts each sample once."""
+    # BatchAssignment itself keeps every index inside 0..assignment.n-1
     if assignment.n != pair.n:
         raise ParameterError(
             f"assignment covers {assignment.n} samples, embeddings have {pair.n}"
         )
-    for batch in assignment.batches:
-        if batch.size and (batch.min() < 0 or batch.max() >= pair.n):
-            raise ParameterError("batch references an index outside 0..N-1")
+    return [(b, np.unique(b) if assignment.oversampled else b) for b in assignment.batches]
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-sum-exp and row maximum of ``z``.
+
+    Exponentiates in place, so ``z`` is overwritten: read anything else
+    from it before calling.
+    """
     m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    np.subtract(z, m[:, None], out=z)
+    np.exp(z, out=z)
+    return m + np.log(z.sum(axis=1)), m
 
 
 @dataclass(frozen=True)
-class _RowStats:
+class _GlobalStats:
     """Per-sample logit summaries over the full candidate set."""
 
     lse: np.ndarray
-    positive: np.ndarray
     row_max: np.ndarray
+    positive: np.ndarray
 
 
-def _global_row_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _RowStats:
-    def scan(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalStats:
+    tau = _check_tau(tau)
+
+    def scan(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
         start, stop = span
-        z = pair.x[start:stop] @ pair.y.T / tau
-        rows = np.arange(stop - start)
-        return _logsumexp_rows(z), z[rows, rows + start], z.max(axis=1)
+        z = pair.x[start:stop] @ pair.y.T
+        z /= tau
+        positive = z.diagonal(start).copy()
+        return (*_logsumexp_rows(z), positive)
 
-    parts = ordered_map(scan, chunk_spans(pair.n, _ROW_CHUNK), threads)
-    return _RowStats(
-        lse=np.concatenate([p[0] for p in parts]),
-        positive=np.concatenate([p[1] for p in parts]),
-        row_max=np.concatenate([p[2] for p in parts]),
-    )
+    parts = ordered_map(scan, chunk_spans(pair.n, ROW_CHUNK), threads)
+    return _GlobalStats(*map(np.concatenate, zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -107,29 +117,39 @@ class _SlotStats:
 def _slot_stats(
     pair: EmbeddingPair, assignment: BatchAssignment, tau: float, threads: int = 1
 ) -> _SlotStats:
-    def scan(batch: np.ndarray) -> tuple[np.ndarray, ...]:
-        candidates = np.unique(batch) if assignment.oversampled else batch
-        z = pair.x[batch] @ pair.y[candidates].T / tau
+    tau = _check_tau(tau)
+
+    def scan(item: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+        batch, candidates = item
+        z = pair.x[batch] @ pair.y[candidates].T
+        z /= tau
         rows = np.arange(batch.size)
         cols = np.searchsorted(candidates, batch) if assignment.oversampled else rows
-        return (
-            batch,
-            _logsumexp_rows(z),
-            z[rows, cols],
-            z.min(axis=1),
-            z.max(axis=1),
-            np.full(batch.size, candidates.size, dtype=np.int64),
-        )
+        positive, cand_min = z[rows, cols], z.min(axis=1)
+        lse, cand_max = _logsumexp_rows(z)
+        count = np.full(batch.size, candidates.size, dtype=np.int64)
+        return batch, lse, positive, cand_min, cand_max, count
 
-    parts = ordered_map(scan, assignment.batches, threads)
-    return _SlotStats(*(np.concatenate([p[i] for p in parts]) for i in range(6)))
+    parts = ordered_map(scan, _batch_candidates(pair, assignment), threads)
+    return _SlotStats(*map(np.concatenate, zip(*parts)))
+
+
+def _loss(stats: _GlobalStats | _SlotStats) -> float:
+    """Mean contrast loss, lse - positive, over the rows of a scan."""
+    return float(np.sum(stats.lse - stats.positive) / stats.lse.size)
+
+
+def _gap_bounds(g: _GlobalStats, s: _SlotStats) -> tuple[float, float]:
+    n, slots = g.lse.size, s.lse.size
+    row_max = g.row_max[s.sample]
+    translation = np.sum(row_max - s.cand_min + np.log(n / s.cand_count)) / slots
+    standard = np.sum(row_max - s.cand_max) / slots + log(n)
+    return float(translation), float(standard)
 
 
 def ntxent_global(pair: EmbeddingPair, tau: float, threads: int = 1) -> float:
     """Contrast loss with every sample scored against all N candidates."""
-    tau = _check_tau(tau)
-    stats = _global_row_stats(pair, tau, threads)
-    return float(np.sum(stats.lse - stats.positive) / pair.n)
+    return _loss(_global_stats(pair, tau, threads))
 
 
 def ntxent_train(
@@ -140,11 +160,7 @@ def ntxent_train(
     Partition assignments average over the N samples; oversampled ones
     average over all recorded slots (2N for the mined-negative baseline).
     """
-    tau = _check_tau(tau)
-    _check_assignment(pair, assignment)
-    stats = _slot_stats(pair, assignment, tau, threads)
-    terms = stats.lse - stats.positive
-    return float(np.sum(terms) / terms.size)
+    return _loss(_slot_stats(pair, assignment, tau, threads))
 
 
 def lse_component_bounds(
@@ -155,15 +171,12 @@ def lse_component_bounds(
     Guarantees lb_train_* <= training loss <= global loss <= ub_global for
     partition assignments, up to accumulation noise well under 1e-9.
     """
-    tau = _check_tau(tau)
-    _check_assignment(pair, assignment)
-    g = _global_row_stats(pair, tau)
+    g = _global_stats(pair, tau)
     s = _slot_stats(pair, assignment, tau)
+    slots = s.lse.size
     ub_global = float(np.sum(g.row_max - g.positive) / pair.n + log(pair.n))
-    lb_standard = float(np.sum(s.cand_max - s.positive) / s.lse.size)
-    lb_translation = float(
-        np.sum(s.cand_min - s.positive + np.log(s.cand_count)) / s.lse.size
-    )
+    lb_standard = float(np.sum(s.cand_max - s.positive) / slots)
+    lb_translation = float(np.sum(s.cand_min - s.positive + np.log(s.cand_count)) / slots)
     return ub_global, lb_standard, lb_translation
 
 
@@ -180,14 +193,14 @@ def gap_upper_bounds(
     Both average over slots; the true gap never exceeds either bound for
     partition assignments.
     """
-    tau = _check_tau(tau)
-    _check_assignment(pair, assignment)
-    g = _global_row_stats(pair, tau)
-    s = _slot_stats(pair, assignment, tau)
-    slots = s.lse.size
-    trans = np.sum(g.row_max[s.sample] - s.cand_min + np.log(pair.n / s.cand_count))
-    std = np.sum(g.row_max[s.sample] - s.cand_max)
-    return float(trans / slots), float(std / slots + log(pair.n))
+    return _gap_bounds(_global_stats(pair, tau), _slot_stats(pair, assignment, tau))
+
+
+def _cross_blocks(pair: EmbeddingPair, assignment: BatchAssignment):
+    """Yield <x_i,y_j> over the candidates of each batch with two or more."""
+    for _, candidates in _batch_candidates(pair, assignment):
+        if candidates.size >= 2:
+            yield pair.x[candidates] @ pair.y[candidates].T
 
 
 def qbap_objective(pair: EmbeddingPair, assignment: BatchAssignment) -> float:
@@ -195,13 +208,8 @@ def qbap_objective(pair: EmbeddingPair, assignment: BatchAssignment) -> float:
 
     Raises ObjectiveUndefined when no batch holds two distinct samples.
     """
-    _check_assignment(pair, assignment)
     worst = np.inf
-    for batch in assignment.batches:
-        candidates = np.unique(batch) if assignment.oversampled else batch
-        if candidates.size < 2:
-            continue
-        m = pair.x[candidates] @ pair.y[candidates].T
+    for m in _cross_blocks(pair, assignment):
         z = np.minimum(m, m.T)
         np.fill_diagonal(z, np.inf)
         worst = min(worst, float(z.min()))
@@ -216,15 +224,29 @@ def qap_objective(pair: EmbeddingPair, assignment: BatchAssignment) -> float:
     Equals sum_i sum_{j in batch(i), j != i} (<x_i,y_j> + <x_j,y_i>); zero
     when every batch is a singleton.
     """
-    _check_assignment(pair, assignment)
     total = 0.0
-    for batch in assignment.batches:
-        candidates = np.unique(batch) if assignment.oversampled else batch
-        if candidates.size < 2:
-            continue
-        m = pair.x[candidates] @ pair.y[candidates].T
+    for m in _cross_blocks(pair, assignment):
         total += 2.0 * float(m.sum() - np.trace(m))
     return total
+
+
+def _json_value(v) -> str:
+    """JSON text for None, strings, dicts, sequences, integers and floats.
+
+    Floats keep 17 significant digits, so float64 values round-trip.
+    Non-finite floats have no JSON form; they raise ParameterError.
+    """
+    if v is None or isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(map(_json_value, v)) + "]"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if not isfinite(v):
+        raise ParameterError(f"non-finite value {v} cannot be written as JSON")
+    return format(float(v), ".17g")
 
 
 @dataclass(frozen=True)
@@ -245,31 +267,11 @@ class GapReport:
     quantile: float | None = None
 
     def to_json(self) -> str:
-        """Serialize with 17 significant digits on every float."""
+        """Serialize in field order with 17 significant digits on every float.
 
-        def num(v) -> str:
-            if v is None:
-                return "null"
-            if isinstance(v, int):
-                return str(v)
-            return format(float(v), ".17g")
-
-        strategy = "null" if self.strategy is None else f'"{self.strategy}"'
-        fields = [
-            f'"n": {self.n}',
-            f'"k": {self.k}',
-            f'"tau": {num(self.tau)}',
-            f'"global_loss": {num(self.global_loss)}',
-            f'"train_loss": {num(self.train_loss)}',
-            f'"gap": {num(self.gap)}',
-            f'"ub_gap_translation": {num(self.ub_gap_translation)}',
-            f'"ub_gap_standard": {num(self.ub_gap_standard)}',
-            f'"qbap_value": {num(self.qbap_value)}',
-            f'"qap_value": {num(self.qap_value)}',
-            f'"strategy": {strategy}',
-            f'"quantile": {num(self.quantile)}',
-        ]
-        return "{" + ", ".join(fields) + "}"
+        Raises ParameterError when a value is NaN or infinite.
+        """
+        return _json_value({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def gap_report(
@@ -285,25 +287,16 @@ def gap_report(
     ``qbap_value`` is null when every batch is a singleton (k = 1), where
     the bottleneck objective has no pairs to range over.
     """
-    tau = _check_tau(tau)
-    _check_assignment(pair, assignment)
-    g = _global_row_stats(pair, tau, threads)
+    g = _global_stats(pair, tau, threads)
     s = _slot_stats(pair, assignment, tau, threads)
-    n = pair.n
-    slots = s.lse.size
-    global_loss = float(np.sum(g.lse - g.positive) / n)
-    train_terms = s.lse - s.positive
-    train_loss = float(np.sum(train_terms) / slots)
-    ub_translation = float(
-        np.sum(g.row_max[s.sample] - s.cand_min + np.log(n / s.cand_count)) / slots
-    )
-    ub_standard = float(np.sum(g.row_max[s.sample] - s.cand_max) / slots + log(n))
+    global_loss, train_loss = _loss(g), _loss(s)
+    ub_translation, ub_standard = _gap_bounds(g, s)
     try:
         qbap = qbap_objective(pair, assignment)
     except ObjectiveUndefined:
         qbap = None
     return GapReport(
-        n=n,
+        n=pair.n,
         k=assignment.k,
         tau=float(tau),
         global_loss=global_loss,

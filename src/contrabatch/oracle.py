@@ -13,17 +13,18 @@ solve anything at production size: factorial growth is capped hard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import factorial
 
 import numpy as np
 
+from .bandwidth import _MAX_EXHAUSTIVE_NODES
 from .batching import BatchAssignment
 from .errors import CapacityError, ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
+from .losses import _check_tau, _logsumexp_rows, ntxent_global
 
-_MAX_NODES = 10
 _MAX_PARTITIONS = 10**6
 
 
@@ -90,8 +91,9 @@ def _assignment_from_partition(partition, n: int, k: int) -> BatchAssignment:
 
 def _guard(pair: EmbeddingPair, k: int) -> None:
     n = pair.n
-    if n > _MAX_NODES:
-        raise CapacityError(f"exhaustive enumeration limited to {_MAX_NODES} samples, got {n}")
+    if n > _MAX_EXHAUSTIVE_NODES:
+        raise CapacityError(f"exhaustive enumeration limited to {_MAX_EXHAUSTIVE_NODES} "
+                            f"samples, got {n}")
     if not 1 <= k <= n:
         raise ParameterError(f"block size must lie in [1, {n}], got {k}")
     if partition_count(n, k) > _MAX_PARTITIONS:
@@ -136,37 +138,24 @@ def exhaustive_qap(pair: EmbeddingPair, k: int) -> OracleResult:
 def exhaustive_min_gap(pair: EmbeddingPair, k: int, tau: float) -> OracleResult:
     """Partition minimizing the gap between global and in-batch losses.
 
-    The global loss is partition-independent, so this maximizes the
-    in-batch loss directly and reports the resulting gap.
+    Maximizes the negated gap; negation is exact, so ties still resolve
+    to the first canonical partition.
     """
     _guard(pair, k)
-    if not tau > 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    tau = _check_tau(tau)
+    global_loss = ntxent_global(pair, tau)
     z = pair.x @ pair.y.T / tau
-    row_lse = _lse_rows(z)
-    global_loss = float(np.sum(row_lse - np.diag(z)) / pair.n)
 
-    def train(partition) -> float:
+    def negated_gap(partition) -> float:
         total = 0.0
         for block in partition:
             sub = z[np.ix_(block, block)]
-            total += float(np.sum(_lse_rows(sub) - np.diag(sub)))
-        return total / pair.n
+            positive = sub.diagonal().copy()
+            total += float(np.sum(_logsumexp_rows(sub)[0] - positive))
+        return -(global_loss - total / pair.n)
 
-    best_gap = np.inf
-    best_partition = None
-    count = 0
-    for partition in iter_block_partitions(pair.n, k):
-        count += 1
-        gap = global_loss - train(partition)
-        if gap < best_gap:
-            best_gap = gap
-            best_partition = partition
-    return OracleResult(
-        best_value=float(best_gap),
-        best_assignment=_assignment_from_partition(best_partition, pair.n, k),
-        enumerated_count=count,
-    )
+    result = _maximize(pair, k, negated_gap)
+    return replace(result, best_value=-result.best_value)
 
 
 def _maximize(pair: EmbeddingPair, k: int, value) -> OracleResult:
@@ -179,13 +168,10 @@ def _maximize(pair: EmbeddingPair, k: int, value) -> OracleResult:
         if v > best:
             best = v
             best_partition = partition
+    if best_partition is None:
+        raise ParameterError("objective is NaN or -inf on every partition")
     return OracleResult(
         best_value=float(best),
         best_assignment=_assignment_from_partition(best_partition, pair.n, k),
         enumerated_count=count,
     )
-
-
-def _lse_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))

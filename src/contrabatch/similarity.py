@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import chunk_spans, ordered_map
+from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
 from .errors import GraphError, ParameterError
 from .io import EmbeddingPair
 
@@ -24,7 +24,6 @@ from .io import EmbeddingPair
 # BLAS kernel switching; clamping keeps graph construction reproducible
 # for any requested block size.
 _MIN_BLOCK_ROWS = 64
-_DEFAULT_BLOCK_ROWS = 2048
 
 
 def interpolated_quantile(values: np.ndarray, q: float) -> float:
@@ -206,7 +205,7 @@ def build_sparse_graph(
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
     n = pair.n
-    block = min(n, max(_MIN_BLOCK_ROWS, block_rows or _DEFAULT_BLOCK_ROWS))
+    block = min(n, max(_MIN_BLOCK_ROWS, block_rows or ROW_CHUNK))
     y_t = pair.y.T
     cut = threshold.value
 

@@ -114,6 +114,22 @@ class TestAnalyze:
         assert rc == 0
         assert abs(json.loads(capsys.readouterr().out)["gap"]) < 1e-9
 
+    @pytest.mark.parametrize("command, tau", [
+        ("analyze", "inf"), ("analyze", "1e-310"), ("oracle", "1e-310"),
+    ])
+    def test_non_finite_temperature_or_report_exits_two(
+        self, tmp_path, capsys, command, tau
+    ):
+        # 1e-310 is a valid temperature, but every logit overflows and the
+        # losses come out NaN, which has no JSON form
+        x, y = write_pair(tmp_path, random_pair(8, 4, seed=3))
+        rc = main([command, "--x", x, "--y", y, "--batch-size", "4",
+                   "--quantile", "0.8", "--tau", tau])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_bad_permutation_file_exits_one(self, tmp_path, capsys):
         x, y = write_pair(tmp_path, random_pair(4, 3, seed=6))
         perm = tmp_path / "p.txt"
@@ -224,3 +240,71 @@ class TestDeterminism:
             assert rc == 0
             seen.append(capsys.readouterr().out)
         assert seen[0] == seen[1]
+
+
+# Exact stdout of each command on small seeded fixtures.  Report bytes are
+# part of the CLI's contract, so these change only on purpose.
+PERMUTE_REPORT = (
+    '{"n": 16, "k": 4, "tau": 0.050000000000000003, '
+    '"global_loss": 18.646166802639804, "train_loss": 13.306281150240284, '
+    '"gap": 5.33988565239952, "ub_gap_translation": 28.608025261534223, '
+    '"ub_gap_standard": 7.8707646471959514, '
+    '"qbap_value": -0.99500467072645971, "qap_value": -1.2126281985197369, '
+    '"strategy": "gcbs", "quantile": 0.80000000000000004}\n'
+)
+COMPARE_REPORT = (
+    '{"reports": [{"n": 16, "k": 4, "tau": 0.050000000000000003, '
+    '"global_loss": 18.646166802639804, "train_loss": 13.306281150240284, '
+    '"gap": 5.33988565239952, "ub_gap_translation": 28.608025261534223, '
+    '"ub_gap_standard": 7.8707646471959514, '
+    '"qbap_value": -0.99500467072645971, "qap_value": -1.2126281985197369, '
+    '"strategy": "gcbs", "quantile": 0.80000000000000004}, '
+    '{"n": 16, "k": 4, "tau": 0.050000000000000003, '
+    '"global_loss": 18.646166802639804, "train_loss": 16.713070552322932, '
+    '"gap": 1.933096250316872, "ub_gap_translation": 25.625298339090712, '
+    '"ub_gap_standard": 4.1245375894689822, '
+    '"qbap_value": -0.95452307376921186, "qap_value": 25.871407682411693, '
+    '"strategy": "hardneg1", "quantile": null}, '
+    '{"n": 16, "k": 4, "tau": 0.050000000000000003, '
+    '"global_loss": 18.646166802639804, "train_loss": 12.190260359151306, '
+    '"gap": 6.4559064434884981, "ub_gap_translation": 26.974271758112234, '
+    '"ub_gap_standard": 9.0031058694526802, '
+    '"qbap_value": -0.95452307376921186, "qap_value": -10.176236997155089, '
+    '"strategy": "random", "quantile": null}, '
+    '{"n": 16, "k": 4, "tau": 0.050000000000000003, '
+    '"global_loss": 18.646166802639804, "train_loss": 14.612519930790317, '
+    '"gap": 4.0336468718494878, "ub_gap_translation": 25.682918407559107, '
+    '"ub_gap_standard": 6.5894077517193708, '
+    '"qbap_value": -0.9062850322794207, "qap_value": 5.3229932837146041, '
+    '"strategy": "random", "quantile": null}], '
+    '"random_summary": {"train_loss": {"mean": 13.401390144970811, '
+    '"stddev": 1.2111297858195051}, "gap": {"mean": 5.2447766576689929, '
+    '"stddev": 1.2111297858195051}}}\n'
+)
+ORACLE_REPORT = (
+    '{"qbap": {"best_value": 0.084404203771453565, '
+    '"batches": [[0, 4], [1, 3], [2, 5]], "enumerated_count": 15}, '
+    '"qap": {"best_value": 5.2696680602924921, '
+    '"batches": [[0, 4], [1, 3], [2, 5]], "enumerated_count": 15}, '
+    '"min_gap": {"best_value": 4.7321949188716292, '
+    '"batches": [[0, 5], [1, 2], [3, 4]], "enumerated_count": 15}}\n'
+)
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("command, expected", [
+        (["permute", "--report"], PERMUTE_REPORT),
+        (["compare", "--seeds", "2"], COMPARE_REPORT),
+    ], ids=["permute", "compare"])
+    def test_pair_reports(self, tmp_path, capsys, command, expected):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=13))
+        rc = main(command + ["--x", x, "--y", y, "--batch-size", "4",
+                             "--quantile", "0.8"])
+        assert rc == 0
+        assert capsys.readouterr().out == expected
+
+    def test_oracle(self, tmp_path, capsys):
+        x, y = write_pair(tmp_path, random_pair(6, 4, seed=10))
+        rc = main(["oracle", "--x", x, "--y", y, "--batch-size", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out == ORACLE_REPORT

@@ -79,7 +79,7 @@ class TestGlobalLoss:
 
     def test_temperature_domain(self):
         pair = random_pair(4, 3, seed=0)
-        for tau in (0.0, -1.0):
+        for tau in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ParameterError):
                 ntxent_global(pair, tau)
 
