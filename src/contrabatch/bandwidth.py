@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .io import validate_permutation
-from .similarity import SparseSimilarityGraph
+from .similarity import SparseSimilarityGraph, _sorted_unique
 
 # n! explodes past this; the exhaustive searches here and in oracle.py are
 # test oracles, not solvers.
@@ -49,12 +49,17 @@ def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndar
         filled += 1
         level = np.array([root], dtype=np.int64)
         while level.size:
-            reached = np.concatenate([graph.neighbors(u) for u in level])
-            candidates = np.unique(reached)
+            # every neighbor slot of the level in one gather: the runs
+            # indptr[u] .. indptr[u + 1], laid end to end
+            starts = graph.indptr[level]
+            counts = graph.indptr[level + 1] - starts
+            firsts = np.repeat(starts - np.cumsum(counts) + counts, counts)
+            slots = firsts + np.arange(firsts.size)
+            candidates = _sorted_unique(graph.indices[slots])
             frontier = candidates[~visited[candidates]]
             visited[frontier] = True
-            # candidates come out of unique() index-sorted; the stable sort
-            # by degree therefore breaks ties by ascending index
+            # candidates come out index-sorted; the stable sort by degree
+            # therefore breaks ties by ascending index
             frontier = frontier[np.lexsort((frontier, degrees[frontier]))]
             order[filled : filled + frontier.size] = frontier
             filled += frontier.size

@@ -22,7 +22,7 @@ from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
 from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
-from .similarity import build_sparse_graph, estimate_quantile_threshold
+from .similarity import build_sparse_graph, default_chunk_rows, estimate_quantile_threshold
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,14 @@ def bandwidth_pipeline(
     """Full reordering pipeline: normalize, threshold, sparsify, order, batch.
 
     Composition: row normalization, cutoff estimation at quantile ``q``
-    (``chunk_rows`` defaults to min(N, 4096)), sparse graph construction,
-    BFS bandwidth ordering (reversed by default), sequential batching.
+    (``chunk_rows`` defaults to ``default_chunk_rows``), sparse graph
+    construction, BFS bandwidth ordering (reversed by default), sequential
+    batching.
     Pure function of its inputs: repeated runs are bit-identical.
     """
     pair = pair.normalized()
     if chunk_rows is None:
-        chunk_rows = min(pair.n, 4096)
+        chunk_rows = default_chunk_rows(pair.n)
     threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
     graph = build_sparse_graph(pair, threshold, threads=threads)
     order = cuthill_mckee(graph, reverse=reverse)

@@ -36,7 +36,12 @@ from .io import (
 )
 from .losses import _json_value, gap_report
 from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap
-from .similarity import build_sparse_graph, estimate_quantile_threshold
+from .similarity import (
+    CHUNK_ROWS,
+    build_sparse_graph,
+    default_chunk_rows,
+    estimate_quantile_threshold,
+)
 
 _PARAM_EXIT = 2
 _IO_EXIT = 1
@@ -59,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, required=batch_required, help="batch size k")
         p.add_argument("--tau", type=float, default=0.05, help="temperature (default 0.05)")
         p.add_argument("--chunk-rows", type=int, default=None,
-                       help="rows per quantile chunk (default min(N, 4096))")
+                       help=f"rows per quantile chunk (default min(N, {CHUNK_ROWS}))")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
         p.add_argument("--reverse-cm", action=argparse.BooleanOptionalAction, default=True,
                        help="reverse the bandwidth ordering (default on)")
@@ -175,9 +180,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        sizes = []
     if not sizes or any(n < 2 for n in sizes):
         raise ParameterError(f"--sizes needs positive sample counts, got {args.sizes!r}")
+    if args.dim < 1:
+        raise ParameterError(f"--dim must be at least 1, got {args.dim}")
+    if args.chunk_rows is not None and not 1 <= args.chunk_rows <= min(sizes):
+        raise ParameterError(f"--chunk-rows must lie in [1, {min(sizes)}], got {args.chunk_rows}")
     rng = np.random.default_rng(args.seed)
     print("n,stage,seconds")
     totals = []
@@ -185,7 +197,7 @@ def cmd_bench(args) -> int:
         x = normalize_rows(rng.standard_normal((n, args.dim)))
         y = normalize_rows(rng.standard_normal((n, args.dim)))
         pair = EmbeddingPair(x, y)
-        chunk = args.chunk_rows or min(n, 4096)
+        chunk = args.chunk_rows or default_chunk_rows(n)
         t0 = time.perf_counter()
         threshold = estimate_quantile_threshold(pair, args.quantile, chunk, threads=args.threads)
         t1 = time.perf_counter()
@@ -239,10 +251,19 @@ _COMMANDS = {
 }
 
 
+def _check_shared_flags(args) -> None:
+    """Reject a seed or thread count outside its domain before any work."""
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_shared_flags(args)
         return _COMMANDS[args.command](args)
     except (ParameterError, CapacityError, ObjectiveUndefined) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,44 @@
 """Quantile cutoff estimation and sparse similarity-graph construction.
 
-The N x N cross inner-product matrix is streamed in row chunks so peak
-memory stays at O(chunk_rows * N).  Each chunk contributes one interpolated
-quantile of its own entries; the returned cutoff is the median of the
-per-chunk values.  A single chunk spanning every row gives the exact
-empirical quantile of all N^2 entries.
+The N x N cross inner-product matrix X·Yᵀ is multiplied once, in row tiles
+of at most ``ROW_CHUNK`` rows, by one scanner (``_products``).  At a high
+quantile no stage holds more than one tile product per worker thread.
 
-An undirected, unweighted graph is then built by keeping the node pairs
-whose inner product exceeds the cutoff in either direction.
+Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
+``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
+interpolated quantile of its own entries, and the cutoff is the median of
+the per-chunk values; a single chunk spanning every row gives the exact
+empirical quantile of all N^2 entries.  The chunk is a logical unit only:
+it sets the cutoff value, while the tile sets the memory.
+
+A high quantile reads two order statistics near the top, so tiles are not
+sorted (expected-time selection, Floyd & Rivest 1975).  Each tile takes a
+deterministic strided sample of its products, picks from it a lower bound
+``lb`` with about twice the needed tail share above it, and keeps its
+entries >= ``lb`` as (offset, value) pairs: its tail.  A chunk whose tails
+hold at least the needed count of values >= L, the largest ``lb`` among
+its tiles, sorts only those values and reads the two ranks from them.
+Order statistics are rank-exact, so the value equals a full sort's.
+Otherwise (the sample misjudged the tail, a tail would exceed 1/8 of its
+tile, or q is too low for a tail to pay) the chunk's products are sorted in
+full, in place.
+
+Graph.  An undirected, unweighted graph keeps the node pairs whose inner
+product exceeds the cutoff in either direction.  Built from an estimated
+threshold, a row block filters its tile's kept tail with ``> cut`` instead
+of multiplying again.  A block is multiplied only when no tail covers it
+exactly: its tile's ``lb`` lies above the cutoff (possible under
+``chunk_median``), its tile kept nothing, its span differs from the tile's
+(a ``chunk_rows`` or ``block_rows`` off the 2048-row grid), or the threshold
+was made by hand.  Reusing a tail only on an identical span keeps the graph
+built from the same products, bit for bit, as a rescan: BLAS results can
+differ in the last bit with block height.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,17 +51,67 @@ from .io import EmbeddingPair
 # for any requested block size.
 _MIN_BLOCK_ROWS = 64
 
+# Default height of the estimator's logical chunk.  It sets the cutoff value
+# (a median of per-chunk quantiles), so changing it changes outputs.
+CHUNK_ROWS = 4096
+
+# Tail selection per tile: sample about _SAMPLE_SIZE products, set the bound
+# where the sample holds _TAIL_MARGIN times the needed tail share (and at
+# least _MIN_SAMPLE_TAIL sampled entries), and keep a tail only while it is
+# at most _MAX_TAIL_SHARE of the tile.  Past that share a full in-place sort
+# of the chunk costs less memory than the kept (offset, value) pairs.
+_SAMPLE_SIZE = 1 << 16
+_TAIL_MARGIN = 2.0
+_MIN_SAMPLE_TAIL = 64
+_MAX_TAIL_SHARE = 1 / 8
+
+
+def default_chunk_rows(n: int) -> int:
+    """Default estimator chunk for N rows: min(N, CHUNK_ROWS)."""
+    return min(n, CHUNK_ROWS)
+
+
+def _ranks(size: int, q: float) -> tuple[int, int, float]:
+    """Order statistics (lo, hi) and weight t of the q-quantile of ``size`` values."""
+    h = (size - 1) * q
+    lo = int(np.floor(h))
+    return lo, min(lo + 1, size - 1), h - lo
+
+
+def _read_quantile(top: np.ndarray, size: int, q: float) -> float:
+    """q-quantile of ``size`` values whose largest ``top.size`` are ``top``, ascending."""
+    lo, hi, t = _ranks(size, q)
+    skip = size - top.size
+    return float(top[lo - skip] + t * (top[hi - skip] - top[lo - skip]))
+
 
 def interpolated_quantile(values: np.ndarray, q: float) -> float:
     """Empirical q-quantile with linear interpolation between order statistics."""
     if not 0.0 < q < 1.0:
         raise ParameterError(f"quantile must lie strictly inside (0,1), got {q}")
     flat = np.sort(np.asarray(values, dtype=np.float64), axis=None)
-    h = (flat.size - 1) * q
-    lo = int(np.floor(h))
-    hi = min(lo + 1, flat.size - 1)
-    t = h - lo
-    return float(flat[lo] + t * (flat[hi] - flat[lo]))
+    return _read_quantile(flat, flat.size, q)
+
+
+@dataclass(frozen=True, eq=False)
+class _Tail:
+    """Entries >= ``bound`` of one row tile: flat offsets into the tile, values.
+
+    ``bound`` is inf when the tile kept nothing.
+    """
+
+    span: tuple[int, int]
+    bound: float
+    offsets: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _Tails:
+    """The tails of one estimate, valid only for the pair they were scanned from."""
+
+    pair: EmbeddingPair
+    by_span: dict
 
 
 @dataclass(frozen=True)
@@ -43,13 +119,75 @@ class SimilarityThreshold:
     """Inner-product cutoff estimated at quantile ``quantile_q``.
 
     ``estimator`` records how the value was obtained: ``"exact"`` when one
-    chunk covered the whole matrix, ``"chunk_median"`` otherwise.
+    chunk covered the whole matrix, ``"chunk_median"`` otherwise.  An
+    estimated threshold also carries the tiles' kept tails, so that
+    :func:`build_sparse_graph` need not multiply X·Yᵀ again; they take no
+    part in equality or repr.
     """
 
     quantile_q: float
     value: float
     chunk_rows: int
     estimator: str
+    _tails: _Tails | None = field(default=None, compare=False, repr=False)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array by sort and compare.
+
+    The same result as ``np.unique``; NumPy 2's hash-based unique is an order
+    of magnitude slower on the integer keys of graph construction.
+    """
+    values = np.sort(values)
+    if values.size:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
+
+
+def _products(pair: EmbeddingPair, span: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+    """The tile x[start:stop] · Yᵀ: every similarity product is computed here."""
+    start, stop = span
+    return np.matmul(pair.x[start:stop], pair.y.T, out=out)
+
+
+def _tiles(span: tuple[int, int]) -> list[tuple[int, int]]:
+    """Split a row span into tiles of at most ``ROW_CHUNK`` rows."""
+    start, stop = span
+    return [(start + a, start + b) for a, b in chunk_spans(stop - start, ROW_CHUNK)]
+
+
+def _sample_stride(entries: int, width: int) -> int:
+    """Stride for about _SAMPLE_SIZE samples, coprime to the row width so the
+    sample walks through every column instead of repeating a few."""
+    stride = max(1, entries // _SAMPLE_SIZE)
+    while math.gcd(stride, width) != 1:
+        stride += 1
+    return stride
+
+
+def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], share: float) -> _Tail:
+    """Multiply one tile and keep the entries at or above a sampled bound."""
+    flat = _products(pair, span).reshape(-1)
+    sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
+    keep = min(sample.size, max(_MIN_SAMPLE_TAIL, math.ceil(_TAIL_MARGIN * share * sample.size)))
+    kth = sample.size - keep
+    sample.partition(kth)
+    bound = float(sample[kth])
+    offsets = np.flatnonzero(flat >= bound)
+    if offsets.size > _MAX_TAIL_SHARE * flat.size:
+        return _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
+    return _Tail(span, bound, offsets, flat[offsets])
+
+
+def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -> float:
+    """Interpolated quantile of a whole chunk, its tiles sorted together in place."""
+    start, stop = chunk
+    block = np.empty((stop - start, pair.n))
+    for tile in _tiles(chunk):
+        _products(pair, tile, out=block[tile[0] - start : tile[1] - start])
+    flat = block.reshape(-1)
+    flat.sort()
+    return _read_quantile(flat, flat.size, q)
 
 
 def estimate_quantile_threshold(
@@ -59,6 +197,7 @@ def estimate_quantile_threshold(
 
     Rows of ``pair.x`` are processed in ``chunk_rows``-high chunks against
     all of ``pair.y``; the median of the per-chunk quantiles is returned.
+    Each chunk's value equals :func:`interpolated_quantile` of its entries.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"quantile must lie strictly inside (0,1), got {q}")
@@ -66,19 +205,40 @@ def estimate_quantile_threshold(
     if not 1 <= chunk_rows <= n:
         raise ParameterError(f"chunk_rows must lie in [1, {n}], got {chunk_rows}")
 
-    y_t = pair.y.T
+    chunks = chunk_spans(n, chunk_rows)
 
-    def chunk_quantile(span: tuple[int, int]) -> float:
-        start, stop = span
-        return interpolated_quantile(pair.x[start:stop] @ y_t, q)
+    def tail_need(chunk: tuple[int, int]) -> tuple[int, int]:
+        """(entries, how many of the largest hold both order statistics)"""
+        size = (chunk[1] - chunk[0]) * n
+        return size, size - _ranks(size, q)[0]
 
-    per_chunk = ordered_map(chunk_quantile, chunk_spans(n, chunk_rows), threads)
+    jobs = []
+    for chunk in chunks:
+        size, need = tail_need(chunk)
+        if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
+            jobs += [(tile, need / size) for tile in _tiles(chunk)]
+    tails = ordered_map(lambda job: _scan_tail(pair, *job), jobs, threads)
+    by_span = {tail.span: tail for tail in tails}
+
+    def chunk_quantile(chunk: tuple[int, int]) -> float:
+        size, need = tail_need(chunk)
+        parts = [by_span.get(tile) for tile in _tiles(chunk)]
+        if all(part is not None for part in parts):
+            bound = max(part.bound for part in parts)
+            top = np.concatenate([part.values[part.values >= bound] for part in parts])
+            if top.size >= need:
+                top.sort()
+                return _read_quantile(top, size, q)
+        return _full_sort_quantile(pair, chunk, q)
+
+    per_chunk = ordered_map(chunk_quantile, chunks, threads)
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"
     return SimilarityThreshold(
         quantile_q=q,
         value=float(np.median(per_chunk)),
         chunk_rows=chunk_rows,
         estimator=estimator,
+        _tails=_Tails(pair, by_span) if by_span else None,
     )
 
 
@@ -124,7 +284,7 @@ class SparseSimilarityGraph:
     ):
         """Build from directed pairs already containing both orientations."""
         if src.size:
-            keys = np.unique(src * np.int64(n) + dst)
+            keys = _sorted_unique(src * np.int64(n) + dst)
             src = keys // n
             dst = keys % n
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -200,22 +360,28 @@ def build_sparse_graph(
     An undirected edge (i, j), i != j, exists iff x_i.y_j > value or
     x_j.y_i > value (strict inequality; ties at the cutoff are dropped).
     The OR-symmetrization makes the structure usable by the bandwidth
-    ordering, which needs symmetric adjacency.
+    ordering, which needs symmetric adjacency.  With a threshold estimated
+    from this same ``pair``, row blocks reuse the estimate's kept tails
+    where they cover the block; every other block is multiplied.
     """
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
     n = pair.n
     block = min(n, max(_MIN_BLOCK_ROWS, block_rows or ROW_CHUNK))
-    y_t = pair.y.T
     cut = threshold.value
+    tails = threshold._tails
+    by_span = tails.by_span if tails is not None and tails.pair is pair else {}
 
     def scan(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        start, stop = span
-        hits = pair.x[start:stop] @ y_t > cut
-        rr, cc = np.nonzero(hits)
-        rr = rr + start
-        off = rr != cc
-        return rr[off].astype(np.int64), cc[off].astype(np.int64)
+        tail = by_span.get(span)
+        if tail is not None and tail.bound <= cut:
+            offsets = tail.offsets[tail.values > cut]
+        else:
+            offsets = np.flatnonzero(_products(pair, span) > cut)
+        rows = offsets // n + span[0]
+        cols = offsets % n
+        off = rows != cols
+        return rows[off], cols[off]
 
     parts = ordered_map(scan, chunk_spans(n, block), threads)
     rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)

@@ -308,3 +308,34 @@ class TestReportBytes:
         rc = main(["oracle", "--x", x, "--y", y, "--batch-size", "2"])
         assert rc == 0
         assert capsys.readouterr().out == ORACLE_REPORT
+
+
+class TestFlagValidation:
+    """Out-of-domain flags exit 2 with one error line, before any stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--strategy", "random", "--seed", "-1"],
+        ["compare", "--seed", "-1"],
+        ["permute", "--threads", "0"],
+        ["analyze", "--threads", "-3"],
+    ], ids=["analyze-seed", "compare-seed", "threads-zero", "threads-negative"])
+    def test_pair_commands(self, tmp_path, capsys, argv):
+        x, y = write_pair(tmp_path, random_pair(8, 4, seed=3))
+        rc = main(argv + ["--x", x, "--y", y, "--batch-size", "4", "--quantile", "0.8"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "a"], ["--sizes", "64", "--dim", "0"],
+        ["--sizes", "64", "--threads", "0"], ["--sizes", "64", "--seed", "-1"],
+        ["--sizes", "64", "--chunk-rows", "0"],
+    ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "seed-negative", "chunk-rows-zero"])
+    def test_bench(self, capsys, flags):
+        rc = main(["bench"] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

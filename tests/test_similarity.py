@@ -1,8 +1,11 @@
 """Quantile cutoff estimation and sparse graph construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from contrabatch import similarity
 from contrabatch import (
     EmbeddingPair,
     GraphError,
@@ -14,7 +17,7 @@ from contrabatch import (
     expected_retained_fraction,
     interpolated_quantile,
 )
-from conftest import random_pair
+from conftest import clustered_pair, random_pair
 
 
 def sort_oracle_quantile(matrix: np.ndarray, q: float) -> float:
@@ -190,3 +193,181 @@ def test_from_edges_insertion_order_irrelevant():
     a = SparseSimilarityGraph.from_edges(5, [(0, 1), (3, 4), (1, 2)])
     b = SparseSimilarityGraph.from_edges(5, [(2, 1), (0, 1), (4, 3)])
     assert a == b
+
+
+# Tail selection: every estimate must equal the full sort of each chunk, and
+# a graph that reuses the estimate's tails must equal a full rescan.
+
+def orthogonal_ties() -> EmbeddingPair:
+    """32 rows: 4 orthogonal unit vectors repeated 8x, X == Y; products are 0 or 1."""
+    m = np.tile(np.eye(4), (8, 1))
+    return EmbeddingPair(m, m.copy())
+
+
+def clustered_with_duplicates() -> EmbeddingPair:
+    pair, _ = clustered_pair(256, 16, 8, noise=0.1, seed=21)
+    x, y = pair.x.copy(), pair.y.copy()
+    x[200:216] = x[0]  # exact duplicate rows on both sides
+    y[200:216] = y[0]
+    return EmbeddingPair(x, y)
+
+
+def chunk_oracle(pair: EmbeddingPair, q: float, chunk_rows: int) -> float:
+    """Median over chunks of interpolated_quantile of each chunk's full product."""
+    values = [
+        interpolated_quantile(pair.x[s : s + chunk_rows] @ pair.y.T, q)
+        for s in range(0, pair.n, chunk_rows)
+    ]
+    return float(np.median(values))
+
+
+TAIL_CASES = {
+    "ties": (orthogonal_ties, 32, 8),
+    "clustered-duplicates": (clustered_with_duplicates, 256, 64),
+    "several-chunks": (lambda: random_pair(256, 16, seed=31), 64, 32),
+    "multi-tile-chunks": (lambda: random_pair(512, 16, seed=32), 256, 64),
+}
+
+
+class TestTailSelection:
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("case", sorted(TAIL_CASES))
+    def test_estimate_equals_full_sort_of_each_chunk(self, monkeypatch, case, q):
+        make, chunk_rows, tile_rows = TAIL_CASES[case]
+        monkeypatch.setattr(similarity, "ROW_CHUNK", tile_rows)
+        pair = make()
+        want = chunk_oracle(pair, q, chunk_rows)
+        for threads in (1, 2):
+            got = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
+            assert got.value == want
+        # above q = 15/16 tails pay; below it every chunk is sorted whole
+        assert (got._tails is not None) == (q == 0.999)
+
+    def test_count_check_failure_falls_back_to_full_sort(self, monkeypatch):
+        # a margin below 1 puts every sampled bound above the needed rank
+        monkeypatch.setattr(similarity, "_TAIL_MARGIN", 0.25)
+        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", 1)
+        calls = []
+        full_sort = similarity._full_sort_quantile
+
+        def counted(pair, chunk, q):
+            calls.append(chunk)
+            return full_sort(pair, chunk, q)
+
+        monkeypatch.setattr(similarity, "_full_sort_quantile", counted)
+        pair = random_pair(256, 16, seed=33)
+        t = estimate_quantile_threshold(pair, 0.999, 128)
+        assert calls == [(0, 128), (128, 256)]
+        assert t.value == chunk_oracle(pair, 0.999, 128)
+        hand_made = SimilarityThreshold(0.999, t.value, 128, t.estimator)
+        assert build_sparse_graph(pair, t) == build_sparse_graph(pair, hand_made)
+
+    def test_default_margin_takes_the_tail_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile",
+                            lambda *args: calls.append(args))
+        pair = random_pair(256, 16, seed=33)
+        t = estimate_quantile_threshold(pair, 0.999, 128)
+        assert calls == []
+        assert t.value == chunk_oracle(pair, 0.999, 128)
+
+
+def count_products(monkeypatch) -> list:
+    calls = []
+    products = similarity._products
+
+    def counted(pair, span, out=None):
+        calls.append(span)
+        return products(pair, span, out)
+
+    monkeypatch.setattr(similarity, "_products", counted)
+    return calls
+
+
+class TestTailReuse:
+    def assert_same_graph(self, pair, t):
+        hand_made = SimilarityThreshold(t.quantile_q, t.value, t.chunk_rows, t.estimator)
+        assert hand_made._tails is None
+        reused = build_sparse_graph(pair, t)
+        rescanned = build_sparse_graph(pair, hand_made)
+        assert reused == rescanned
+        assert reused.directed_entry_count == rescanned.directed_entry_count
+        return reused
+
+    def test_exact_estimate_graph_needs_no_multiply(self, monkeypatch):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        pair = random_pair(512, 16, seed=41)
+        t = estimate_quantile_threshold(pair, 0.999, 512)
+        calls = count_products(monkeypatch)
+        graph = self.assert_same_graph(pair, t)
+        assert graph.edge_count > 0
+        assert calls == [(0, 128), (128, 256), (256, 384), (384, 512)]  # the rescan only
+        calls.clear()
+        build_sparse_graph(pair, t, threads=2)
+        assert calls == []
+
+    def test_chunk_median_rescans_tiles_above_the_cutoff(self, monkeypatch):
+        # rows 0..127 form tight clusters, so chunk 0's tail bound sits far
+        # above the median of the four chunk quantiles
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((512, 16))
+        y = rng.standard_normal((512, 16))
+        centres = rng.standard_normal((4, 16))
+        x[:128] = np.repeat(centres, 32, axis=0) + 0.05 * rng.standard_normal((128, 16))
+        y[:128] = np.repeat(centres, 32, axis=0) + 0.05 * rng.standard_normal((128, 16))
+        pair = EmbeddingPair(x, y).normalized()
+        t = estimate_quantile_threshold(pair, 0.999, 128)
+        assert t.estimator == "chunk_median"
+        above = sorted(s for s, tail in t._tails.by_span.items() if tail.bound > t.value)
+        assert above == [(0, 64), (64, 128)]
+        calls = count_products(monkeypatch)
+        build_sparse_graph(pair, t)
+        assert calls == above
+        self.assert_same_graph(pair, t)
+
+    def test_tails_of_another_pair_are_ignored(self):
+        first, second = random_pair(128, 8, seed=43), random_pair(128, 8, seed=44)
+        t = estimate_quantile_threshold(first, 0.999, 128)
+        hand_made = SimilarityThreshold(0.999, t.value, 128, t.estimator)
+        assert build_sparse_graph(second, t) == build_sparse_graph(second, hand_made)
+
+    def test_blocks_off_the_tile_grid_are_multiplied(self, monkeypatch):
+        # products can differ in the last bit with block height, so a tail
+        # stands in only for a block with exactly its own span
+        pair = random_pair(300, 12, seed=4)
+        t = estimate_quantile_threshold(pair, 0.999, 300)
+        calls = count_products(monkeypatch)
+        build_sparse_graph(pair, t, block_rows=300)
+        assert calls == []
+        for block in (64, 173):
+            build_sparse_graph(pair, t, block_rows=block)
+            assert calls == [(s, min(s + block, 300)) for s in range(0, 300, block)]
+            calls.clear()
+
+
+class TestMemory:
+    """Peak traced allocation at N = 2048, d = 64, one chunk."""
+
+    TILE_BYTES = 2048 * 2048 * 8  # one tile product
+
+    def peak(self, fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_high_quantile_estimate_and_graph_hold_one_tile(self):
+        pair = random_pair(2048, 64, seed=51)
+
+        def epoch():
+            build_sparse_graph(pair, estimate_quantile_threshold(pair, 0.999, 2048))
+
+        assert self.peak(epoch) < 1.25 * self.TILE_BYTES
+
+    def test_low_quantile_sort_holds_no_more_than_product_and_copy(self):
+        pair = random_pair(2048, 64, seed=52)
+        peak = self.peak(lambda: estimate_quantile_threshold(pair, 0.5, 2048))
+        assert peak <= 2 * self.TILE_BYTES
