@@ -58,8 +58,9 @@ CHUNK_ROWS = 4096
 # Tail selection per tile: sample about _SAMPLE_SIZE products, set the bound
 # where the sample holds _TAIL_MARGIN times the needed tail share (and at
 # least _MIN_SAMPLE_TAIL sampled entries), and keep a tail only while it is
-# at most _MAX_TAIL_SHARE of the tile.  Past that share a full in-place sort
-# of the chunk costs less memory than the kept (offset, value) pairs.
+# at most _MAX_TAIL_SHARE of the tile; a larger one is dropped and its chunk
+# sorted in place.  Kept pairs cost 16 bytes each, so the cap holds all tails
+# to a quarter of the bytes of the full product.
 _SAMPLE_SIZE = 1 << 16
 _TAIL_MARGIN = 2.0
 _MIN_SAMPLE_TAIL = 64

@@ -212,6 +212,18 @@ def clustered_with_duplicates() -> EmbeddingPair:
     return EmbeddingPair(x, y)
 
 
+def one_hot_tile() -> EmbeddingPair:
+    """384 rows in 128-row tiles: the first tile's rows match a third of the
+    columns closely, so its own tail bound sits above the chunk's quantile."""
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((384, 16))
+    y = rng.standard_normal((384, 16))
+    centre = rng.standard_normal(16)
+    x[:128] = centre + 0.05 * rng.standard_normal((128, 16))
+    y[:128] = centre + 0.05 * rng.standard_normal((128, 16))
+    return EmbeddingPair(x, y).normalized()
+
+
 def chunk_oracle(pair: EmbeddingPair, q: float, chunk_rows: int) -> float:
     """Median over chunks of interpolated_quantile of each chunk's full product."""
     values = [
@@ -226,6 +238,7 @@ TAIL_CASES = {
     "clustered-duplicates": (clustered_with_duplicates, 256, 64),
     "several-chunks": (lambda: random_pair(256, 16, seed=31), 64, 32),
     "multi-tile-chunks": (lambda: random_pair(512, 16, seed=32), 256, 64),
+    "one-hot-tile": (one_hot_tile, 384, 128),
 }
 
 
