@@ -188,6 +188,10 @@ def cmd_bench(args) -> int:
         raise ParameterError(f"--sizes needs positive sample counts, got {args.sizes!r}")
     if args.dim < 1:
         raise ParameterError(f"--dim must be at least 1, got {args.dim}")
+    if not 0.0 < args.quantile < 1.0:
+        raise ParameterError(f"quantile must lie strictly inside (0,1), got {args.quantile}")
+    if args.batch_size < 1:
+        raise ParameterError(f"--batch-size must be at least 1, got {args.batch_size}")
     if args.chunk_rows is not None and not 1 <= args.chunk_rows <= min(sizes):
         raise ParameterError(f"--chunk-rows must lie in [1, {min(sizes)}], got {args.chunk_rows}")
     rng = np.random.default_rng(args.seed)

@@ -331,8 +331,10 @@ class TestFlagValidation:
     @pytest.mark.parametrize("flags", [
         ["--sizes", "a"], ["--sizes", "64", "--dim", "0"],
         ["--sizes", "64", "--threads", "0"], ["--sizes", "64", "--seed", "-1"],
-        ["--sizes", "64", "--chunk-rows", "0"],
-    ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "seed-negative", "chunk-rows-zero"])
+        ["--sizes", "64", "--chunk-rows", "0"], ["--sizes", "64", "--quantile", "1.5"],
+        ["--sizes", "64", "--batch-size", "0"],
+    ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "seed-negative", "chunk-rows-zero",
+            "quantile-out-of-range", "batch-size-zero"])
     def test_bench(self, capsys, flags):
         rc = main(["bench"] + flags)
         captured = capsys.readouterr()
