@@ -29,7 +29,7 @@ print(f"\ninner-product cutoff at q=0.97: {threshold.value:.3f} ({threshold.esti
 graph = cb.build_sparse_graph(pair, threshold)
 print(f"sparse graph: {graph.edge_count} edges, max degree {graph.max_degree}")
 print(f"retained fraction of the {n}x{n} products: "
-      f"{cb.expected_retained_fraction(graph, 0.97):.4f} (about 1 - q)")
+      f"{cb.expected_retained_fraction(graph):.4f} (about 1 - q)")
 
 identity = np.arange(n)
 order = cb.cuthill_mckee(graph, reverse=True)

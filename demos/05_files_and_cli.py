@@ -8,6 +8,7 @@ that order.  This script performs that round trip in a temp directory.
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,8 +28,9 @@ cb.save_embeddings(y, workdir / "y.emb1")
 print(f"x.emb1: {(workdir / 'x.emb1').stat().st_size} bytes "
       f"(12-byte header + 64*8 binary32 values)")
 
-run = ["contrabatch"]
-cmd = run + [
+# The installed console script `contrabatch` runs this same entry point.
+run = [sys.executable, "-c", "from contrabatch.cli import entrypoint; entrypoint()"]
+cmd = [
     "permute",
     "--x", str(workdir / "x.emb1"),
     "--y", str(workdir / "y.emb1"),
@@ -38,8 +40,8 @@ cmd = run + [
     "--out-batches", str(workdir / "batches.txt"),
     "--report",
 ]
-result = subprocess.run(cmd, capture_output=True, text=True)
-print(f"\n$ {' '.join(cmd[1:])}")
+result = subprocess.run(run + cmd, capture_output=True, text=True, check=True)
+print(f"\n$ contrabatch {' '.join(cmd)}")
 print(f"exit code {result.returncode}")
 
 report = json.loads(result.stdout)
@@ -62,7 +64,7 @@ print(f"\nin-batch loss from the reloaded permutation: "
 # optima behind `oracle`; stage timings behind `bench`.
 result = subprocess.run(
     run + ["bench", "--sizes", "512,1024", "--dim", "16"],
-    capture_output=True, text=True,
+    capture_output=True, text=True, check=True,
 )
 print("\n$ contrabatch bench --sizes 512,1024 --dim 16")
 print(result.stdout.strip())

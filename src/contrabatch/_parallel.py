@@ -13,12 +13,6 @@ from typing import Callable, Sequence, TypeVar
 T = TypeVar("T")
 U = TypeVar("U")
 
-# Default height of a row block multiplied against all of Y.  BLAS results
-# can change in the last bit with block height, so changing this value can
-# change output bits.
-ROW_CHUNK = 2048
-
-
 def chunk_spans(total: int, chunk: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into [start, stop) spans; the last may be short."""
     if chunk < 1:

@@ -14,15 +14,21 @@ flagged ``oversampled``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
+from ._parallel import chunk_spans
 from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
-from .similarity import build_sparse_graph, default_chunk_rows, estimate_quantile_threshold
+from .similarity import (
+    _map_tiles,
+    build_sparse_graph,
+    default_chunk_rows,
+    estimate_quantile_threshold,
+)
 
 
 @dataclass(frozen=True)
@@ -74,14 +80,12 @@ def random_batches(n: int, k: int, seed: int) -> BatchAssignment:
 def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1) -> np.ndarray:
     """For each row i, the j != i maximizing x_i . y_j (ties: lowest j)."""
 
-    def scan(span: tuple[int, int]) -> np.ndarray:
-        start, stop = span
-        block = pair.x[start:stop] @ pair.y.T
-        block[np.arange(start, stop) - start, np.arange(start, stop)] = -np.inf
+    def scan(span: tuple[int, int], block: np.ndarray) -> np.ndarray:
+        rows = np.arange(*span)
+        block[rows - span[0], rows] = -np.inf
         return np.argmax(block, axis=1)
 
-    parts = ordered_map(scan, chunk_spans(pair.n, ROW_CHUNK), threads)
-    return np.concatenate(parts).astype(np.int64)
+    return np.concatenate(_map_tiles(pair, scan, threads)).astype(np.int64)
 
 
 def hard_negative_batches(
@@ -123,13 +127,18 @@ def bandwidth_pipeline(
     (``chunk_rows`` defaults to ``default_chunk_rows``), sparse graph
     construction, BFS bandwidth ordering (reversed by default), sequential
     batching.
-    Pure function of its inputs: repeated runs are bit-identical.
+    Pure function of its inputs: repeated runs are bit-identical.  Warns
+    when no inner product beats the cutoff (ties at it are dropped), because
+    the order of an edgeless graph only follows the row index.
     """
     pair = pair.normalized()
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
     threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
     graph = build_sparse_graph(pair, threshold, threads=threads)
+    if graph.edge_count == 0:
+        warnings.warn(f"no inner product exceeds the cutoff {threshold.value!r}: the graph has "
+                      "no edges and the order only follows the row index", stacklevel=2)
     order = cuthill_mckee(graph, reverse=reverse)
     return order, sequential_batches(order, k)
 

@@ -37,10 +37,11 @@ from math import inf, isfinite, log
 
 import numpy as np
 
-from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
+from ._parallel import ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
+from .similarity import _map_tiles
 
 
 def _check_tau(tau: float) -> float:
@@ -85,14 +86,12 @@ class _GlobalStats:
 def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalStats:
     tau = _check_tau(tau)
 
-    def scan(span: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        start, stop = span
-        z = pair.x[start:stop] @ pair.y.T
+    def scan(span: tuple[int, int], z: np.ndarray) -> tuple[np.ndarray, ...]:
         z /= tau
-        positive = z.diagonal(start).copy()
+        positive = z.diagonal(span[0]).copy()
         return (*_logsumexp_rows(z), positive)
 
-    parts = ordered_map(scan, chunk_spans(pair.n, ROW_CHUNK), threads)
+    parts = _map_tiles(pair, scan, threads)
     return _GlobalStats(*map(np.concatenate, zip(*parts)))
 
 

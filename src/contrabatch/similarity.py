@@ -1,8 +1,11 @@
 """Quantile cutoff estimation and sparse similarity-graph construction.
 
-The N x N cross inner-product matrix X·Yᵀ is multiplied once, in row tiles
-of at most ``ROW_CHUNK`` rows, by one scanner (``_products``).  At a high
-quantile no stage holds more than one tile product per worker thread.
+This module owns the tiling of the N x N cross inner-product matrix X·Yᵀ:
+every product, here and in the loss and baseline scans, is a row tile of at
+most ``ROW_CHUNK`` rows from ``_tiles`` multiplied by one call, ``_products``.
+BLAS results can differ in the last bit with block height, so one tile grid
+keeps every stage's products bit-identical.  At a high quantile no stage
+holds more than one tile product per worker thread.
 
 Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
 ``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
@@ -24,15 +27,15 @@ tile, or q is too low for a tail to pay) the chunk's products are sorted in
 full, in place.
 
 Graph.  An undirected, unweighted graph keeps the node pairs whose inner
-product exceeds the cutoff in either direction.  Built from an estimated
-threshold, a row block filters its tile's kept tail with ``> cut`` instead
-of multiplying again.  A block is multiplied only when no tail covers it
-exactly: its tile's ``lb`` lies above the cutoff (possible under
-``chunk_median``), its tile kept nothing, its span differs from the tile's
-(a ``chunk_rows`` or ``block_rows`` off the 2048-row grid), or the threshold
-was made by hand.  Reusing a tail only on an identical span keeps the graph
-built from the same products, bit for bit, as a rescan: BLAS results can
-differ in the last bit with block height.
+product exceeds the cutoff in either direction.  It scans the tiles of all
+N rows; a tile filters a kept tail with exactly its span with ``> cut``
+instead of multiplying again, and is multiplied a second time when q is
+below about 15/16 (no tails are kept), its tail was dropped for holding over
+1/8 of the tile, its tail's ``lb`` lies above the cutoff (possible under
+``chunk_median``), ``chunk_rows`` is off the 2048-row grid (the estimate's
+tiles have other spans), or the threshold was made by hand or estimated
+from another pair.  Reusing a tail only on an identical span keeps the
+graph built from the same products, bit for bit, as a rescan.
 """
 
 from __future__ import annotations
@@ -42,14 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ROW_CHUNK, chunk_spans, ordered_map
+from ._parallel import chunk_spans, ordered_map
 from .errors import GraphError, ParameterError
 from .io import EmbeddingPair
 
-# Row blocks below this height can change last-bit matmul results under
-# BLAS kernel switching; clamping keeps graph construction reproducible
-# for any requested block size.
-_MIN_BLOCK_ROWS = 64
+# Height of a row tile multiplied against all of Y.  BLAS results can change
+# in the last bit with block height, so changing this value can change
+# output bits.
+ROW_CHUNK = 2048
 
 # Default height of the estimator's logical chunk.  It sets the cutoff value
 # (a median of per-chunk quantiles), so changing it changes outputs.
@@ -155,6 +158,11 @@ def _tiles(span: tuple[int, int]) -> list[tuple[int, int]]:
     """Split a row span into tiles of at most ``ROW_CHUNK`` rows."""
     start, stop = span
     return [(start + a, start + b) for a, b in chunk_spans(stop - start, ROW_CHUNK)]
+
+
+def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1) -> list:
+    """``fn(span, product)`` over the row tiles of all N rows, in row order."""
+    return ordered_map(lambda span: fn(span, _products(pair, span)), _tiles((0, pair.n)), threads)
 
 
 def _sample_stride(entries: int, width: int) -> int:
@@ -329,15 +337,6 @@ class SparseSimilarityGraph:
         if not np.array_equal(forward, backward):
             raise GraphError("adjacency is not symmetric")
 
-    def dump_edges(self) -> str:
-        """Debug listing: one ``i j`` line per undirected edge, i < j, sorted."""
-        lines = []
-        for i in range(self.n):
-            for j in self.neighbors(i):
-                if i < j:
-                    lines.append(f"{i} {int(j)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseSimilarityGraph)
@@ -353,7 +352,6 @@ class SparseSimilarityGraph:
 def build_sparse_graph(
     pair: EmbeddingPair,
     threshold: SimilarityThreshold,
-    block_rows: int | None = None,
     threads: int = 1,
 ) -> SparseSimilarityGraph:
     """Keep node pairs whose inner product beats the cutoff in either direction.
@@ -362,13 +360,12 @@ def build_sparse_graph(
     x_j.y_i > value (strict inequality; ties at the cutoff are dropped).
     The OR-symmetrization makes the structure usable by the bandwidth
     ordering, which needs symmetric adjacency.  With a threshold estimated
-    from this same ``pair``, row blocks reuse the estimate's kept tails
-    where they cover the block; every other block is multiplied.
+    from this same ``pair``, row tiles reuse the estimate's kept tails where
+    they cover the tile; every other tile is multiplied.
     """
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
     n = pair.n
-    block = min(n, max(_MIN_BLOCK_ROWS, block_rows or ROW_CHUNK))
     cut = threshold.value
     tails = threshold._tails
     by_span = tails.by_span if tails is not None and tails.pair is pair else {}
@@ -384,21 +381,16 @@ def build_sparse_graph(
         off = rows != cols
         return rows[off], cols[off]
 
-    parts = ordered_map(scan, chunk_spans(n, block), threads)
-    rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    cols = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    directed = int(rows.size)
+    rows, cols = map(np.concatenate, zip(*ordered_map(scan, _tiles((0, n)), threads)))
     src = np.concatenate([rows, cols])
     dst = np.concatenate([cols, rows])
-    return SparseSimilarityGraph._from_directed(n, src, dst, directed)
+    return SparseSimilarityGraph._from_directed(n, src, dst, rows.size)
 
 
-def expected_retained_fraction(graph: SparseSimilarityGraph, q: float) -> float:
+def expected_retained_fraction(graph: SparseSimilarityGraph) -> float:
     """Fraction of the N^2 inner products that exceeded the cutoff.
 
-    For a cutoff computed with the exact estimator at quantile ``q`` this
+    For a cutoff computed with the exact estimator at quantile q this
     tracks 1 - q up to O(1/N) slack; reported for diagnostics only.
     """
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"quantile must lie strictly inside (0,1), got {q}")
     return graph.directed_entry_count / float(graph.n) ** 2

@@ -1,9 +1,22 @@
 """Shared synthetic-data helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from contrabatch import EmbeddingPair, normalize_rows
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env(**extra) -> dict:
+    """The current environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_pair(n: int, d: int, seed: int) -> EmbeddingPair:
@@ -23,6 +36,12 @@ def clustered_pair(n: int, d: int, clusters: int, noise: float, seed: int):
     x = centers[labels] + noise * rng.standard_normal((n, d))
     y = centers[labels] + noise * rng.standard_normal((n, d))
     return EmbeddingPair(normalize_rows(x), normalize_rows(y)), labels
+
+
+def orthogonal_ties() -> EmbeddingPair:
+    """32 rows: 4 orthogonal unit vectors repeated 8x, X == Y; products are 0 or 1."""
+    m = np.tile(np.eye(4), (8, 1))
+    return EmbeddingPair(m, m.copy())
 
 
 def two_cluster_pair() -> EmbeddingPair:

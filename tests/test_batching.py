@@ -1,5 +1,7 @@
 """Sequential batching, baselines, and the end-to-end reordering pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from contrabatch import (
     random_batches,
     sequential_batches,
 )
-from conftest import clustered_pair, random_pair, two_cluster_pair
+from conftest import clustered_pair, orthogonal_ties, random_pair, two_cluster_pair
 
 
 class TestSequentialBatches:
@@ -151,6 +153,15 @@ class TestPipeline:
         order, asg = bandwidth_pipeline(pair, 0.9999, k=4)
         np.testing.assert_array_equal(np.sort(order), np.arange(9))
         assert [b.size for b in asg.batches] == [4, 4, 1]
+
+    def test_edgeless_graph_warns(self):
+        # every product is 0 or 1 and the cutoff lands on 1: the strict > keeps nothing
+        with pytest.warns(UserWarning, match="no edges"):
+            order, _ = bandwidth_pipeline(orthogonal_ties(), 0.999, k=4)
+        np.testing.assert_array_equal(order, np.arange(32)[::-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bandwidth_pipeline(two_cluster_pair(), 0.5, k=4)
 
     def test_repeated_runs_identical(self):
         pair = random_pair(50, 8, seed=11)

@@ -2,13 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from contrabatch import save_embeddings
 from contrabatch.cli import main
-from conftest import clustered_pair, random_pair, two_cluster_pair
+from conftest import clustered_pair, orthogonal_ties, random_pair, src_env, two_cluster_pair
 
 
 def write_pair(tmp_path, pair, fmt="emb1"):
@@ -289,6 +291,32 @@ ORACLE_REPORT = (
     '"min_gap": {"best_value": 4.7321949188716292, '
     '"batches": [[0, 5], [1, 2], [3, 4]], "enumerated_count": 15}}\n'
 )
+
+TIES_REPORT = (
+    '{"n": 32, "k": 4, "tau": 0.050000000000000003, '
+    '"global_loss": 2.079441547863297, "train_loss": 6.1834608544586445e-09, '
+    '"gap": 2.0794415416798362, "ub_gap_translation": 22.079441541679834, '
+    '"ub_gap_standard": 3.4657359027997265, "qbap_value": 0, "qap_value": 0, '
+    '"strategy": "gcbs", "quantile": 0.999}\n'
+)
+
+
+class TestEdgelessGraph:
+    def test_warning_on_stderr_leaves_stdout_alone(self, tmp_path):
+        # the cutoff lands on 1.0, the largest product, so the graph is empty
+        x, y = write_pair(tmp_path, orthogonal_ties())
+        perm_file = tmp_path / "perm.txt"
+        child = subprocess.run(
+            [sys.executable, "-c", "from contrabatch.cli import entrypoint; entrypoint()",
+             "permute", "--x", x, "--y", y, "--batch-size", "4", "--quantile", "0.999",
+             "--out-perm", str(perm_file), "--report"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert child.returncode == 0
+        assert "UserWarning" in child.stderr and "no edges" in child.stderr
+        assert "Traceback" not in child.stderr
+        assert child.stdout == TIES_REPORT
+        assert perm_file.read_text() == "".join(f"{i}\n" for i in range(31, -1, -1))
 
 
 class TestReportBytes:

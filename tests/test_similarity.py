@@ -16,8 +16,10 @@ from contrabatch import (
     estimate_quantile_threshold,
     expected_retained_fraction,
     interpolated_quantile,
+    nearest_cross_neighbors,
+    ntxent_global,
 )
-from conftest import clustered_pair, random_pair
+from conftest import clustered_pair, orthogonal_ties, random_pair
 
 
 def sort_oracle_quantile(matrix: np.ndarray, q: float) -> float:
@@ -106,7 +108,7 @@ class TestGraphConstruction:
         m = np.column_stack([np.cos(angles), np.sin(angles)])
         pair = EmbeddingPair(m, m.copy())
         g = build_sparse_graph(pair, SimilarityThreshold(0.5, 0.9, 3, "exact"))
-        assert g.dump_edges() == "0 1\n"
+        assert g == SparseSimilarityGraph.from_edges(3, [(0, 1)])
 
     def test_non_finite_threshold_rejected(self):
         pair = random_pair(4, 2, seed=0)
@@ -134,17 +136,13 @@ class TestGraphConstruction:
             for c in cuts
         ]
         for low, high in zip(graphs, graphs[1:]):
-            low_edges = set(low.dump_edges().splitlines())
-            high_edges = set(high.dump_edges().splitlines())
-            assert high_edges <= low_edges
+            for i in range(60):
+                assert set(high.neighbors(i)) <= set(low.neighbors(i))
 
     def test_block_size_does_not_change_graph(self):
         pair = random_pair(300, 12, seed=4)
         t = estimate_quantile_threshold(pair, 0.9, 300)
-        reference = build_sparse_graph(pair, t)
-        for block in (1, 64, 173, 300):
-            assert build_sparse_graph(pair, t, block_rows=block) == reference
-        assert build_sparse_graph(pair, t, threads=8) == reference
+        assert build_sparse_graph(pair, t, threads=8) == build_sparse_graph(pair, t)
 
     def test_or_symmetrization(self):
         # x1.y0 passes, x0.y1 does not: the undirected edge must still exist
@@ -152,7 +150,7 @@ class TestGraphConstruction:
         y = np.array([[0.0, 1.0], [-1.0, 0.0]])
         pair = EmbeddingPair(x, y)
         g = build_sparse_graph(pair, SimilarityThreshold(0.5, 0.5, 2, "exact"))
-        assert g.dump_edges() == "0 1\n"
+        assert g == SparseSimilarityGraph.from_edges(2, [(0, 1)])
         assert g.directed_entry_count == 1
 
     def test_validate_flags_asymmetric_adjacency(self):
@@ -170,23 +168,18 @@ class TestRetainedFraction:
     def test_complete_graph(self):
         pair = random_pair(10, 4, seed=2)
         g = build_sparse_graph(pair, SimilarityThreshold(0.5, -2.0, 10, "exact"))
-        assert expected_retained_fraction(g, 0.5) == pytest.approx(1 - 1 / 10)
+        assert expected_retained_fraction(g) == pytest.approx(1 - 1 / 10)
 
     def test_empty_graph(self):
         pair = random_pair(10, 4, seed=2)
         g = build_sparse_graph(pair, SimilarityThreshold(0.5, 2.0, 10, "exact"))
-        assert expected_retained_fraction(g, 0.5) == 0.0
+        assert expected_retained_fraction(g) == 0.0
 
     def test_tracks_one_minus_q(self):
         pair = random_pair(512, 32, seed=42)
         t = estimate_quantile_threshold(pair, 0.99, 512)
         g = build_sparse_graph(pair, t)
-        assert 0.008 <= expected_retained_fraction(g, 0.99) <= 0.012
-
-
-def test_dump_edges_sorted_pairs():
-    g = SparseSimilarityGraph.from_edges(4, [(2, 3), (0, 3), (0, 1)])
-    assert g.dump_edges() == "0 1\n0 3\n2 3\n"
+        assert 0.008 <= expected_retained_fraction(g) <= 0.012
 
 
 def test_from_edges_insertion_order_irrelevant():
@@ -197,12 +190,6 @@ def test_from_edges_insertion_order_irrelevant():
 
 # Tail selection: every estimate must equal the full sort of each chunk, and
 # a graph that reuses the estimate's tails must equal a full rescan.
-
-def orthogonal_ties() -> EmbeddingPair:
-    """32 rows: 4 orthogonal unit vectors repeated 8x, X == Y; products are 0 or 1."""
-    m = np.tile(np.eye(4), (8, 1))
-    return EmbeddingPair(m, m.copy())
-
 
 def clustered_with_duplicates() -> EmbeddingPair:
     pair, _ = clustered_pair(256, 16, 8, noise=0.1, seed=21)
@@ -347,16 +334,33 @@ class TestTailReuse:
 
     def test_blocks_off_the_tile_grid_are_multiplied(self, monkeypatch):
         # products can differ in the last bit with block height, so a tail
-        # stands in only for a block with exactly its own span
+        # stands in only for a tile with exactly its own span
         pair = random_pair(300, 12, seed=4)
-        t = estimate_quantile_threshold(pair, 0.999, 300)
         calls = count_products(monkeypatch)
-        build_sparse_graph(pair, t, block_rows=300)
-        assert calls == []
-        for block in (64, 173):
-            build_sparse_graph(pair, t, block_rows=block)
-            assert calls == [(s, min(s + block, 300)) for s in range(0, 300, block)]
+        for chunk_rows, multiplied in ((300, []), (100, [(0, 300)])):
+            t = estimate_quantile_threshold(pair, 0.999, chunk_rows)
+            assert t._tails is not None
             calls.clear()
+            build_sparse_graph(pair, t)
+            assert calls == multiplied
+            assert self.assert_same_graph(pair, t).edge_count > 0
+
+
+class TestOneTileGrid:
+    def test_loss_and_neighbor_scans_use_the_tile_grid(self, monkeypatch):
+        pair = random_pair(150, 8, seed=45)
+        want_loss = ntxent_global(pair, 0.1)
+        m = pair.x @ pair.y.T
+        np.fill_diagonal(m, -np.inf)
+        want_nn = np.argmax(m, axis=1)
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        calls = count_products(monkeypatch)
+        tiles = [(0, 64), (64, 128), (128, 150)]
+        assert ntxent_global(pair, 0.1, threads=2) == pytest.approx(want_loss, abs=1e-12)
+        assert sorted(calls) == tiles  # two workers may finish out of order
+        calls.clear()
+        np.testing.assert_array_equal(nearest_cross_neighbors(pair, threads=2), want_nn)
+        assert sorted(calls) == tiles
 
 
 class TestMemory:
