@@ -38,8 +38,10 @@ def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndar
     by_degree = np.lexsort((np.arange(n), degrees))
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
-    filled = 0
-    cursor = 0
+    # isolated vertices rank first and each is a whole component: place them at once
+    filled = cursor = int(np.count_nonzero(degrees == 0))
+    order[:filled] = by_degree[:filled]
+    visited[order[:filled]] = True
     while filled < n:
         while visited[by_degree[cursor]]:
             cursor += 1

@@ -287,6 +287,12 @@ def gap_report(
     the bottleneck objective has no pairs to range over.
     """
     g = _global_stats(pair, tau, threads)
+    return _report(pair, g, assignment, tau, strategy, quantile, threads)
+
+
+def _report(pair: EmbeddingPair, g: _GlobalStats, assignment: BatchAssignment, tau: float,
+            strategy: str | None, quantile: float | None, threads: int) -> GapReport:
+    """``gap_report`` with the assignment-free global stats ``g`` given."""
     s = _slot_stats(pair, assignment, tau, threads)
     global_loss, train_loss = _loss(g), _loss(s)
     ub_translation, ub_standard = _gap_bounds(g, s)

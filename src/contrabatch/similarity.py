@@ -332,7 +332,7 @@ class SparseSimilarityGraph:
         ascending = (self.indices[1:] > self.indices[:-1]) | (rows[1:] != rows[:-1])
         if not np.all(ascending):
             raise GraphError("neighbor lists not strictly ascending")
-        forward = np.sort(rows * np.int64(self.n) + self.indices)
+        forward = rows * np.int64(self.n) + self.indices  # sorted, as the lists ascend
         backward = np.sort(self.indices * np.int64(self.n) + rows)
         if not np.array_equal(forward, backward):
             raise GraphError("adjacency is not symmetric")

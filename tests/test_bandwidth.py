@@ -88,6 +88,14 @@ class TestOrdering:
         np.testing.assert_array_equal(order[:2], [3, 4])
         np.testing.assert_array_equal(np.sort(order), np.arange(8))
 
+    def test_isolated_vertices_lead_then_path(self):
+        # path 5-7-2-10 among eight isolated vertices: the isolated ones come
+        # first by index, then BFS from endpoint 5 (degree 1, lower index than 10)
+        g = SparseSimilarityGraph.from_edges(12, [(2, 10), (2, 7), (5, 7)])
+        plain = [0, 1, 3, 4, 6, 8, 9, 11, 5, 7, 2, 10]
+        np.testing.assert_array_equal(cuthill_mckee(g, reverse=False), plain)
+        np.testing.assert_array_equal(cuthill_mckee(g, reverse=True), plain[::-1])
+
     def test_reverse_is_exact_reversal_with_equal_bandwidth(self):
         for seed in range(10):
             g, _ = random_connected_graph(12, seed + 100)

@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from contrabatch import save_embeddings
+from contrabatch import (
+    bandwidth_pipeline,
+    gap_report,
+    hard_negative_batches,
+    load_pair,
+    random_batches,
+    save_embeddings,
+)
+from contrabatch import cli, losses
 from contrabatch.cli import main
 from conftest import clustered_pair, orthogonal_ties, random_pair, src_env, two_cluster_pair
 
@@ -180,8 +188,49 @@ class TestCompare:
         summary = payload["random_summary"]["train_loss"]
         assert pipeline_train > summary["mean"] + 5 * summary["stddev"]
 
+    def test_global_stats_computed_once(self, tmp_path, capsys, monkeypatch):
+        x, y = write_pair(tmp_path, random_pair(40, 6, seed=14))
+        pair = load_pair(x, y).normalized()
+        runs = [(bandwidth_pipeline(pair, 0.8, 4)[1], "gcbs", 0.8),
+                (hard_negative_batches(pair, 4, seed=0), "hardneg1", None)]
+        runs += [(random_batches(pair.n, 4, seed), "random", None) for seed in range(5)]
+        expected = ", ".join(gap_report(pair, a, 0.05, strategy=s, quantile=q).to_json()
+                             for a, s, q in runs)
+        calls = []
+        real = losses._global_stats
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "_global_stats", counted)
+        monkeypatch.setattr(cli, "_global_stats", counted)
+        rc = main(["compare", "--x", x, "--y", y, "--batch-size", "4",
+                   "--quantile", "0.8", "--seeds", "5"])
+        assert rc == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith(f'{{"reports": [{expected}], ')
+
 
 class TestBench:
+    def test_first_size_warmed_up_untimed(self, capsys, monkeypatch):
+        calls = []
+        real = cli.estimate_quantile_threshold
+
+        def counted(pair, *args, **kwargs):
+            calls.append(pair.n)
+            return real(pair, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_quantile_threshold", counted)
+        rc = main(["bench", "--sizes", "64,128", "--dim", "8"])
+        assert rc == 0
+        assert calls == [64, 64, 128]
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out[0] == "n,stage,seconds"
+        rows = [line.split(",")[:2] for line in out[1:]]
+        stages = ["quantile", "graph", "ordering", "total"]
+        assert rows == [[n, stage] for n in ("64", "128") for stage in stages]
+
     def test_single_size_rows(self, capsys):
         rc = main(["bench", "--sizes", "256", "--dim", "16"])
         assert rc == 0
