@@ -121,17 +121,16 @@ def bandwidth_pipeline(
     reverse: bool = True,
     threads: int = 1,
 ) -> tuple[np.ndarray, BatchAssignment]:
-    """Full reordering pipeline: normalize, threshold, sparsify, order, batch.
+    """Full reordering pipeline: threshold, sparsify, order, batch.
 
-    Composition: row normalization, cutoff estimation at quantile ``q``
-    (``chunk_rows`` defaults to ``default_chunk_rows``), sparse graph
-    construction, BFS bandwidth ordering (reversed by default), sequential
-    batching.
+    Runs on the pair as given, so the caller decides normalization (the CLI
+    normalizes on load): cutoff estimation at quantile ``q`` (``chunk_rows``
+    defaults to ``default_chunk_rows``), sparse graph construction, BFS
+    bandwidth ordering (reversed by default), sequential batching.
     Pure function of its inputs: repeated runs are bit-identical.  Warns
     when no inner product beats the cutoff (ties at it are dropped), because
     the order of an edgeless graph only follows the row index.
     """
-    pair = pair.normalized()
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
     threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)

@@ -56,35 +56,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, batch_required: bool = True):
-        p.add_argument("--x", required=True, help="path to the first embedding matrix")
-        p.add_argument("--y", required=True, help="path to the second embedding matrix")
-        p.add_argument("--quantile", type=float, default=0.999,
-                       help="sparsification quantile (default 0.999)")
-        p.add_argument("--batch-size", type=int, required=batch_required, help="batch size k")
-        p.add_argument("--tau", type=float, default=0.05, help="temperature (default 0.05)")
-        p.add_argument("--chunk-rows", type=int, default=None,
-                       help=f"rows per quantile chunk (default min(N, {CHUNK_ROWS}))")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-        p.add_argument("--reverse-cm", action=argparse.BooleanOptionalAction, default=True,
-                       help="reverse the bandwidth ordering (default on)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; outputs do not depend on this")
+    flags = {
+        "--x": dict(required=True, help="path to the first embedding matrix"),
+        "--y": dict(required=True, help="path to the second embedding matrix"),
+        "--batch-size": dict(type=int, required=True, help="batch size k"),
+        "--tau": dict(type=float, default=0.05, help="temperature (default 0.05)"),
+        "--quantile": dict(type=float, default=0.999, help="sparsification quantile (default 0.999)"),
+        "--chunk-rows": dict(type=int, default=None,
+                             help=f"rows per quantile chunk (default min(N, {CHUNK_ROWS}))"),
+        "--reverse-cm": dict(action=argparse.BooleanOptionalAction, default=True,
+                             help="reverse the bandwidth ordering (default on)"),
+        "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
+        "--threads": dict(type=int, default=1, help="worker threads; outputs do not depend on this"),
+    }
+
+    def add(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **flags[name])
+
+    pair_flags = ("--x", "--y", "--batch-size", "--tau", "--threads")
+    pipeline_flags = ("--quantile", "--chunk-rows", "--reverse-cm")
 
     permute = sub.add_parser("permute", help="compute and save a batch-friendly reordering")
-    add_common(permute)
-    permute.add_argument("--strategy", choices=["gcbs", "random", "hardneg1"], default="gcbs")
+    add(permute, *pair_flags, *pipeline_flags)
     permute.add_argument("--out-perm", help="write the permutation here")
     permute.add_argument("--out-batches", help="write the batch dump here")
     permute.add_argument("--report", action="store_true", help="print the gap report JSON")
 
     analyze = sub.add_parser("analyze", help="report losses and gap bounds for an assignment")
-    add_common(analyze)
+    add(analyze, *pair_flags, *pipeline_flags, "--seed")
     analyze.add_argument("--strategy", choices=["gcbs", "random", "hardneg1"], default="gcbs")
     analyze.add_argument("--perm", help="use this permutation file instead of a strategy")
 
     compare = sub.add_parser("compare", help="pipeline vs baselines over random seeds")
-    add_common(compare)
+    add(compare, *pair_flags, *pipeline_flags, "--seed")
     compare.add_argument("--seeds", type=int, default=20,
                          help="number of random baseline seeds (default 20)")
 
@@ -92,62 +97,49 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True,
                        help="comma-separated sample counts, e.g. 1024,2048")
     bench.add_argument("--dim", type=int, default=64, help="embedding width (default 64)")
-    bench.add_argument("--quantile", type=float, default=0.999)
-    bench.add_argument("--batch-size", type=int, default=32)
-    bench.add_argument("--chunk-rows", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--reverse-cm", action=argparse.BooleanOptionalAction, default=True)
-    bench.add_argument("--threads", type=int, default=1)
+    bench.add_argument("--batch-size", type=int, default=32, help="batch size k (default 32)")
+    add(bench, *pipeline_flags, "--seed", "--threads")
 
     oracle = sub.add_parser("oracle", help="exhaustive optima at toy sizes (debugging)")
-    add_common(oracle)
+    add(oracle, *pair_flags)
 
     return parser
 
 
 def _load_normalized(args) -> EmbeddingPair:
+    """The one place the CLI normalizes: every row of X and Y, on load."""
     return load_pair(args.x, args.y).normalized()
 
 
-def _make_assignment(pair: EmbeddingPair, args):
-    """(order-or-None, assignment, strategy-tag, quantile-or-None)"""
-    k = args.batch_size
-    if args.strategy == "gcbs":
-        order, assignment = bandwidth_pipeline(
-            pair, args.quantile, k, chunk_rows=args.chunk_rows,
-            reverse=args.reverse_cm, threads=args.threads,
-        )
-        return order, assignment, "gcbs", args.quantile
-    if args.strategy == "random":
-        assignment = random_batches(pair.n, k, args.seed)
-        return assignment.perm, assignment, "random", None
-    assignment = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
-    return None, assignment, "hardneg1", None
+def _pipeline(pair: EmbeddingPair, args):
+    return bandwidth_pipeline(pair, args.quantile, args.batch_size, chunk_rows=args.chunk_rows,
+                              reverse=args.reverse_cm, threads=args.threads)
 
 
 def cmd_permute(args) -> int:
-    if args.strategy != "gcbs":
-        raise ParameterError("permute only supports --strategy gcbs")
     pair = _load_normalized(args)
-    order, assignment, strategy, quantile = _make_assignment(pair, args)
+    order, assignment = _pipeline(pair, args)
     if args.out_perm:
         save_permutation(order, args.out_perm)
     if args.out_batches:
         Path(args.out_batches).write_text(format_batches(assignment))
     if args.report:
-        print(gap_report(pair, assignment, args.tau, strategy=strategy,
-                         quantile=quantile, threads=args.threads).to_json())
+        print(gap_report(pair, assignment, args.tau, strategy="gcbs",
+                         quantile=args.quantile, threads=args.threads).to_json())
     return 0
 
 
 def cmd_analyze(args) -> int:
     pair = _load_normalized(args)
+    k, strategy, quantile = args.batch_size, args.strategy, None
     if args.perm:
-        order = load_permutation(args.perm)
-        assignment = sequential_batches(order, args.batch_size)
-        strategy, quantile = "file", None
+        assignment, strategy = sequential_batches(load_permutation(args.perm), k), "file"
+    elif strategy == "gcbs":
+        assignment, quantile = _pipeline(pair, args)[1], args.quantile
+    elif strategy == "random":
+        assignment = random_batches(pair.n, k, args.seed)
     else:
-        _, assignment, strategy, quantile = _make_assignment(pair, args)
+        assignment = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
     print(gap_report(pair, assignment, args.tau, strategy=strategy,
                      quantile=quantile, threads=args.threads).to_json())
     return 0
@@ -159,10 +151,7 @@ def cmd_compare(args) -> int:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
     pair = _load_normalized(args)
     k = args.batch_size
-    _, pipeline = bandwidth_pipeline(
-        pair, args.quantile, k, chunk_rows=args.chunk_rows,
-        reverse=args.reverse_cm, threads=args.threads,
-    )
+    _, pipeline = _pipeline(pair, args)
     mined = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
     runs = [(pipeline, "gcbs", args.quantile), (mined, "hardneg1", None)]
     runs += [(random_batches(pair.n, k, seed), "random", None)
@@ -221,7 +210,7 @@ def cmd_bench(args) -> int:
         for stage, seconds in stage_rows:
             print(f"{n},{stage},{_json_value(seconds)}")
         totals.append((n, t3 - t0))
-    if len(totals) >= 2:
+    if len({n for n, _ in totals}) >= 2:  # a slope needs two distinct sizes
         logs_n = np.log([t[0] for t in totals])
         logs_t = np.log([t[1] for t in totals])
         slope = float(np.polyfit(logs_n, logs_t, 1)[0])
@@ -259,7 +248,7 @@ _COMMANDS = {
 
 def _check_shared_flags(args) -> None:
     """Reject a seed or thread count outside its domain before any work."""
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise ParameterError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.threads < 1:
         raise ParameterError(f"--threads must be at least 1, got {args.threads}")

@@ -100,7 +100,8 @@ def _load_emb1(path: Path) -> np.ndarray:
 
 def _load_tsv(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
-    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
+    # undecodable bytes become U+FFFD, which no float parses: a FormatError, not a crash
+    for lineno, line in enumerate(path.read_text(errors="replace").split("\n"), start=1):
         if line == "":
             continue
         try:

@@ -17,6 +17,7 @@ from contrabatch import (
     random_batches,
     sequential_batches,
 )
+from contrabatch import batching
 from conftest import clustered_pair, orthogonal_ties, random_pair, two_cluster_pair
 
 
@@ -162,6 +163,22 @@ class TestPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bandwidth_pipeline(two_cluster_pair(), 0.5, k=4)
+
+    def test_orders_the_pair_it_is_given(self, monkeypatch):
+        # normalization is the caller's: the stages read the caller's pair itself
+        seen = []
+        for name in ("estimate_quantile_threshold", "build_sparse_graph"):
+            real = getattr(batching, name)
+
+            def recorded(pair, *args, _real=real, **kwargs):
+                seen.append(pair)
+                return _real(pair, *args, **kwargs)
+
+            monkeypatch.setattr(batching, name, recorded)
+        pair = random_pair(30, 6, seed=9)
+        bandwidth_pipeline(pair, 0.9, k=5)
+        assert len(seen) == 2
+        assert all(p is pair for p in seen)
 
     def test_repeated_runs_identical(self):
         pair = random_pair(50, 8, seed=11)

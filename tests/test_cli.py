@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from contrabatch import (
     random_batches,
     save_embeddings,
 )
-from contrabatch import cli, losses
+from contrabatch import cli, io, losses
 from contrabatch.cli import main
 from conftest import clustered_pair, orthogonal_ties, random_pair, src_env, two_cluster_pair
 
@@ -68,12 +69,6 @@ class TestPermute:
                    "--y", str(tmp_path / "nope.emb1"), "--batch-size", "2"])
         assert rc == 1
         assert "nope.emb1" in capsys.readouterr().err
-
-    def test_non_pipeline_strategy_rejected(self, tmp_path, capsys):
-        x, y = write_pair(tmp_path, random_pair(4, 3, seed=1))
-        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "2",
-                   "--strategy", "random"])
-        assert rc == 2
 
     def test_bad_quantile_exits_two(self, tmp_path, capsys):
         x, y = write_pair(tmp_path, random_pair(4, 3, seed=2))
@@ -133,8 +128,8 @@ class TestAnalyze:
         # 1e-310 is a valid temperature, but every logit overflows and the
         # losses come out NaN, which has no JSON form
         x, y = write_pair(tmp_path, random_pair(8, 4, seed=3))
-        rc = main([command, "--x", x, "--y", y, "--batch-size", "4",
-                   "--quantile", "0.8", "--tau", tau])
+        pipeline = ["--quantile", "0.8"] if command == "analyze" else []
+        rc = main([command, "--x", x, "--y", y, "--batch-size", "4", "--tau", tau] + pipeline)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
@@ -212,6 +207,24 @@ class TestCompare:
         assert capsys.readouterr().out.startswith(f'{{"reports": [{expected}], ')
 
 
+class TestNormalizeOnce:
+    @pytest.mark.parametrize("command", [["permute", "--report"], ["compare", "--seeds", "2"]],
+                             ids=["permute", "compare"])
+    def test_rows_normalized_once_on_load(self, tmp_path, capsys, monkeypatch, command):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=13))
+        calls = []
+        real = io.normalize_rows
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(io, "normalize_rows", counted)
+        rc = main(command + ["--x", x, "--y", y, "--batch-size", "4", "--quantile", "0.8"])
+        assert rc == 0
+        assert calls == [(16, 4), (16, 4)]  # X and Y, once each
+
+
 class TestBench:
     def test_first_size_warmed_up_untimed(self, capsys, monkeypatch):
         calls = []
@@ -246,6 +259,18 @@ class TestBench:
         assert rc == 0
         captured = capsys.readouterr()
         assert "log-log slope" in captured.err
+
+    def test_repeated_size_prints_no_slope(self, capsys):
+        # one distinct N gives no slope to fit; numpy would warn and print noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bench", "--sizes", "64,64", "--dim", "8"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        rows = [line.split(",")[:2] for line in captured.out.strip().splitlines()[1:]]
+        stages = ["quantile", "graph", "ordering", "total"]
+        assert rows == [["64", stage] for _ in range(2) for stage in stages]
+        assert "slope" not in captured.err
 
     def test_empty_sizes_exits_two(self, capsys):
         assert main(["bench", "--sizes", ""]) == 2
@@ -418,3 +443,20 @@ class TestFlagValidation:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestUnreadFlags:
+    """A command declares only the flags it reads; any other is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["permute", "--strategy", "gcbs"], ["permute", "--strategy", "random"],
+        ["permute", "--seed", "1"], ["oracle", "--quantile", "0.9"],
+        ["oracle", "--chunk-rows", "4"], ["oracle", "--no-reverse-cm"], ["oracle", "--seed", "1"],
+    ], ids=["permute-strategy-gcbs", "permute-strategy-random", "permute-seed",
+            "oracle-quantile", "oracle-chunk-rows", "oracle-reverse-cm", "oracle-seed"])
+    def test_argparse_rejects(self, tmp_path, capsys, argv):
+        x, y = write_pair(tmp_path, random_pair(4, 3, seed=1))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--x", x, "--y", y, "--batch-size", "2"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
