@@ -54,12 +54,27 @@ class BatchAssignment:
             b.setflags(write=False)
 
 
+def _check_batch_size(n: int, k: int) -> None:
+    """Reject a batch size k that cannot cut N samples into blocks."""
+    if not 1 <= k <= n:
+        raise ParameterError(f"batch size must lie in [1, {n}], got {k}")
+
+
+def _check_mined_batch_size(n: int, k: int) -> None:
+    """Reject a batch size k the mined-negative baseline cannot fill from N samples."""
+    if k % 2 != 0:
+        raise ParameterError(f"mined-negative batches need an even batch size, got {k}")
+    if n < 2:
+        raise ParameterError("mining a negative needs at least two samples")
+    if not 2 <= k <= 2 * n:
+        raise ParameterError(f"batch size must lie in [2, {2 * n}], got {k}")
+
+
 def sequential_batches(order: np.ndarray, k: int) -> BatchAssignment:
     """Cut a permutation into consecutive blocks of size k (last may be short)."""
     order = validate_permutation(order)
     n = order.size
-    if not 1 <= k <= n:
-        raise ParameterError(f"batch size must lie in [1, {n}], got {k}")
+    _check_batch_size(n, k)
     batches = tuple(order[s:e].copy() for s, e in chunk_spans(n, k))
     return BatchAssignment(n=n, k=k, batches=batches, perm=order)
 
@@ -97,13 +112,8 @@ def hard_negative_batches(
     reference indices followed by their mined partners.  An epoch therefore
     spans 2N slots and a popular neighbor may appear in several batches.
     """
-    if k % 2 != 0:
-        raise ParameterError(f"mined-negative batches need an even batch size, got {k}")
     n = pair.n
-    if n < 2:
-        raise ParameterError("mining a negative needs at least two samples")
-    if not 2 <= k <= 2 * n:
-        raise ParameterError(f"batch size must lie in [2, {2 * n}], got {k}")
+    _check_mined_batch_size(n, k)
     nn = nearest_cross_neighbors(pair, threads=threads)
     refs = np.random.default_rng(seed).permutation(n).astype(np.int64)
     half = k // 2
@@ -131,6 +141,7 @@ def bandwidth_pipeline(
     when no inner product beats the cutoff (ties at it are dropped), because
     the order of an edgeless graph only follows the row index.
     """
+    _check_batch_size(pair.n, k)
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
     threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .bandwidth import cuthill_mckee
 from .batching import (
+    _check_mined_batch_size,
     bandwidth_pipeline,
     format_batches,
     hard_negative_batches,
@@ -34,7 +35,14 @@ from .io import (
     normalize_rows,
     save_permutation,
 )
-from .losses import _global_stats, _json_value, _report, gap_report
+from .losses import (
+    _check_tau,
+    _global_stats,
+    _json_value,
+    _reading_global_stats,
+    _report,
+    gap_report,
+)
 from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap
 from .similarity import (
     CHUNK_ROWS,
@@ -106,9 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_normalized(args) -> EmbeddingPair:
-    """The one place the CLI normalizes: every row of X and Y, on load."""
-    return load_pair(args.x, args.y).normalized()
+def _load_normalized(args, report: bool = False) -> EmbeddingPair:
+    """The one place the CLI normalizes: every row of X and Y, on load.
+
+    With ``report`` set, the cutoff's tile scan also reads the report's
+    global loss at ``--tau``, so the report need not multiply X·Yᵀ again.
+    """
+    pair = load_pair(args.x, args.y).normalized()
+    return _reading_global_stats(pair, args.tau) if report else pair
 
 
 def _pipeline(pair: EmbeddingPair, args):
@@ -117,20 +130,23 @@ def _pipeline(pair: EmbeddingPair, args):
 
 
 def cmd_permute(args) -> int:
-    pair = _load_normalized(args)
+    pair = _load_normalized(args, report=args.report)
     order, assignment = _pipeline(pair, args)
+    report = None
+    if args.report:  # encoded before any file is written, so a failing report writes none
+        report = gap_report(pair, assignment, args.tau, strategy="gcbs",
+                            quantile=args.quantile, threads=args.threads).to_json()
     if args.out_perm:
         save_permutation(order, args.out_perm)
     if args.out_batches:
         Path(args.out_batches).write_text(format_batches(assignment))
-    if args.report:
-        print(gap_report(pair, assignment, args.tau, strategy="gcbs",
-                         quantile=args.quantile, threads=args.threads).to_json())
+    if report is not None:
+        print(report)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    pair = _load_normalized(args)
+    pair = _load_normalized(args, report=args.strategy == "gcbs" and not args.perm)
     k, strategy, quantile = args.batch_size, args.strategy, None
     if args.perm:
         assignment, strategy = sequential_batches(load_permutation(args.perm), k), "file"
@@ -149,14 +165,16 @@ def cmd_compare(args) -> int:
     """Emit [pipeline, mined-negative, random...] reports plus random-seed stats."""
     if args.seeds < 1:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
-    pair = _load_normalized(args)
+    pair = _load_normalized(args, report=True)
     k = args.batch_size
+    _check_mined_batch_size(pair.n, k)  # an odd k fails before the pipeline's work
     _, pipeline = _pipeline(pair, args)
     mined = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
     runs = [(pipeline, "gcbs", args.quantile), (mined, "hardneg1", None)]
     runs += [(random_batches(pair.n, k, seed), "random", None)
              for seed in range(args.seed, args.seed + args.seeds)]
-    g = _global_stats(pair, args.tau, args.threads)  # assignment-free: shared by every report
+    # assignment-free, so shared by every report; read from the cutoff's tiles
+    g = _global_stats(pair, args.tau, args.threads)
     reports = [_report(pair, g, assignment, args.tau, strategy, quantile, args.threads)
                for assignment, strategy, quantile in runs]
     summary = {}
@@ -247,11 +265,13 @@ _COMMANDS = {
 
 
 def _check_shared_flags(args) -> None:
-    """Reject a seed or thread count outside its domain before any work."""
+    """Reject a seed, thread count or temperature outside its domain before any work."""
     if getattr(args, "seed", 0) < 0:
         raise ParameterError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.threads < 1:
         raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+    if "tau" in args and getattr(args, "report", True):  # permute reads --tau only with --report
+        _check_tau(args.tau)
 
 
 def main(argv=None) -> int:

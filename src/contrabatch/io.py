@@ -20,7 +20,7 @@ Permutations are stored as ASCII decimal indices, one per line, LF-ended.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -150,10 +150,16 @@ class EmbeddingPair:
     """Row-aligned embeddings: row i of ``x`` and row i of ``y`` are positives.
 
     Immutable after construction; safe to share across threads.
+    ``_tile_reader``, when set, is called as ``reader(pair, span, product)``
+    on each grid tile of X·Yᵀ the cutoff's tile scan multiplies, after the
+    scan's own reads, and may overwrite the product: the CLI sets it when a
+    gap report will follow, so the report reads its global loss from those
+    tiles.  It takes no part in equality or repr.
     """
 
     x: np.ndarray
     y: np.ndarray
+    _tile_reader: object = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         x = _as_matrix(self.x)

@@ -19,7 +19,9 @@ row with the row's actual candidate count, which reduces to the familiar
 log(N/k) when every batch is full.
 
 Every loss and bound derives from two scans: one over all N candidates
-per sample, one over the in-batch candidates per slot.
+per sample, one over the in-batch candidates per slot.  The first can ride
+the cutoff estimator's tile scan (a pair's tile reader, see
+``similarity``), which leaves it no tile to multiply.
 
 Two scalar objectives summarize how hard a batch assignment is:
 
@@ -32,7 +34,7 @@ Two scalar objectives summarize how hard a batch assignment is:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import inf, isfinite, log
 
 import numpy as np
@@ -83,15 +85,49 @@ class _GlobalStats:
     positive: np.ndarray
 
 
+def _global_part(span: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """(lse, row_max, positive) of the rows of tile ``span``; overwrites ``z``."""
+    z /= tau
+    positive = z.diagonal(span[0]).copy()
+    return (*_logsumexp_rows(z), positive)
+
+
+class _GlobalReader:
+    """Tile reader that keeps the global-stats part of each tile it is given.
+
+    Set on a pair by :func:`_reading_global_stats`; :func:`_global_stats`
+    at the same tau then takes these parts instead of multiplying the tiles
+    again.  A part is the same function of the same product bits either
+    way, so the stats are bit-identical.
+    """
+
+    def __init__(self, tau: float):
+        self.tau = tau
+        self.parts: dict = {}  # span -> (x, y, part): the arrays it was read from
+
+    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray) -> None:
+        self.parts[span] = (pair.x, pair.y, _global_part(span, z, self.tau))
+
+    def parts_for(self, pair: EmbeddingPair, tau: float) -> dict:
+        """The parts read from ``pair`` at ``tau``, by span."""
+        if tau != self.tau:
+            return {}
+        return {span: part for span, (x, y, part) in self.parts.items()
+                if x is pair.x and y is pair.y}
+
+
+def _reading_global_stats(pair: EmbeddingPair, tau: float) -> EmbeddingPair:
+    """``pair`` with a :class:`_GlobalReader` at ``tau`` as its tile reader."""
+    return replace(pair, _tile_reader=_GlobalReader(_check_tau(tau)))
+
+
 def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalStats:
+    """Global stats over the row tiles, in row order; a tile the pair's reader
+    already read at this tau is not multiplied again."""
     tau = _check_tau(tau)
-
-    def scan(span: tuple[int, int], z: np.ndarray) -> tuple[np.ndarray, ...]:
-        z /= tau
-        positive = z.diagonal(span[0]).copy()
-        return (*_logsumexp_rows(z), positive)
-
-    parts = _map_tiles(pair, scan, threads)
+    reader = pair._tile_reader
+    done = reader.parts_for(pair, tau) if isinstance(reader, _GlobalReader) else None
+    parts = _map_tiles(pair, lambda span, z: _global_part(span, z, tau), threads, done)
     return _GlobalStats(*map(np.concatenate, zip(*parts)))
 
 

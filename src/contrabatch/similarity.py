@@ -36,6 +36,15 @@ below about 15/16 (no tails are kept), its tail was dropped for holding over
 tiles have other spans), or the threshold was made by hand or estimated
 from another pair.  Reusing a tail only on an identical span keeps the
 graph built from the same products, bit for bit, as a rescan.
+
+Tile readers.  A pair may carry a ``_tile_reader`` (the CLI sets one when a
+gap report follows): after a tile's tail is taken, the estimator hands each
+tile on the ``_tiles((0, N))`` grid to it, and the reader may then overwrite
+the product in place.  The report's global-loss terms are read this way, so
+a ``permute --report`` run multiplies X·Yᵀ once.  Tiles the estimator does
+not scan (q below about 15/16, whose full sort works in place) or scans
+with other spans (``chunk_rows`` off the grid) are not read, and the report
+multiplies them itself, on the same grid, so its bits do not change.
 """
 
 from __future__ import annotations
@@ -160,9 +169,24 @@ def _tiles(span: tuple[int, int]) -> list[tuple[int, int]]:
     return [(start + a, start + b) for a, b in chunk_spans(stop - start, ROW_CHUNK)]
 
 
-def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1) -> list:
-    """``fn(span, product)`` over the row tiles of all N rows, in row order."""
-    return ordered_map(lambda span: fn(span, _products(pair, span)), _tiles((0, pair.n)), threads)
+def _on_grid(span: tuple[int, int], n: int) -> bool:
+    """Whether ``span`` is one of the tiles ``_tiles((0, n))``."""
+    start, stop = span
+    return start % ROW_CHUNK == 0 and stop == min(start + ROW_CHUNK, n)
+
+
+def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1, done: dict | None = None) -> list:
+    """``fn(span, product)`` over the row tiles of all N rows, in row order.
+
+    A tile whose span is a key of ``done`` takes that value instead and is
+    not multiplied.
+    """
+    done = done or {}
+
+    def run(span: tuple[int, int]):
+        return done[span] if span in done else fn(span, _products(pair, span))
+
+    return ordered_map(run, _tiles((0, pair.n)), threads)
 
 
 def _sample_stride(entries: int, width: int) -> int:
@@ -175,7 +199,11 @@ def _sample_stride(entries: int, width: int) -> int:
 
 
 def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], share: float) -> _Tail:
-    """Multiply one tile and keep the entries at or above a sampled bound."""
+    """Multiply one tile and keep the entries at or above a sampled bound.
+
+    A grid tile is then handed to the pair's tile reader, which may
+    overwrite the product: the tail is copied out first.
+    """
     flat = _products(pair, span).reshape(-1)
     sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
     keep = min(sample.size, max(_MIN_SAMPLE_TAIL, math.ceil(_TAIL_MARGIN * share * sample.size)))
@@ -184,8 +212,12 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], share: float) -> _Tai
     bound = float(sample[kth])
     offsets = np.flatnonzero(flat >= bound)
     if offsets.size > _MAX_TAIL_SHARE * flat.size:
-        return _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
-    return _Tail(span, bound, offsets, flat[offsets])
+        tail = _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
+    else:
+        tail = _Tail(span, bound, offsets, flat[offsets])
+    if pair._tile_reader is not None and _on_grid(span, pair.n):
+        pair._tile_reader(pair, span, flat.reshape(-1, pair.n))
+    return tail
 
 
 def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contrabatch import EmbeddingPair, normalize_rows
+from contrabatch import EmbeddingPair, normalize_rows, similarity
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +48,19 @@ def two_cluster_pair() -> EmbeddingPair:
     """Eight 2-D rows: four on the x-axis, four on the y-axis, X == Y."""
     m = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
     return EmbeddingPair(m, m.copy())
+
+
+def count_products(monkeypatch) -> list:
+    """Record the span of every X·Yᵀ tile multiplied from now on."""
+    calls = []
+    products = similarity._products
+
+    def counted(pair, span, out=None):
+        calls.append(span)
+        return products(pair, span, out)
+
+    monkeypatch.setattr(similarity, "_products", counted)
+    return calls
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from contrabatch import (
+    EmbeddingPair,
     bandwidth_pipeline,
     gap_report,
     hard_negative_batches,
@@ -17,9 +18,16 @@ from contrabatch import (
     random_batches,
     save_embeddings,
 )
-from contrabatch import cli, io, losses
+from contrabatch import batching, cli, io, losses, similarity
 from contrabatch.cli import main
-from conftest import clustered_pair, orthogonal_ties, random_pair, src_env, two_cluster_pair
+from conftest import (
+    clustered_pair,
+    count_products,
+    orthogonal_ties,
+    random_pair,
+    src_env,
+    two_cluster_pair,
+)
 
 
 def write_pair(tmp_path, pair, fmt="emb1"):
@@ -75,6 +83,21 @@ class TestPermute:
         rc = main(["permute", "--x", x, "--y", y, "--batch-size", "2",
                    "--quantile", "1.5"])
         assert rc == 2
+
+    @pytest.mark.parametrize("tau", ["inf", "0", "-1", "1e-310"])
+    def test_failed_report_writes_no_file(self, tmp_path, capsys, tau):
+        # inf, 0 and -1 are not temperatures; at 1e-310 every logit
+        # overflows and the report has no JSON form
+        x, y = write_pair(tmp_path, random_pair(8, 4, seed=3))
+        perm_file, batch_file = tmp_path / "perm.txt", tmp_path / "batches.txt"
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "4", "--quantile", "0.8",
+                   "--tau", tau, "--out-perm", str(perm_file), "--out-batches", str(batch_file),
+                   "--report"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not perm_file.exists() and not batch_file.exists()
 
     def test_degenerate_row_exits_one(self, tmp_path, capsys):
         m = np.ones((4, 3))
@@ -169,6 +192,24 @@ class TestCompare:
         rc = main(["compare", "--x", x, "--y", y, "--batch-size", "2",
                    "--seeds", "0"])
         assert rc == 2
+
+    def test_odd_batch_size_rejected_before_the_pipeline(self, tmp_path, capsys, monkeypatch):
+        x, y = write_pair(tmp_path, random_pair(12, 4, seed=8))
+        calls = []
+        real = batching.estimate_quantile_threshold
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batching, "estimate_quantile_threshold", counted)
+        rc = main(["compare", "--x", x, "--y", y, "--batch-size", "3",
+                   "--quantile", "0.7", "--seeds", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert calls == []
+        assert captured.out == ""
+        assert captured.err == "error: mined-negative batches need an even batch size, got 3\n"
 
     def test_clustered_data_separates_pipeline_from_random(self, tmp_path, capsys):
         # measured separation on this fixture is ~41 sigma; the assertion
@@ -410,6 +451,96 @@ class TestReportBytes:
         rc = main(["oracle", "--x", x, "--y", y, "--batch-size", "2"])
         assert rc == 0
         assert capsys.readouterr().out == ORACLE_REPORT
+
+
+def plain_report(x, y, q, k, tau, chunk_rows=None, threads=1) -> str:
+    """stdout of ``permute --report`` built by the public functions on a plain pair."""
+    pair = load_pair(x, y).normalized()
+    assignment = bandwidth_pipeline(pair, q, k, chunk_rows=chunk_rows, threads=threads)[1]
+    return gap_report(pair, assignment, tau, strategy="gcbs", quantile=q,
+                      threads=threads).to_json() + "\n"
+
+
+def duplicated_cluster_pair() -> EmbeddingPair:
+    """512 clustered rows, every other one on both sides a copy of x_0.
+
+    A quarter of all products tie at the top, too many for a tile's tail.
+    """
+    pair, _ = clustered_pair(512, 16, 8, noise=0.05, seed=46)
+    x, y = pair.x.copy(), pair.y.copy()
+    x[::2] = y[::2] = x[0]
+    return EmbeddingPair(x, y)
+
+
+class TestOneSweep:
+    """The report reads its global loss from the cutoff's tiles: one X·Yᵀ
+    multiply per ``permute --report``, and the same report bytes as the
+    public functions on a plain pair on every path."""
+
+    TILES = [(0, 128), (128, 256), (256, 384), (384, 512)]
+
+    def run(self, tmp_path, capsys, monkeypatch, pair, flags, command="permute"):
+        x, y = write_pair(tmp_path, pair)
+        calls = count_products(monkeypatch)
+        extra = ["--report"] if command == "permute" else ["--seeds", "2"]
+        rc = main([command, "--x", x, "--y", y, "--batch-size", "16"] + extra + flags)
+        assert rc == 0
+        return x, y, calls, capsys.readouterr().out
+
+    def test_permute_report_multiplies_each_tile_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
+                         ["--quantile", "0.999", "--threads", "2"])[2]
+        assert sorted(calls) == self.TILES  # estimate only: the graph and report reuse it
+
+    def test_compare_multiplies_each_tile_twice(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        x, y, calls, out = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
+                                    ["--quantile", "0.999"], command="compare")
+        assert sorted(calls) == sorted(self.TILES * 2)  # the estimate and the mined baseline
+        assert out.startswith('{"reports": [' + plain_report(x, y, 0.999, 16, 0.05)[:-1])
+
+    def test_full_sort_multiplies_the_report_tiles(self, tmp_path, capsys, monkeypatch):
+        # q = 0.9 keeps no tails: the sort, the graph and the report each multiply
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
+                         ["--quantile", "0.9"])[2]
+        assert sorted(calls) == sorted(self.TILES * 3)
+
+    def test_off_grid_chunks_multiply_the_report_tiles(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
+                         ["--quantile", "0.999", "--chunk-rows", "100"])[2]
+        chunk_tiles = [(s, min(s + 100, 512)) for s in range(0, 512, 100)]
+        assert sorted(calls) == sorted(chunk_tiles + self.TILES * 2)  # graph and report
+
+    @pytest.mark.parametrize("pair, flags, row_chunk", [
+        (random_pair(512, 16, seed=41), ["--quantile", "0.9"], 128),
+        (duplicated_cluster_pair(), ["--quantile", "0.999"], 128),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--chunk-rows", "100"], 128),
+        (random_pair(2050, 16, seed=47), ["--quantile", "0.999"], None),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--threads", "2"], 128),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--tau", "0.05"], 128),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--tau", "0.5"], 128),
+    ], ids=["full-sort", "dropped-tail", "off-grid-chunks", "n-2050", "threads-2",
+            "tau-0.05", "tau-0.5"])
+    def test_report_bytes_on_every_path(self, tmp_path, capsys, monkeypatch, pair, flags,
+                                        row_chunk):
+        if row_chunk is not None:
+            monkeypatch.setattr(similarity, "ROW_CHUNK", row_chunk)
+        x, y, _, out = self.run(tmp_path, capsys, monkeypatch, pair, flags)
+        opts = dict(zip(flags[::2], flags[1::2]))
+        chunk_rows = int(opts["--chunk-rows"]) if "--chunk-rows" in opts else None
+        assert out == plain_report(x, y, float(opts["--quantile"]), 16,
+                                   float(opts.get("--tau", "0.05")), chunk_rows=chunk_rows,
+                                   threads=int(opts.get("--threads", "1")))
+
+    def test_duplicated_pair_drops_a_tail(self, tmp_path, monkeypatch):
+        # the premise of the dropped-tail case above
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        pair = load_pair(*write_pair(tmp_path, duplicated_cluster_pair())).normalized()
+        tails = similarity.estimate_quantile_threshold(pair, 0.999, 512)._tails.by_span
+        assert any(tail.bound == math.inf for tail in tails.values())
 
 
 class TestFlagValidation:

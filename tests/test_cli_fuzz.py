@@ -1,7 +1,8 @@
-"""Fuzzed CLI runs on degenerate embedding files.
+"""Fuzzed CLI runs on degenerate embedding files and temperatures.
 
 Whatever the input, a run ends in exit 0, 1 or 2, lets no exception but
-SystemExit escape, and on exit 0 prints JSON without NaN or infinity.
+SystemExit escape, on exit 0 prints JSON without NaN or infinity, and on
+any other exit leaves no output file behind.
 """
 
 import contextlib
@@ -90,15 +91,20 @@ def run_cli(argv):
     seed=st.integers(0, 2**16),
     command=st.sampled_from(COMMANDS),
     k=st.sampled_from([1, 2, 4]),
-    tau=st.sampled_from(["0.05", "1e-3"]),
+    # the last four are invalid, or make every logit overflow
+    tau=st.sampled_from(["0.05", "1e-3", "inf", "0", "-1", "1e-310"]),
 )
 def test_degenerate_inputs_exit_cleanly(kind, fmt, both_sides, n, d, seed, command, k, tau):
     with tempfile.TemporaryDirectory() as tmp:
-        x, y = Path(tmp) / "x", Path(tmp) / "y"
+        x, y, perm = Path(tmp) / "x", Path(tmp) / "y", Path(tmp) / "perm"
         x.write_bytes(matrix_bytes(kind, n, d, seed, fmt))
         y.write_bytes(matrix_bytes(kind if both_sides else "gaussian", n, d, seed + 1, fmt))
+        out_flags = ["--out-perm", str(perm)] if command[0] == "permute" else []
         code, stdout = run_cli(command + ["--x", str(x), "--y", str(y), "--batch-size", str(k),
-                                          "--tau", tau])
+                                          "--tau", tau] + out_flags)
+        written = perm.exists()
     assert code in (0, 1, 2)
     if code == 0:
         finite_json(stdout)
+    else:
+        assert not written

@@ -2,10 +2,13 @@
 
 import json
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from contrabatch import losses, similarity
 from contrabatch import (
     EmbeddingPair,
     ObjectiveUndefined,
@@ -21,7 +24,7 @@ from contrabatch import (
     random_batches,
     sequential_batches,
 )
-from conftest import random_pair, two_cluster_pair
+from conftest import count_products, random_pair, two_cluster_pair
 
 
 def naive_global(pair, tau):
@@ -82,6 +85,55 @@ class TestGlobalLoss:
         for tau in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ParameterError):
                 ntxent_global(pair, tau)
+
+
+class TestGlobalStatsFromTheCutoffTiles:
+    """A pair reading global stats during the cutoff's scan gives the global
+    loss of a plain pair, bit for bit, and multiplies only what it lacks."""
+
+    TILES = [(0, 128), (128, 256), (256, 384), (384, 512)]
+
+    def scanned(self, monkeypatch, tau):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        plain = random_pair(512, 16, seed=48)
+        pair = losses._reading_global_stats(plain, tau)
+        similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=2)
+        return plain, pair, count_products(monkeypatch)
+
+    def test_same_tau_needs_no_multiply(self, monkeypatch):
+        plain, pair, calls = self.scanned(monkeypatch, 0.05)
+        assert ntxent_global(pair, 0.05) == ntxent_global(plain, 0.05)
+        assert sorted(calls) == self.TILES  # the plain pair's pass only
+
+    def test_another_tau_multiplies_every_tile(self, monkeypatch):
+        plain, pair, calls = self.scanned(monkeypatch, 0.05)
+        assert ntxent_global(pair, 0.5) == ntxent_global(plain, 0.5)
+        assert sorted(calls) == sorted(self.TILES * 2)
+
+    def test_many_workers_record_every_tile(self, monkeypatch):
+        # 32 tiles on 8 workers, switching threads as often as the
+        # interpreter allows: a lost part would show as a multiply
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 16)
+        plain = random_pair(512, 16, seed=50)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pair = losses._reading_global_stats(plain, 0.05)
+            similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pair._tile_reader.parts) == 32
+        calls = count_products(monkeypatch)
+        assert ntxent_global(pair, 0.05, threads=8) == ntxent_global(plain, 0.05)
+        assert len(calls) == 32  # the plain pair's pass only
+
+    def test_parts_of_another_pair_are_ignored(self, monkeypatch):
+        plain, pair, calls = self.scanned(monkeypatch, 0.05)
+        other = random_pair(512, 16, seed=49)
+        copied = replace(pair, x=other.x, y=other.y)  # carries the reader along
+        assert copied._tile_reader is pair._tile_reader
+        assert ntxent_global(copied, 0.05) == ntxent_global(other, 0.05)
+        assert sorted(calls) == sorted(self.TILES * 2)
 
 
 class TestTrainLoss:

@@ -19,7 +19,7 @@ from contrabatch import (
     nearest_cross_neighbors,
     ntxent_global,
 )
-from conftest import clustered_pair, orthogonal_ties, random_pair
+from conftest import clustered_pair, count_products, orthogonal_ties, random_pair
 
 
 def sort_oracle_quantile(matrix: np.ndarray, q: float) -> float:
@@ -270,18 +270,6 @@ class TestTailSelection:
         t = estimate_quantile_threshold(pair, 0.999, 128)
         assert calls == []
         assert t.value == chunk_oracle(pair, 0.999, 128)
-
-
-def count_products(monkeypatch) -> list:
-    calls = []
-    products = similarity._products
-
-    def counted(pair, span, out=None):
-        calls.append(span)
-        return products(pair, span, out)
-
-    monkeypatch.setattr(similarity, "_products", counted)
-    return calls
 
 
 class TestTailReuse:
