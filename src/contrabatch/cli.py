@@ -11,6 +11,8 @@ row structure does not).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -129,6 +131,28 @@ def _pipeline(pair: EmbeddingPair, args):
                               reverse=args.reverse_cm, threads=args.threads)
 
 
+def _write_all(writes) -> None:
+    """Run each ``(path, write)`` on a sibling temporary file, then move every
+    file into place: a failed write leaves no output and no existing file
+    changed."""
+    temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.{i}.tmp")
+             for i, (path, _) in enumerate(writes)]
+    try:
+        for (path, write), temp in zip(writes, temps):
+            try:
+                write(temp)
+            except OSError as exc:  # name the output asked for, not its temporary file
+                raise OSError(exc.errno, exc.strerror, path) from exc
+        for path, _ in writes:  # a move onto a directory would fail after an earlier move
+            if Path(path).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for (path, _), temp in zip(writes, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def cmd_permute(args) -> int:
     pair = _load_normalized(args, report=args.report)
     order, assignment = _pipeline(pair, args)
@@ -136,10 +160,12 @@ def cmd_permute(args) -> int:
     if args.report:  # encoded before any file is written, so a failing report writes none
         report = gap_report(pair, assignment, args.tau, strategy="gcbs",
                             quantile=args.quantile, threads=args.threads).to_json()
+    writes = []
     if args.out_perm:
-        save_permutation(order, args.out_perm)
+        writes.append((args.out_perm, lambda path: save_permutation(order, path)))
     if args.out_batches:
-        Path(args.out_batches).write_text(format_batches(assignment))
+        writes.append((args.out_batches, lambda path: Path(path).write_text(format_batches(assignment))))
+    _write_all(writes)
     if report is not None:
         print(report)
     return 0
@@ -180,7 +206,8 @@ def cmd_compare(args) -> int:
     summary = {}
     for field in ("train_loss", "gap"):
         values = np.array([getattr(r, field) for r in reports if r.strategy == "random"])
-        summary[field] = {"mean": values.mean(), "stddev": values.std(ddof=0)}
+        with np.errstate(all="ignore"):  # a non-finite summary fails as JSON, without warnings
+            summary[field] = {"mean": values.mean(), "stddev": values.std(ddof=0)}
     body = ", ".join(r.to_json() for r in reports)
     print(f'{{"reports": [{body}], "random_summary": {_json_value(summary)}}}')
     return 0

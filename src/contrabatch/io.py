@@ -150,11 +150,14 @@ class EmbeddingPair:
     """Row-aligned embeddings: row i of ``x`` and row i of ``y`` are positives.
 
     Immutable after construction; safe to share across threads.
-    ``_tile_reader``, when set, is called as ``reader(pair, span, product)``
-    on each grid tile of X·Yᵀ the cutoff's tile scan multiplies, after the
-    scan's own reads, and may overwrite the product: the CLI sets it when a
-    gap report will follow, so the report reads its global loss from those
-    tiles.  It takes no part in equality or repr.
+    ``_tile_reader``, when set, is called as ``reader(pair, span, rows,
+    block)`` on each grid tile ``span`` of X·Yᵀ the cutoff's tile scan
+    multiplies, once per row block: ``block`` holds the products of rows
+    ``rows``, the blocks of a tile come in row order from one thread, and
+    each comes after the scan's own reads of it.  The reader may overwrite
+    the block but keeps no view of it, as the product's buffer is reused.
+    The CLI sets it when a gap report will follow, so the report reads its
+    global loss from those tiles.  It takes no part in equality or repr.
     """
 
     x: np.ndarray

@@ -43,7 +43,7 @@ from ._parallel import ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
-from .similarity import _map_tiles
+from .similarity import _map_tiles, _row_blocks
 
 
 def _check_tau(tau: float) -> float:
@@ -85,15 +85,30 @@ class _GlobalStats:
     positive: np.ndarray
 
 
-def _global_part(span: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
-    """(lse, row_max, positive) of the rows of tile ``span``; overwrites ``z``."""
-    z /= tau
-    positive = z.diagonal(span[0]).copy()
-    return (*_logsumexp_rows(z), positive)
+def _joined(parts) -> tuple[np.ndarray, ...]:
+    """Concatenate per-row parts, field by field, in the order given."""
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _global_part(rows: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """(lse, row_max, positive) of the product rows ``rows`` in ``z``; overwrites ``z``.
+
+    Logits that overflow give non-finite parts, which the report rejects,
+    without floating-point warnings (pool threads do not inherit errstate).
+    """
+    with np.errstate(all="ignore"):
+        z /= tau
+        positive = z.diagonal(rows[0]).copy()
+        return (*_logsumexp_rows(z), positive)
+
+
+def _global_tile(span: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """:func:`_global_part` of a whole tile product, a row block at a time."""
+    return _joined(_global_part(rows, block, tau) for rows, block in _row_blocks(span, z))
 
 
 class _GlobalReader:
-    """Tile reader that keeps the global-stats part of each tile it is given.
+    """Tile reader that keeps the global-stats parts of the blocks it is given.
 
     Set on a pair by :func:`_reading_global_stats`; :func:`_global_stats`
     at the same tau then takes these parts instead of multiplying the tiles
@@ -103,16 +118,19 @@ class _GlobalReader:
 
     def __init__(self, tau: float):
         self.tau = tau
-        self.parts: dict = {}  # span -> (x, y, part): the arrays it was read from
+        self.parts: dict = {}  # span -> (x, y, block parts): the arrays they were read from
 
-    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray) -> None:
-        self.parts[span] = (pair.x, pair.y, _global_part(span, z, self.tau))
+    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
+                 block: np.ndarray) -> None:
+        if rows[0] == span[0]:  # a tile's blocks come in row order, from one thread
+            self.parts[span] = (pair.x, pair.y, [])
+        self.parts[span][2].append(_global_part(rows, block, self.tau))
 
     def parts_for(self, pair: EmbeddingPair, tau: float) -> dict:
-        """The parts read from ``pair`` at ``tau``, by span."""
+        """The tile parts read from ``pair`` at ``tau``, by span."""
         if tau != self.tau:
             return {}
-        return {span: part for span, (x, y, part) in self.parts.items()
+        return {span: _joined(blocks) for span, (x, y, blocks) in self.parts.items()
                 if x is pair.x and y is pair.y}
 
 
@@ -127,8 +145,8 @@ def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalS
     tau = _check_tau(tau)
     reader = pair._tile_reader
     done = reader.parts_for(pair, tau) if isinstance(reader, _GlobalReader) else None
-    parts = _map_tiles(pair, lambda span, z: _global_part(span, z, tau), threads, done)
-    return _GlobalStats(*map(np.concatenate, zip(*parts)))
+    parts = _map_tiles(pair, lambda span, z: _global_tile(span, z, tau), threads, done)
+    return _GlobalStats(*_joined(parts))
 
 
 @dataclass(frozen=True)
@@ -157,11 +175,12 @@ def _slot_stats(
     def scan(item: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
         batch, candidates = item
         z = pair.x[batch] @ pair.y[candidates].T
-        z /= tau
         rows = np.arange(batch.size)
         cols = np.searchsorted(candidates, batch) if assignment.oversampled else rows
-        positive, cand_min = z[rows, cols], z.min(axis=1)
-        lse, cand_max = _logsumexp_rows(z)
+        with np.errstate(all="ignore"):  # as in _global_part
+            z /= tau
+            positive, cand_min = z[rows, cols], z.min(axis=1)
+            lse, cand_max = _logsumexp_rows(z)
         count = np.full(batch.size, candidates.size, dtype=np.int64)
         return batch, lse, positive, cand_min, cand_max, count
 
@@ -171,14 +190,16 @@ def _slot_stats(
 
 def _loss(stats: _GlobalStats | _SlotStats) -> float:
     """Mean contrast loss, lse - positive, over the rows of a scan."""
-    return float(np.sum(stats.lse - stats.positive) / stats.lse.size)
+    with np.errstate(all="ignore"):  # overflowed logits: a non-finite loss, no warning
+        return float(np.sum(stats.lse - stats.positive) / stats.lse.size)
 
 
 def _gap_bounds(g: _GlobalStats, s: _SlotStats) -> tuple[float, float]:
     n, slots = g.lse.size, s.lse.size
     row_max = g.row_max[s.sample]
-    translation = np.sum(row_max - s.cand_min + np.log(n / s.cand_count)) / slots
-    standard = np.sum(row_max - s.cand_max) / slots + log(n)
+    with np.errstate(all="ignore"):  # as in _loss
+        translation = np.sum(row_max - s.cand_min + np.log(n / s.cand_count)) / slots
+        standard = np.sum(row_max - s.cand_max) / slots + log(n)
     return float(translation), float(standard)
 
 
@@ -209,9 +230,10 @@ def lse_component_bounds(
     g = _global_stats(pair, tau)
     s = _slot_stats(pair, assignment, tau)
     slots = s.lse.size
-    ub_global = float(np.sum(g.row_max - g.positive) / pair.n + log(pair.n))
-    lb_standard = float(np.sum(s.cand_max - s.positive) / slots)
-    lb_translation = float(np.sum(s.cand_min - s.positive + np.log(s.cand_count)) / slots)
+    with np.errstate(all="ignore"):  # as in _loss
+        ub_global = float(np.sum(g.row_max - g.positive) / pair.n + log(pair.n))
+        lb_standard = float(np.sum(s.cand_max - s.positive) / slots)
+        lb_translation = float(np.sum(s.cand_min - s.positive + np.log(s.cand_count)) / slots)
     return ub_global, lb_standard, lb_translation
 
 

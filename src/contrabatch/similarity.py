@@ -37,19 +37,32 @@ tiles have other spans), or the threshold was made by hand or estimated
 from another pair.  Reusing a tail only on an identical span keeps the
 graph built from the same products, bit for bit, as a rescan.
 
+Tile walk.  Once BLAS has written a tile, every later read of it goes row
+block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a
+block is still in cache for each pass after its first.  A block only splits
+element-wise work and per-row maxima and sums, whose bits do not depend on
+how many rows share a call, so the block height changes no output.  Each
+scan (the estimator's tile jobs, ``_map_tiles``) multiplies into one buffer
+per worker thread (``_buffered_products``), reused tile after tile and freed
+when the scan returns: a function given a buffered product keeps no view of
+it.
+
 Tile readers.  A pair may carry a ``_tile_reader`` (the CLI sets one when a
-gap report follows): after a tile's tail is taken, the estimator hands each
-tile on the ``_tiles((0, N))`` grid to it, and the reader may then overwrite
-the product in place.  The report's global-loss terms are read this way, so
-a ``permute --report`` run multiplies X·Yᵀ once.  Tiles the estimator does
-not scan (q below about 15/16, whose full sort works in place) or scans
-with other spans (``chunk_rows`` off the grid) are not read, and the report
-multiplies them itself, on the same grid, so its bits do not change.
+gap report follows).  The estimator walks each tile on the ``_tiles((0,
+N))`` grid once: per row block it copies out the block's tail entries, then
+hands the block to the reader, which may overwrite it in place.  The
+report's global-loss terms are read this way, so a ``permute --report`` run
+multiplies X·Yᵀ once and reads each tile from memory once after the
+multiply.  Tiles the estimator does not scan (q below about 15/16, whose
+full sort works in place) or scans with other spans (``chunk_rows`` off the
+grid) are not read, and the report multiplies them itself, on the same
+grid, so its bits do not change.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +90,10 @@ _SAMPLE_SIZE = 1 << 16
 _TAIL_MARGIN = 2.0
 _MIN_SAMPLE_TAIL = 64
 _MAX_TAIL_SHARE = 1 / 8
+
+# Bytes per row block of the tile walk: small enough that a block stays in
+# a core's cache across the passes over it.  Outputs do not depend on it.
+_BLOCK_BYTES = 1 << 20
 
 
 def default_chunk_rows(n: int) -> int:
@@ -175,18 +192,47 @@ def _on_grid(span: tuple[int, int], n: int) -> bool:
     return start % ROW_CHUNK == 0 and stop == min(start + ROW_CHUNK, n)
 
 
+def _buffered_products(pair: EmbeddingPair, spans: list[tuple[int, int]]):
+    """``span -> _products(pair, span)`` into one buffer per calling thread.
+
+    The buffer holds the tallest of ``spans``, is allocated on a thread's
+    first product and is reused for each later one, so a product is valid
+    only until its thread multiplies the next tile.  It is freed with the
+    returned function.
+    """
+    local = threading.local()
+    rows = max((stop - start for start, stop in spans), default=0)
+
+    def product(span: tuple[int, int]) -> np.ndarray:
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty((rows, pair.n))
+        return _products(pair, span, out=local.buffer[: span[1] - span[0]])
+
+    return product
+
+
+def _row_blocks(span: tuple[int, int], z: np.ndarray) -> list:
+    """(rows, block) pairs walking the product ``z`` of row span ``span`` in
+    blocks of about ``_BLOCK_BYTES``; ``rows`` is the block's row span."""
+    start = span[0]
+    height = max(1, _BLOCK_BYTES // z[0].nbytes)
+    return [((start + a, start + b), z[a:b]) for a, b in chunk_spans(len(z), height)]
+
+
 def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1, done: dict | None = None) -> list:
     """``fn(span, product)`` over the row tiles of all N rows, in row order.
 
     A tile whose span is a key of ``done`` takes that value instead and is
-    not multiplied.
+    not multiplied.  The product is buffered: ``fn`` keeps no view of it.
     """
     done = done or {}
+    tiles = _tiles((0, pair.n))
+    product = _buffered_products(pair, [span for span in tiles if span not in done])
 
     def run(span: tuple[int, int]):
-        return done[span] if span in done else fn(span, _products(pair, span))
+        return done[span] if span in done else fn(span, product(span))
 
-    return ordered_map(run, _tiles((0, pair.n)), threads)
+    return ordered_map(run, tiles, threads)
 
 
 def _sample_stride(entries: int, width: int) -> int:
@@ -198,26 +244,43 @@ def _sample_stride(entries: int, width: int) -> int:
     return stride
 
 
-def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], share: float) -> _Tail:
-    """Multiply one tile and keep the entries at or above a sampled bound.
+def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share: float) -> _Tail:
+    """Keep the entries of tile product ``z`` at or above a sampled bound.
 
-    A grid tile is then handed to the pair's tile reader, which may
-    overwrite the product: the tail is copied out first.
+    After the sample, the tile is walked once in row blocks: each block's
+    tail is copied out, then a grid tile's block goes to the pair's tile
+    reader, which may overwrite it.
     """
-    flat = _products(pair, span).reshape(-1)
+    flat = z.reshape(-1)
     sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
     keep = min(sample.size, max(_MIN_SAMPLE_TAIL, math.ceil(_TAIL_MARGIN * share * sample.size)))
     kth = sample.size - keep
     sample.partition(kth)
     bound = float(sample[kth])
-    offsets = np.flatnonzero(flat >= bound)
-    if offsets.size > _MAX_TAIL_SHARE * flat.size:
-        tail = _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
-    else:
-        tail = _Tail(span, bound, offsets, flat[offsets])
-    if pair._tile_reader is not None and _on_grid(span, pair.n):
-        pair._tile_reader(pair, span, flat.reshape(-1, pair.n))
-    return tail
+    reader = pair._tile_reader if _on_grid(span, pair.n) else None
+    limit = _MAX_TAIL_SHARE * flat.size
+    offsets, values, count = [], [], 0
+    for rows, block in _row_blocks(span, z):
+        if count <= limit:  # past the limit the tail is dropped: stop collecting
+            hits = np.flatnonzero(block >= bound)
+            count += hits.size
+            offsets.append(hits + (rows[0] - span[0]) * pair.n)
+            values.append(block.reshape(-1)[hits])
+        if reader is not None:
+            reader(pair, span, rows, block)
+    if count > limit:
+        return _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
+    return _Tail(span, bound, np.concatenate(offsets), np.concatenate(values))
+
+
+def _scan_tails(pair: EmbeddingPair, jobs: list, threads: int) -> dict:
+    """The tails of the (tile, share) ``jobs``, by span.
+
+    The products' buffers are freed on return, before any full sort.
+    """
+    product = _buffered_products(pair, [tile for tile, _ in jobs])
+    tails = ordered_map(lambda job: _scan_tail(pair, job[0], product(job[0]), job[1]), jobs, threads)
+    return {tail.span: tail for tail in tails}
 
 
 def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -> float:
@@ -258,8 +321,7 @@ def estimate_quantile_threshold(
         size, need = tail_need(chunk)
         if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
             jobs += [(tile, need / size) for tile in _tiles(chunk)]
-    tails = ordered_map(lambda job: _scan_tail(pair, *job), jobs, threads)
-    by_span = {tail.span: tail for tail in tails}
+    by_span = _scan_tails(pair, jobs, threads)
 
     def chunk_quantile(chunk: tuple[int, int]) -> float:
         size, need = tail_need(chunk)

@@ -50,13 +50,16 @@ def two_cluster_pair() -> EmbeddingPair:
     return EmbeddingPair(m, m.copy())
 
 
-def count_products(monkeypatch) -> list:
-    """Record the span of every X·Yᵀ tile multiplied from now on."""
+def count_products(monkeypatch, outs: list | None = None) -> list:
+    """Record the span of every X·Yᵀ tile multiplied from now on and, given
+    ``outs``, the ``out`` array each product was written to (None: fresh)."""
     calls = []
     products = similarity._products
 
     def counted(pair, span, out=None):
         calls.append(span)
+        if outs is not None:
+            outs.append(out)
         return products(pair, span, out)
 
     monkeypatch.setattr(similarity, "_products", counted)

@@ -99,6 +99,47 @@ class TestPermute:
         assert captured.err.startswith("error: ")
         assert not perm_file.exists() and not batch_file.exists()
 
+    @pytest.mark.parametrize("batches", ["missing/batches.txt", "a-directory"])
+    def test_failed_batch_dump_keeps_the_old_permutation(self, tmp_path, capsys, batches):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=3))
+        (tmp_path / "a-directory").mkdir()
+        perm_file = tmp_path / "perm.txt"
+        perm_file.write_text("earlier run\n")
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "4", "--out-perm",
+                   str(perm_file), "--out-batches", str(tmp_path / batches)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{batches}'\n" in err
+        assert perm_file.read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a-directory", "perm.txt", "x.emb1", "y.emb1"]
+        assert list((tmp_path / "a-directory").iterdir()) == []
+
+    def test_outputs_leave_no_temporary_files(self, tmp_path):
+        x, y = write_pair(tmp_path, two_cluster_pair())
+        rc = main(["permute", "--x", x, "--y", y, "--quantile", "0.5", "--batch-size", "4",
+                   "--out-perm", str(tmp_path / "perm.txt"),
+                   "--out-batches", str(tmp_path / "batches.txt")])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "batches.txt", "perm.txt", "x.emb1", "y.emb1"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("tau", ["1e-308", "1e-310"])
+    def test_overflowing_report_prints_one_error_line(self, tmp_path, threads, tau):
+        # run as a process: NumPy's floating-point warnings reach stderr there
+        x, y = write_pair(tmp_path, random_pair(300, 16, seed=3))
+        child = subprocess.run(
+            [sys.executable, "-c", "from contrabatch.cli import entrypoint; entrypoint()",
+             "permute", "--x", x, "--y", y, "--batch-size", "8", "--report",
+             "--tau", tau, "--threads", threads],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: non-finite value")
+        assert child.stderr.count("\n") == 1
+
     def test_degenerate_row_exits_one(self, tmp_path, capsys):
         m = np.ones((4, 3))
         m[2] = 0.0

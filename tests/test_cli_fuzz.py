@@ -2,7 +2,8 @@
 
 Whatever the input, a run ends in exit 0, 1 or 2, lets no exception but
 SystemExit escape, on exit 0 prints JSON without NaN or infinity, and on
-any other exit leaves no output file behind.
+any other exit leaves no output file behind.  A run on two worker threads
+prints the same bytes as the same run on one.
 """
 
 import contextlib
@@ -93,16 +94,20 @@ def run_cli(argv):
     k=st.sampled_from([1, 2, 4]),
     # the last four are invalid, or make every logit overflow
     tau=st.sampled_from(["0.05", "1e-3", "inf", "0", "-1", "1e-310"]),
+    threads=st.sampled_from(["1", "2"]),
 )
-def test_degenerate_inputs_exit_cleanly(kind, fmt, both_sides, n, d, seed, command, k, tau):
+def test_degenerate_inputs_exit_cleanly(kind, fmt, both_sides, n, d, seed, command, k, tau,
+                                        threads):
     with tempfile.TemporaryDirectory() as tmp:
         x, y, perm = Path(tmp) / "x", Path(tmp) / "y", Path(tmp) / "perm"
         x.write_bytes(matrix_bytes(kind, n, d, seed, fmt))
         y.write_bytes(matrix_bytes(kind if both_sides else "gaussian", n, d, seed + 1, fmt))
         out_flags = ["--out-perm", str(perm)] if command[0] == "permute" else []
-        code, stdout = run_cli(command + ["--x", str(x), "--y", str(y), "--batch-size", str(k),
-                                          "--tau", tau] + out_flags)
+        argv = command + ["--x", str(x), "--y", str(y), "--batch-size", str(k), "--tau", tau]
+        code, stdout = run_cli(argv + ["--threads", threads] + out_flags)
         written = perm.exists()
+        if code == 0 and threads != "1":
+            assert run_cli(argv + ["--threads", "1"]) == (code, stdout)
     assert code in (0, 1, 2)
     if code == 0:
         finite_json(stdout)

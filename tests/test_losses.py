@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,18 @@ class TestGlobalLoss:
         for tau in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ParameterError):
                 ntxent_global(pair, tau)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_logits_are_non_finite_without_warnings(self, threads):
+        pair = random_pair(300, 16, seed=1)
+        assignment = random_batches(300, 8, seed=0)
+        tau = 1e-308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [ntxent_global(pair, tau, threads), ntxent_train(pair, assignment, tau, threads),
+                      *gap_upper_bounds(pair, assignment, tau),
+                      *lse_component_bounds(pair, assignment, tau)]
+        assert not any(map(math.isfinite, values))
 
 
 class TestGlobalStatsFromTheCutoffTiles:

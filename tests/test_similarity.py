@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contrabatch import similarity
+from contrabatch import losses, similarity
 from contrabatch import (
     EmbeddingPair,
     GraphError,
@@ -18,7 +18,9 @@ from contrabatch import (
     interpolated_quantile,
     nearest_cross_neighbors,
     ntxent_global,
+    save_embeddings,
 )
+from contrabatch.cli import main
 from conftest import clustered_pair, count_products, orthogonal_ties, random_pair
 
 
@@ -351,6 +353,76 @@ class TestOneTileGrid:
         assert sorted(calls) == tiles
 
 
+def scan_outputs(pair: EmbeddingPair, threads: int = 1) -> tuple:
+    """Every output of the tile scans at q = 0.999, comparable with ``==``:
+    the cutoff, the tails, the global stats read during the estimate and
+    computed anew, the nearest cross neighbours and the graph."""
+    reading = losses._reading_global_stats(pair, 0.05)
+    chunk_rows = similarity.default_chunk_rows(pair.n)
+    t = estimate_quantile_threshold(reading, 0.999, chunk_rows, threads=threads)
+    tails = [(span, tail.bound, tail.offsets.tobytes(), tail.values.tobytes())
+             for span, tail in sorted(t._tails.by_span.items())]
+    stats = [np.concatenate([g.lse, g.row_max, g.positive]).tobytes()
+             for g in (losses._global_stats(reading, 0.05),
+                       losses._global_stats(pair, 0.05, threads=threads))]
+    return (t.value, tails, stats, nearest_cross_neighbors(pair, threads=threads).tobytes(),
+            build_sparse_graph(pair, t, threads=threads))
+
+
+class TestTileBuffers:
+    """Each scan multiplies into one buffer per worker thread, and buffered
+    products give the outputs of fresh ones."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_buffer_per_worker_and_scan(self, monkeypatch, threads):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        pair = random_pair(512, 16, seed=53)
+        outs = []
+        count_products(monkeypatch, outs)
+        scans = [
+            lambda: estimate_quantile_threshold(pair, 0.999, 512, threads=threads),
+            lambda: ntxent_global(pair, 0.05, threads=threads),
+            lambda: nearest_cross_neighbors(pair, threads=threads),
+        ]
+        for scan in scans:
+            outs.clear()
+            scan()
+            assert len(outs) == 8 and all(out is not None for out in outs)
+            buffers = {id(out.base) for out in outs}
+            assert len(buffers) <= threads
+            assert len(buffers) == 1 or threads > 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_buffered_outputs_equal_fresh_products(self, monkeypatch, threads):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        pair = random_pair(512, 16, seed=54)
+        buffered = scan_outputs(pair, threads)
+        monkeypatch.setattr(similarity, "_buffered_products",
+                            lambda pair, spans: lambda span: similarity._products(pair, span))
+        assert scan_outputs(pair, threads) == buffered
+
+
+class TestBlockHeight:
+    """The tile walk's row blocks split only element-wise and per-row work,
+    so no block height changes a bit of any output."""
+
+    def outputs(self, pair, files, capsys):
+        assert main(["permute", "--x", files[0], "--y", files[1], "--batch-size", "64",
+                     "--report", "--threads", "2"]) == 0
+        return scan_outputs(pair), capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [300, 2050, 4100])
+    def test_one_row_and_whole_tile_blocks(self, tmp_path, monkeypatch, capsys, n):
+        pair = random_pair(n, 16, seed=n)
+        files = [str(tmp_path / "x"), str(tmp_path / "y")]
+        save_embeddings(pair.x, files[0])
+        save_embeddings(pair.y, files[1])
+        want = self.outputs(pair, files, capsys)
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(similarity, "_BLOCK_BYTES", block_bytes)
+            assert self.outputs(pair, files, capsys) == want
+
+
 class TestMemory:
     """Peak traced allocation at N = 2048, d = 64, one chunk."""
 
@@ -371,6 +443,14 @@ class TestMemory:
             build_sparse_graph(pair, estimate_quantile_threshold(pair, 0.999, 2048))
 
         assert self.peak(epoch) < 1.25 * self.TILE_BYTES
+
+    def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):
+        # every tail fails its count check: the chunk is sorted after the
+        # scan, whose tile buffer must be gone by then
+        monkeypatch.setattr(similarity, "_TAIL_MARGIN", 0.25)
+        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", 1)
+        pair = random_pair(2048, 64, seed=52)
+        assert self.peak(lambda: estimate_quantile_threshold(pair, 0.999, 2048)) < 1.25 * self.TILE_BYTES
 
     def test_low_quantile_sort_holds_no_more_than_product_and_copy(self):
         pair = random_pair(2048, 64, seed=52)
