@@ -7,7 +7,6 @@ bit-identical whether a task runs on one thread or many.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -24,5 +23,8 @@ def ordered_map(fn: Callable[[U], T], items: Sequence[U], threads: int = 1) -> l
     """Apply ``fn`` to every item, preserving input order in the result."""
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool module pulls in logging, which a one-thread run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

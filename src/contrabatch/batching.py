@@ -15,7 +15,7 @@ flagged ``oversampled``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,10 @@ from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import (
+    _BlockReader,
     _map_tiles,
+    _reader_of,
+    _Readers,
     build_sparse_graph,
     default_chunk_rows,
     estimate_quantile_threshold,
@@ -60,12 +63,17 @@ def _check_batch_size(n: int, k: int) -> None:
         raise ParameterError(f"batch size must lie in [1, {n}], got {k}")
 
 
+def _check_two_samples(n: int) -> None:
+    """Reject fewer than two samples, which leave no negative to mine."""
+    if n < 2:
+        raise ParameterError("mining a negative needs at least two samples")
+
+
 def _check_mined_batch_size(n: int, k: int) -> None:
     """Reject a batch size k the mined-negative baseline cannot fill from N samples."""
     if k % 2 != 0:
         raise ParameterError(f"mined-negative batches need an even batch size, got {k}")
-    if n < 2:
-        raise ParameterError("mining a negative needs at least two samples")
+    _check_two_samples(n)
     if not 2 <= k <= 2 * n:
         raise ParameterError(f"batch size must lie in [2, {2 * n}], got {k}")
 
@@ -92,15 +100,44 @@ def random_batches(n: int, k: int, seed: int) -> BatchAssignment:
     return sequential_batches(order, k)
 
 
+def _nearest_part(rows: tuple[int, int], z: np.ndarray) -> np.ndarray:
+    """Row argmax over j != i of the products ``z`` of rows ``rows`` (ties:
+    lowest j); ``z`` is left as it was."""
+    cols = np.arange(*rows)
+    at = (cols - rows[0], cols)
+    diagonal = z[at]
+    z[at] = -np.inf
+    nearest = np.argmax(z, axis=1)
+    z[at] = diagonal
+    return nearest
+
+
+class _NearestReader(_BlockReader):
+    """Tile reader that keeps the row argmax of :func:`nearest_cross_neighbors`,
+    taken from the raw products, before any reader scales them."""
+
+    def __init__(self):
+        super().__init__(_nearest_part)
+
+
+def _reading_nearest(pair: EmbeddingPair) -> EmbeddingPair:
+    """``pair`` whose cutoff scan also finds each row's nearest cross
+    neighbour, ahead of the pair's own tile reader."""
+    readers = (_NearestReader(),) + ((pair._tile_reader,) if pair._tile_reader else ())
+    return replace(pair, _tile_reader=_Readers(readers))
+
+
 def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1) -> np.ndarray:
-    """For each row i, the j != i maximizing x_i . y_j (ties: lowest j)."""
+    """For each row i, the j != i maximizing x_i . y_j (ties: lowest j).
 
-    def scan(span: tuple[int, int], block: np.ndarray) -> np.ndarray:
-        rows = np.arange(*span)
-        block[rows - span[0], rows] = -np.inf
-        return np.argmax(block, axis=1)
-
-    return np.concatenate(_map_tiles(pair, scan, threads)).astype(np.int64)
+    A tile the pair's nearest reader read from this pair is not multiplied
+    again.  Raises ParameterError below two rows, where no j != i exists.
+    """
+    _check_two_samples(pair.n)
+    reader = _reader_of(pair, _NearestReader)
+    blocks = reader.blocks_for(pair) if reader is not None else {}
+    done = {span: np.concatenate(parts) for span, parts in blocks.items()}
+    return np.concatenate(_map_tiles(pair, _nearest_part, threads, done)).astype(np.int64)
 
 
 def hard_negative_batches(

@@ -23,6 +23,7 @@ from . import __version__
 from .bandwidth import cuthill_mckee
 from .batching import (
     _check_mined_batch_size,
+    _reading_nearest,
     bandwidth_pipeline,
     format_batches,
     hard_negative_batches,
@@ -191,7 +192,8 @@ def cmd_compare(args) -> int:
     """Emit [pipeline, mined-negative, random...] reports plus random-seed stats."""
     if args.seeds < 1:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
-    pair = _load_normalized(args, report=True)
+    # the cutoff's tile scan also reads the mined baseline's neighbours
+    pair = _reading_nearest(_load_normalized(args, report=True))
     k = args.batch_size
     _check_mined_batch_size(pair.n, k)  # an odd k fails before the pipeline's work
     _, pipeline = _pipeline(pair, args)

@@ -155,9 +155,12 @@ class EmbeddingPair:
     multiplies, once per row block: ``block`` holds the products of rows
     ``rows``, the blocks of a tile come in row order from one thread, and
     each comes after the scan's own reads of it.  The reader may overwrite
-    the block but keeps no view of it, as the product's buffer is reused.
-    The CLI sets it when a gap report will follow, so the report reads its
-    global loss from those tiles.  It takes no part in equality or repr.
+    the block but keeps no view of it, as the product's buffer is reused;
+    a ``similarity._Readers`` tuple calls several in order, and only its
+    last may leave the block changed.  The CLI sets one when a gap report
+    will follow, so the report reads its global loss from those tiles, and
+    ``compare`` puts the mined baseline's argmax reader ahead of it.  It
+    takes no part in equality or repr.
     """
 
     x: np.ndarray

@@ -21,7 +21,13 @@ log(N/k) when every batch is full.
 Every loss and bound derives from two scans: one over all N candidates
 per sample, one over the in-batch candidates per slot.  The first can ride
 the cutoff estimator's tile scan (a pair's tile reader, see
-``similarity``), which leaves it no tile to multiply.
+``similarity``), which leaves it no tile to multiply.  The second stacks
+the batches of one shape (rows and candidates per batch) and multiplies
+each stack with one ``np.matmul``, which still makes one BLAS call per
+batch, so every batch's products have the bits of its own
+``x[batch] @ y[candidates].T``.  A report reads the slot statistics and
+both objectives from that one read-only stack; for a partition the
+objectives' candidate products are the slot products themselves.
 
 Two scalar objectives summarize how hard a batch assignment is:
 
@@ -39,11 +45,12 @@ from math import inf, isfinite, log
 
 import numpy as np
 
-from ._parallel import ordered_map
+from . import similarity
+from ._parallel import chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
-from .similarity import _map_tiles, _row_blocks
+from .similarity import _BlockReader, _map_tiles, _reader_of, _row_blocks
 
 
 def _check_tau(tau: float) -> float:
@@ -52,28 +59,16 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
-def _batch_candidates(
-    pair: EmbeddingPair, assignment: BatchAssignment
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(batch, candidate rows) per batch; an oversampled batch counts each sample once."""
-    # BatchAssignment itself keeps every index inside 0..assignment.n-1
-    if assignment.n != pair.n:
-        raise ParameterError(
-            f"assignment covers {assignment.n} samples, embeddings have {pair.n}"
-        )
-    return [(b, np.unique(b) if assignment.oversampled else b) for b in assignment.batches]
-
-
 def _logsumexp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-sum-exp and row maximum of ``z``.
+    """Log-sum-exp and maximum of each row (along the last axis) of ``z``.
 
     Exponentiates in place, so ``z`` is overwritten: read anything else
     from it before calling.
     """
-    m = z.max(axis=1)
-    np.subtract(z, m[:, None], out=z)
+    m = z.max(axis=-1)
+    np.subtract(z, m[..., None], out=z)
     np.exp(z, out=z)
-    return m + np.log(z.sum(axis=1)), m
+    return m + np.log(z.sum(axis=-1)), m
 
 
 @dataclass(frozen=True)
@@ -107,31 +102,25 @@ def _global_tile(span: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.n
     return _joined(_global_part(rows, block, tau) for rows, block in _row_blocks(span, z))
 
 
-class _GlobalReader:
+class _GlobalReader(_BlockReader):
     """Tile reader that keeps the global-stats parts of the blocks it is given.
 
     Set on a pair by :func:`_reading_global_stats`; :func:`_global_stats`
     at the same tau then takes these parts instead of multiplying the tiles
     again.  A part is the same function of the same product bits either
-    way, so the stats are bit-identical.
+    way, so the stats are bit-identical.  It scales each block in place, so
+    it is the last reader of a block.
     """
 
     def __init__(self, tau: float):
+        super().__init__(lambda rows, block: _global_part(rows, block, tau))
         self.tau = tau
-        self.parts: dict = {}  # span -> (x, y, block parts): the arrays they were read from
-
-    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
-                 block: np.ndarray) -> None:
-        if rows[0] == span[0]:  # a tile's blocks come in row order, from one thread
-            self.parts[span] = (pair.x, pair.y, [])
-        self.parts[span][2].append(_global_part(rows, block, self.tau))
 
     def parts_for(self, pair: EmbeddingPair, tau: float) -> dict:
         """The tile parts read from ``pair`` at ``tau``, by span."""
         if tau != self.tau:
             return {}
-        return {span: _joined(blocks) for span, (x, y, blocks) in self.parts.items()
-                if x is pair.x and y is pair.y}
+        return {span: _joined(blocks) for span, blocks in self.blocks_for(pair).items()}
 
 
 def _reading_global_stats(pair: EmbeddingPair, tau: float) -> EmbeddingPair:
@@ -143,8 +132,8 @@ def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalS
     """Global stats over the row tiles, in row order; a tile the pair's reader
     already read at this tau is not multiplied again."""
     tau = _check_tau(tau)
-    reader = pair._tile_reader
-    done = reader.parts_for(pair, tau) if isinstance(reader, _GlobalReader) else None
+    reader = _reader_of(pair, _GlobalReader)
+    done = reader.parts_for(pair, tau) if reader is not None else None
     parts = _map_tiles(pair, lambda span, z: _global_tile(span, z, tau), threads, done)
     return _GlobalStats(*_joined(parts))
 
@@ -167,25 +156,116 @@ class _SlotStats:
     cand_count: np.ndarray
 
 
-def _slot_stats(
-    pair: EmbeddingPair, assignment: BatchAssignment, tau: float, threads: int = 1
-) -> _SlotStats:
+@dataclass(eq=False)
+class _Run:
+    """Batches of one shape, stacked in batch order, and their products.
+
+    ``candidates`` is ``batches`` itself for a partition and each batch's
+    sorted distinct rows for an oversampled assignment.  Each product is
+    multiplied on first use and is read-only.  (Not ``cached_property``:
+    before Python 3.12 its lock spans all runs and queues the workers.)
+    """
+
+    pair: EmbeddingPair
+    positions: np.ndarray  # (g,) the batches' ordinals in the assignment
+    batches: np.ndarray  # (g, m) their rows
+    candidates: np.ndarray  # (g, c)
+    slot_index: np.ndarray  # (g, m) each row's slot, counted over the epoch
+    _slots: np.ndarray | None = None
+    _cross: np.ndarray | None = None
+
+    def slots(self) -> np.ndarray:
+        """(g, m, c): <x_i, y_j> for each slot i over its batch's candidates j."""
+        if self._slots is None:
+            self._slots = _stacked_products(self.pair, self.batches, self.candidates)
+        return self._slots
+
+    def cross(self) -> np.ndarray:
+        """(g, c, c): <x_i, y_j> over pairs of one batch's candidates."""
+        if self.candidates is self.batches:
+            return self.slots()
+        if self._cross is None:
+            self._cross = _stacked_products(self.pair, self.candidates, self.candidates)
+        return self._cross
+
+    def positive_columns(self) -> np.ndarray:
+        """(g, m): the column of each slot's own row among its candidates."""
+        g, m = self.batches.shape
+        if self.candidates is self.batches:
+            return np.broadcast_to(np.arange(m), (g, m))
+        shift = np.arange(g)[:, None] * self.pair.n  # one sorted sequence, batch after batch
+        found = np.searchsorted((self.candidates + shift).ravel(), (self.batches + shift).ravel())
+        return found.reshape(g, m) - np.arange(g)[:, None] * self.candidates.shape[1]
+
+
+def _stacked_products(pair: EmbeddingPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x[rows[b]] · y[cols[b]]ᵀ for every b, read-only.
+
+    The operands are fresh contiguous stacks, so matmul makes for each b the
+    call ``pair.x[rows[b]] @ pair.y[cols[b]].T`` makes, with its bits.
+    """
+    z = np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))
+    z.setflags(write=False)
+    return z
+
+
+def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Run]:
+    """The assignment's batches in runs of one shape.
+
+    Batches with the same row and candidate counts form a group, in batch
+    order, cut into runs of at most ``ROW_CHUNK`` slot rows (one batch at
+    least).  Runs depend on sizes only, never on the worker count.
+    """
+    # BatchAssignment itself keeps every index inside 0..assignment.n-1
+    if assignment.n != pair.n:
+        raise ParameterError(
+            f"assignment covers {assignment.n} samples, embeddings have {pair.n}"
+        )
+    batches = assignment.batches
+    # an oversampled batch counts each sample once among its candidates
+    candidates = [np.unique(b) for b in batches] if assignment.oversampled else batches
+    sizes = np.array([b.size for b in batches], dtype=np.int64)
+    first_slot = np.cumsum(sizes) - sizes
+    groups: dict = {}
+    for position, (b, c) in enumerate(zip(batches, candidates)):
+        groups.setdefault((b.size, c.size), []).append(position)
+    runs = []
+    for (m, _), positions in groups.items():
+        for start, stop in chunk_spans(len(positions), max(1, similarity.ROW_CHUNK // max(m, 1))):
+            chosen = np.array(positions[start:stop])
+            rows = np.stack([batches[p] for p in chosen])
+            cands = np.stack([candidates[p] for p in chosen]) if assignment.oversampled else rows
+            runs.append(_Run(pair, chosen, rows, cands, first_slot[chosen, None] + np.arange(m)))
+    return runs
+
+
+def _run_slot_stats(run: _Run, tau: float) -> tuple[np.ndarray, ...]:
+    """(lse, positive, cand_min, cand_max) of each slot of ``run``, (g, m) each."""
+    with np.errstate(all="ignore"):  # as in _global_part
+        z = run.slots() / tau  # out of place: the objectives read the raw products
+        positive = np.take_along_axis(z, run.positive_columns()[..., None], axis=2)[..., 0]
+        cand_min = z.min(axis=2)
+        lse, cand_max = _logsumexp_rows(z)
+    return lse, positive, cand_min, cand_max
+
+
+def _slot_stats(pair: EmbeddingPair, assignment: BatchAssignment, tau: float, threads: int = 1,
+                runs: list[_Run] | None = None) -> _SlotStats:
+    """Slot stats in slot order, from ``runs`` (default: the assignment's own)."""
     tau = _check_tau(tau)
+    runs = _batch_runs(pair, assignment) if runs is None else runs
+    parts = ordered_map(lambda run: _run_slot_stats(run, tau), runs, threads)
+    where = np.concatenate([run.slot_index.ravel() for run in runs])
 
-    def scan(item: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-        batch, candidates = item
-        z = pair.x[batch] @ pair.y[candidates].T
-        rows = np.arange(batch.size)
-        cols = np.searchsorted(candidates, batch) if assignment.oversampled else rows
-        with np.errstate(all="ignore"):  # as in _global_part
-            z /= tau
-            positive, cand_min = z[rows, cols], z.min(axis=1)
-            lse, cand_max = _logsumexp_rows(z)
-        count = np.full(batch.size, candidates.size, dtype=np.int64)
-        return batch, lse, positive, cand_min, cand_max, count
+    def in_slot_order(values) -> np.ndarray:
+        out = np.empty(where.size, dtype=values[0].dtype)
+        out[where] = np.concatenate([v.ravel() for v in values])
+        return out
 
-    parts = ordered_map(scan, _batch_candidates(pair, assignment), threads)
-    return _SlotStats(*map(np.concatenate, zip(*parts)))
+    sample = in_slot_order([run.batches for run in runs])
+    count = in_slot_order([np.full(run.batches.shape, run.candidates.shape[1]) for run in runs])
+    lse, positive, cand_min, cand_max = map(in_slot_order, zip(*parts))
+    return _SlotStats(sample, lse, positive, cand_min, cand_max, count)
 
 
 def _loss(stats: _GlobalStats | _SlotStats) -> float:
@@ -253,37 +333,54 @@ def gap_upper_bounds(
     return _gap_bounds(_global_stats(pair, tau), _slot_stats(pair, assignment, tau))
 
 
-def _cross_blocks(pair: EmbeddingPair, assignment: BatchAssignment):
-    """Yield <x_i,y_j> over the candidates of each batch with two or more."""
-    for _, candidates in _batch_candidates(pair, assignment):
-        if candidates.size >= 2:
-            yield pair.x[candidates] @ pair.y[candidates].T
+def _per_batch(runs: list[_Run], fn) -> list[float]:
+    """``fn`` of the candidate products of each run, one value per batch with
+    two or more candidates, in batch order."""
+    runs = [run for run in runs if run.candidates.shape[1] >= 2]
+    if not runs:
+        return []
+    positions = np.concatenate([run.positions for run in runs])
+    values = np.concatenate([fn(run.cross()) for run in runs])
+    return values[np.argsort(positions)].tolist()
 
 
-def qbap_objective(pair: EmbeddingPair, assignment: BatchAssignment) -> float:
+def _batch_minima(z: np.ndarray) -> np.ndarray:
+    """Per batch of ``z`` (g, c, c), the smallest min(z_ij, z_ji) over i != j."""
+    z = np.minimum(z, z.transpose(0, 2, 1))
+    diagonal = np.arange(z.shape[1])
+    z[:, diagonal, diagonal] = np.inf
+    return z.reshape(len(z), -1).min(axis=1)
+
+
+def _batch_totals(z: np.ndarray) -> np.ndarray:
+    """Per batch of ``z`` (g, c, c), the sum of z_ij over i != j."""
+    return z.reshape(len(z), -1).sum(axis=1) - np.trace(z, axis1=1, axis2=2)
+
+
+def qbap_objective(pair: EmbeddingPair, assignment: BatchAssignment, *,
+                   _runs: list[_Run] | None = None) -> float:
     """Smallest symmetric cross similarity over co-batched negative pairs.
 
     Raises ObjectiveUndefined when no batch holds two distinct samples.
     """
-    worst = np.inf
-    for m in _cross_blocks(pair, assignment):
-        z = np.minimum(m, m.T)
-        np.fill_diagonal(z, np.inf)
-        worst = min(worst, float(z.min()))
-    if not np.isfinite(worst):
+    runs = _batch_runs(pair, assignment) if _runs is None else _runs
+    worst = min([inf, *_per_batch(runs, _batch_minima)])  # the first of equal minima
+    if not isfinite(worst):
         raise ObjectiveUndefined("no batch contains a negative pair")
     return worst
 
 
-def qap_objective(pair: EmbeddingPair, assignment: BatchAssignment) -> float:
+def qap_objective(pair: EmbeddingPair, assignment: BatchAssignment, *,
+                  _runs: list[_Run] | None = None) -> float:
     """Total in-batch cross similarity, both directions, over negative pairs.
 
     Equals sum_i sum_{j in batch(i), j != i} (<x_i,y_j> + <x_j,y_i>); zero
     when every batch is a singleton.
     """
+    runs = _batch_runs(pair, assignment) if _runs is None else _runs
     total = 0.0
-    for m in _cross_blocks(pair, assignment):
-        total += 2.0 * float(m.sum() - np.trace(m))
+    for value in _per_batch(runs, _batch_totals):  # summed in batch order
+        total += 2.0 * value
     return total
 
 
@@ -351,11 +448,12 @@ def gap_report(
 def _report(pair: EmbeddingPair, g: _GlobalStats, assignment: BatchAssignment, tau: float,
             strategy: str | None, quantile: float | None, threads: int) -> GapReport:
     """``gap_report`` with the assignment-free global stats ``g`` given."""
-    s = _slot_stats(pair, assignment, tau, threads)
+    runs = _batch_runs(pair, assignment)  # one stack of products for the stats and objectives
+    s = _slot_stats(pair, assignment, tau, threads, runs)
     global_loss, train_loss = _loss(g), _loss(s)
     ub_translation, ub_standard = _gap_bounds(g, s)
     try:
-        qbap = qbap_objective(pair, assignment)
+        qbap = qbap_objective(pair, assignment, _runs=runs)
     except ObjectiveUndefined:
         qbap = None
     return GapReport(
@@ -368,7 +466,7 @@ def _report(pair: EmbeddingPair, g: _GlobalStats, assignment: BatchAssignment, t
         ub_gap_translation=ub_translation,
         ub_gap_standard=ub_standard,
         qbap_value=qbap,
-        qap_value=qap_objective(pair, assignment),
+        qap_value=qap_objective(pair, assignment, _runs=runs),
         strategy=strategy,
         quantile=quantile,
     )

@@ -50,13 +50,19 @@ it.
 Tile readers.  A pair may carry a ``_tile_reader`` (the CLI sets one when a
 gap report follows).  The estimator walks each tile on the ``_tiles((0,
 N))`` grid once: per row block it copies out the block's tail entries, then
-hands the block to the reader, which may overwrite it in place.  The
-report's global-loss terms are read this way, so a ``permute --report`` run
+hands the block to the reader.  Several readers go in a ``_Readers`` tuple
+and see each block in its order: readers that leave the block as they found
+it first, the one that overwrites it in place last.  A ``_BlockReader``
+keeps its part of each block by tile, with the arrays the tile came from,
+and a scan takes only the parts read from its own pair.  The report's
+global-loss terms are read this way, so a ``permute --report`` run
 multiplies X·Yᵀ once and reads each tile from memory once after the
-multiply.  Tiles the estimator does not scan (q below about 15/16, whose
-full sort works in place) or scans with other spans (``chunk_rows`` off the
-grid) are not read, and the report multiplies them itself, on the same
-grid, so its bits do not change.
+multiply; ``compare`` also reads the mined baseline's row argmax, from the
+raw products before the global-loss reader scales them, so it multiplies
+X·Yᵀ once too.  Tiles the estimator does not scan (q below about 15/16,
+whose full sort works in place) or scans with other spans (``chunk_rows``
+off the grid) are not read, and the report and the argmax multiply them
+themselves, on the same grid, so their bits do not change.
 """
 
 from __future__ import annotations
@@ -217,6 +223,43 @@ def _row_blocks(span: tuple[int, int], z: np.ndarray) -> list:
     start = span[0]
     height = max(1, _BLOCK_BYTES // z[0].nbytes)
     return [((start + a, start + b), z[a:b]) for a, b in chunk_spans(len(z), height)]
+
+
+class _BlockReader:
+    """Tile reader that keeps ``part(rows, block)`` of each row block it is
+    given, by tile, with the arrays the tile was read from."""
+
+    def __init__(self, part):
+        self.part = part
+        self.parts: dict = {}  # span -> (x, y, block parts)
+
+    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
+                 block: np.ndarray) -> None:
+        if rows[0] == span[0]:  # a tile's blocks come in row order, from one thread
+            self.parts[span] = (pair.x, pair.y, [])
+        self.parts[span][2].append(self.part(rows, block))
+
+    def blocks_for(self, pair: EmbeddingPair) -> dict:
+        """The block parts of each tile read from ``pair``'s own arrays, by span."""
+        return {span: blocks for span, (x, y, blocks) in self.parts.items()
+                if x is pair.x and y is pair.y}
+
+
+class _Readers(tuple):
+    """Tile readers called on each block in order; one that overwrites the
+    block comes last."""
+
+    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
+                 block: np.ndarray) -> None:
+        for reader in self:
+            reader(pair, span, rows, block)
+
+
+def _reader_of(pair: EmbeddingPair, kind: type):
+    """The pair's tile reader of class ``kind``, alone or in its ``_Readers``, or None."""
+    reader = pair._tile_reader
+    return next((r for r in (reader if isinstance(reader, _Readers) else (reader,))
+                 if isinstance(r, kind)), None)
 
 
 def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1, done: dict | None = None) -> list:

@@ -87,6 +87,11 @@ class TestHardNegativeBatches:
         assert sum(b.size for b in asg.batches) == 4
         assert all(sorted(set(b.tolist())) == [0, 1] for b in asg.batches)
 
+    def test_one_row_has_no_neighbour(self):
+        # the only j is i itself: no j != i to return
+        with pytest.raises(ParameterError, match="mining a negative needs at least two samples"):
+            nearest_cross_neighbors(EmbeddingPair(np.ones((1, 3)), np.ones((1, 3))))
+
     def test_dominant_inner_product_wins(self):
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         y = np.array([[0.1, 0.2, 0.0], [0.9, 0.1, 0.0], [0.0, 0.1, 0.3]])

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,16 @@ class TestNormalizeOnce:
         assert calls == [(16, 4), (16, 4)]  # X and Y, once each
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # a one-thread run never needs the pool, or the logging it imports
+    code = ("import sys, numpy, contrabatch.cli; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=src_env(), timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 class TestBench:
     def test_first_size_warmed_up_untimed(self, capsys, monkeypatch):
         calls = []
@@ -534,12 +545,45 @@ class TestOneSweep:
                          ["--quantile", "0.999", "--threads", "2"])[2]
         assert sorted(calls) == self.TILES  # estimate only: the graph and report reuse it
 
-    def test_compare_multiplies_each_tile_twice(self, tmp_path, capsys, monkeypatch):
+    def test_compare_multiplies_each_tile_once(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
         x, y, calls, out = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                                     ["--quantile", "0.999"], command="compare")
-        assert sorted(calls) == sorted(self.TILES * 2)  # the estimate and the mined baseline
+        assert sorted(calls) == self.TILES  # the estimate: the mined baseline reads its argmax
         assert out.startswith('{"reports": [' + plain_report(x, y, 0.999, 16, 0.05)[:-1])
+
+    def scanned(self, monkeypatch, plain):
+        """``plain`` reading neighbours and global stats, as compare sets it,
+        after the cutoff's scan."""
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        pair = batching._reading_nearest(losses._reading_global_stats(plain, 0.05))
+        similarity.estimate_quantile_threshold(pair, 0.999, 512)
+        return pair
+
+    def test_neighbours_of_another_pair_are_multiplied(self, monkeypatch):
+        plain, other = random_pair(512, 16, seed=41), random_pair(512, 16, seed=49)
+        pair = self.scanned(monkeypatch, plain)
+        calls = count_products(monkeypatch)
+        np.testing.assert_array_equal(batching.nearest_cross_neighbors(pair),
+                                      batching.nearest_cross_neighbors(plain))
+        assert sorted(calls) == self.TILES  # the plain pair's pass only
+        calls.clear()
+        copied = replace(pair, x=other.x, y=other.y)  # carries the readers along
+        np.testing.assert_array_equal(batching.nearest_cross_neighbors(copied),
+                                      batching.nearest_cross_neighbors(other))
+        assert sorted(calls) == sorted(self.TILES * 2)
+
+    def test_read_neighbours_keep_the_tie_rule(self, monkeypatch):
+        plain = duplicated_cluster_pair()
+        pair = self.scanned(monkeypatch, plain)
+        calls = count_products(monkeypatch)
+        mined = hard_negative_batches(pair, 16, seed=3)
+        assert calls == []
+        nn = batching.nearest_cross_neighbors(plain)
+        assert nn[0] == 2 and (nn[2::2] == 0).all()  # tied rows: the lowest j != i
+        want = hard_negative_batches(plain, 16, seed=3)
+        assert len(mined.batches) == len(want.batches)
+        assert all(np.array_equal(a, b) for a, b in zip(mined.batches, want.batches))
 
     def test_full_sort_multiplies_the_report_tiles(self, tmp_path, capsys, monkeypatch):
         # q = 0.9 keeps no tails: the sort, the graph and the report each multiply
