@@ -1,11 +1,15 @@
 """Quantile cutoff estimation and sparse similarity-graph construction.
 
 This module owns the tiling of the N x N cross inner-product matrix X·Yᵀ:
-every product, here and in the loss and baseline scans, is a row tile of at
-most ``ROW_CHUNK`` rows from ``_tiles`` multiplied by one call, ``_products``.
-BLAS results can differ in the last bit with block height, so one tile grid
-keeps every stage's products bit-identical.  At a high quantile no stage
-holds more than one tile product per worker thread.
+every product, here and in the loss and baseline scans, is a row tile from
+``_tiles`` multiplied by one call, ``_products``.  BLAS results can differ in
+the last bit with block height, so one tile grid keeps every stage's
+products bit-identical.  The tile height is a function of N alone
+(``_tile_rows``): the tallest power of two, at most ``ROW_CHUNK``, whose
+products fit a per-worker budget of ``_TILE_BYTES``.  So at a high quantile
+the products held at once are at most the budget times the worker threads,
+plus the kept tails and the inputs.  The exception is the full sort of a
+low quantile, which holds a whole chunk of products (``chunk_rows`` x N).
 
 Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
 ``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
@@ -32,8 +36,8 @@ N rows; a tile filters a kept tail with exactly its span with ``> cut``
 instead of multiplying again, and is multiplied a second time when q is
 below about 15/16 (no tails are kept), its tail was dropped for holding over
 1/8 of the tile, its tail's ``lb`` lies above the cutoff (possible under
-``chunk_median``), ``chunk_rows`` is off the 2048-row grid (the estimate's
-tiles have other spans), or the threshold was made by hand or estimated
+``chunk_median``), ``chunk_rows`` is off the tile grid (the estimate's tiles
+have other spans), or the threshold was made by hand or estimated
 from another pair.  Reusing a tail only on an identical span keeps the
 graph built from the same products, bit for bit, as a rescan.
 
@@ -42,14 +46,14 @@ block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a
 block is still in cache for each pass after its first.  A block only splits
 element-wise work and per-row maxima and sums, whose bits do not depend on
 how many rows share a call, so the block height changes no output.  Each
-scan (the estimator's tile jobs, ``_map_tiles``) multiplies into one buffer
-per worker thread (``_buffered_products``), reused tile after tile and freed
-when the scan returns: a function given a buffered product keeps no view of
-it.
+scan (the estimator's tile jobs, ``_map_tiles``, the graph's rescans)
+multiplies into one buffer per worker thread (``_buffered_products``), reused
+tile after tile and freed when the scan returns: a function given a buffered
+product keeps no view of it.
 
 Tile readers.  A pair may carry a ``_tile_reader`` (the CLI sets one when a
 gap report follows).  The estimator walks each tile on the ``_tiles((0,
-N))`` grid once: per row block it copies out the block's tail entries, then
+N), N)`` grid once: per row block it copies out the block's tail entries, then
 hands the block to the reader.  Several readers go in a ``_Readers`` tuple
 and see each block in its order: readers that leave the block as they found
 it first, the one that overwrites it in place last.  A ``_BlockReader``
@@ -77,9 +81,9 @@ from ._parallel import chunk_spans, ordered_map
 from .errors import GraphError, ParameterError
 from .io import EmbeddingPair
 
-# Height of a row tile multiplied against all of Y.  BLAS results can change
-# in the last bit with block height, so changing this value can change
-# output bits.
+# Tallest row tile multiplied against all of Y.  BLAS results can change in
+# the last bit with block height, so changing this value can change output
+# bits.
 ROW_CHUNK = 2048
 
 # Default height of the estimator's logical chunk.  It sets the cutoff value
@@ -100,6 +104,15 @@ _MAX_TAIL_SHARE = 1 / 8
 # Bytes per row block of the tile walk: small enough that a block stays in
 # a core's cache across the passes over it.  Outputs do not depend on it.
 _BLOCK_BYTES = 1 << 20
+
+# Bytes of one tile product, per worker thread: a tile is the tallest power
+# of two rows, at most ROW_CHUNK, whose products fit (``_tile_rows``).
+# A fresh buffer is page-faulted in, so a smaller one also saves time: in
+# ``permute --report`` (one OpenBLAS 0.3.31 thread, Haswell kernels) 16 MiB
+# was the fastest budget at N = 4096 and within 5% of the fastest (32-64
+# MiB) at N = 8192 and 16384, and 4 MiB was 8-20% slower.
+# With N not a multiple of 8 the height can change products in the last bit.
+_TILE_BYTES = 16 << 20
 
 
 def default_chunk_rows(n: int) -> int:
@@ -186,16 +199,25 @@ def _products(pair: EmbeddingPair, span: tuple[int, int], out: np.ndarray | None
     return np.matmul(pair.x[start:stop], pair.y.T, out=out)
 
 
-def _tiles(span: tuple[int, int]) -> list[tuple[int, int]]:
-    """Split a row span into tiles of at most ``ROW_CHUNK`` rows."""
+def _tile_rows(n: int) -> int:
+    """Tile height for an N-row pair: the tallest power of two, at most
+    ``ROW_CHUNK``, whose tile of ``height x n`` float64 products fits in
+    ``_TILE_BYTES``; 1 when none does.  A power of two divides ``CHUNK_ROWS``."""
+    rows = min(ROW_CHUNK, max(1, _TILE_BYTES // (8 * n)))
+    return 1 << (rows.bit_length() - 1)
+
+
+def _tiles(span: tuple[int, int], n: int) -> list[tuple[int, int]]:
+    """Split a row span of an N-row pair into tiles of ``_tile_rows(n)`` rows."""
     start, stop = span
-    return [(start + a, start + b) for a, b in chunk_spans(stop - start, ROW_CHUNK)]
+    return [(start + a, start + b) for a, b in chunk_spans(stop - start, _tile_rows(n))]
 
 
 def _on_grid(span: tuple[int, int], n: int) -> bool:
-    """Whether ``span`` is one of the tiles ``_tiles((0, n))``."""
+    """Whether ``span`` is one of the tiles ``_tiles((0, n), n)``."""
     start, stop = span
-    return start % ROW_CHUNK == 0 and stop == min(start + ROW_CHUNK, n)
+    rows = _tile_rows(n)
+    return start % rows == 0 and stop == min(start + rows, n)
 
 
 def _buffered_products(pair: EmbeddingPair, spans: list[tuple[int, int]]):
@@ -269,7 +291,7 @@ def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1, done: dict | None = No
     not multiplied.  The product is buffered: ``fn`` keeps no view of it.
     """
     done = done or {}
-    tiles = _tiles((0, pair.n))
+    tiles = _tiles((0, pair.n), pair.n)
     product = _buffered_products(pair, [span for span in tiles if span not in done])
 
     def run(span: tuple[int, int]):
@@ -330,7 +352,7 @@ def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -
     """Interpolated quantile of a whole chunk, its tiles sorted together in place."""
     start, stop = chunk
     block = np.empty((stop - start, pair.n))
-    for tile in _tiles(chunk):
+    for tile in _tiles(chunk, pair.n):
         _products(pair, tile, out=block[tile[0] - start : tile[1] - start])
     flat = block.reshape(-1)
     flat.sort()
@@ -363,12 +385,12 @@ def estimate_quantile_threshold(
     for chunk in chunks:
         size, need = tail_need(chunk)
         if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
-            jobs += [(tile, need / size) for tile in _tiles(chunk)]
+            jobs += [(tile, need / size) for tile in _tiles(chunk, n)]
     by_span = _scan_tails(pair, jobs, threads)
 
     def chunk_quantile(chunk: tuple[int, int]) -> float:
         size, need = tail_need(chunk)
-        parts = [by_span.get(tile) for tile in _tiles(chunk)]
+        parts = [by_span.get(tile) for tile in _tiles(chunk, n)]
         if all(part is not None for part in parts):
             bound = max(part.bound for part in parts)
             top = np.concatenate([part.values[part.values >= bound] for part in parts])
@@ -506,19 +528,22 @@ def build_sparse_graph(
     cut = threshold.value
     tails = threshold._tails
     by_span = tails.by_span if tails is not None and tails.pair is pair else {}
+    kept = {span: tail for span, tail in by_span.items() if tail.bound <= cut}
+    tiles = _tiles((0, n), n)
+    product = _buffered_products(pair, [span for span in tiles if span not in kept])
 
     def scan(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        tail = by_span.get(span)
-        if tail is not None and tail.bound <= cut:
+        tail = kept.get(span)
+        if tail is not None:
             offsets = tail.offsets[tail.values > cut]
         else:
-            offsets = np.flatnonzero(_products(pair, span) > cut)
+            offsets = np.flatnonzero(product(span) > cut)
         rows = offsets // n + span[0]
         cols = offsets % n
         off = rows != cols
         return rows[off], cols[off]
 
-    rows, cols = map(np.concatenate, zip(*ordered_map(scan, _tiles((0, n)), threads)))
+    rows, cols = map(np.concatenate, zip(*ordered_map(scan, tiles, threads)))
     src = np.concatenate([rows, cols])
     dst = np.concatenate([cols, rows])
     return SparseSimilarityGraph._from_directed(n, src, dst, rows.size)

@@ -353,6 +353,37 @@ class TestOneTileGrid:
         assert sorted(calls) == tiles
 
 
+class TestTileGrid:
+    """The tile height is a function of N alone: the tallest power of two,
+    at most ``ROW_CHUNK``, whose products fit ``_TILE_BYTES``."""
+
+    @pytest.mark.parametrize("n, rows", [
+        (1, 2048), (1024, 2048), (1025, 1024), (1536, 1024), (4096, 512), (4100, 256),
+        (2**21 + 1, 1),
+    ])
+    def test_height_fits_the_budget_and_divides_the_chunk(self, n, rows):
+        assert similarity._tile_rows(n) == rows
+        assert rows & (rows - 1) == 0 and rows <= similarity.ROW_CHUNK
+        assert rows == 1 or rows * n * 8 <= similarity._TILE_BYTES
+        assert rows == similarity.ROW_CHUNK or 2 * rows * n * 8 > similarity._TILE_BYTES
+        assert similarity.CHUNK_ROWS % rows == 0
+        spans = np.array(similarity._tiles((0, n), n))
+        assert spans[0, 0] == 0 and spans[-1, 1] == n
+        assert (spans[1:, 0] == spans[:-1, 1]).all() and (spans[:, 1] > spans[:, 0]).all()
+        assert similarity._on_grid(tuple(spans[-1]), n)
+
+    def test_estimate_multiplies_the_same_spans_at_any_thread_count(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_TILE_BYTES", 64 << 10)  # 8-row tiles
+        pair = random_pair(600, 16, seed=55)
+        grid = similarity._tiles((0, 600), 600)
+        assert len(grid) == 75
+        calls = count_products(monkeypatch)
+        for threads in (1, 2, 8):
+            calls.clear()
+            estimate_quantile_threshold(pair, 0.999, 600, threads=threads)
+            assert sorted(calls) == grid
+
+
 def scan_outputs(pair: EmbeddingPair, threads: int = 1) -> tuple:
     """Every output of the tile scans at q = 0.999, comparable with ``==``:
     the cutoff, the tails, the global stats read during the estimate and
@@ -383,6 +414,8 @@ class TestTileBuffers:
             lambda: estimate_quantile_threshold(pair, 0.999, 512, threads=threads),
             lambda: ntxent_global(pair, 0.05, threads=threads),
             lambda: nearest_cross_neighbors(pair, threads=threads),
+            lambda: build_sparse_graph(pair, SimilarityThreshold(0.999, 0.5, 512, "exact"),
+                                       threads=threads),
         ]
         for scan in scans:
             outs.clear()
@@ -423,10 +456,56 @@ class TestBlockHeight:
             assert self.outputs(pair, files, capsys) == want
 
 
-class TestMemory:
-    """Peak traced allocation at N = 2048, d = 64, one chunk."""
+class TestTileBudget:
+    """For N a multiple of 8 no product depends on the tile height, so no
+    output depends on the budget that sets it; and clustered inputs, with or
+    without duplicate rows, keep to the tail path."""
 
-    TILE_BYTES = 2048 * 2048 * 8  # one tile product
+    def outputs(self, files, tmp_path, capsys) -> tuple:
+        perm, batches = tmp_path / "perm", tmp_path / "batches"
+        pair_flags = ["--x", files[0], "--y", files[1], "--batch-size", "64"]
+        assert main(["permute", *pair_flags, "--report", "--out-perm", str(perm),
+                     "--out-batches", str(batches)]) == 0
+        permuted = (capsys.readouterr().out, perm.read_bytes(), batches.read_bytes())
+        assert main(["compare", *pair_flags, "--seeds", "2"]) == 0
+        return permuted, capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_outputs_equal_at_any_budget(self, tmp_path, monkeypatch, capsys, n):
+        pair = random_pair(n, 32, seed=n + 1)
+        files = [str(tmp_path / "x"), str(tmp_path / "y")]
+        save_embeddings(pair.x, files[0])
+        save_embeddings(pair.y, files[1])
+        want = self.outputs(files, tmp_path, capsys)
+        for budget in (1 << 40, 1 << 20):  # 2048-row tiles; 64 or 32 rows
+            monkeypatch.setattr(similarity, "_TILE_BYTES", budget)
+            assert self.outputs(files, tmp_path, capsys) == want
+
+    @pytest.mark.parametrize("q", [0.99, 0.999])
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["clustered", "duplicate-rows"])
+    def test_clustered_inputs_never_sort_in_full(self, monkeypatch, q, duplicates):
+        pair, _ = clustered_pair(4096, 32, 16, noise=0.1, seed=57)
+        if duplicates:  # 2% of rows exact copies of others, on both sides
+            x, y = pair.x.copy(), pair.y.copy()
+            copies, sources = np.split(np.random.default_rng(58).choice(4096, 164, replace=False), 2)
+            x[copies], y[copies] = x[sources], y[sources]
+            pair = EmbeddingPair(x, y)
+        calls = []
+        full_sort = similarity._full_sort_quantile
+
+        def counted(pair, chunk, q):
+            calls.append(chunk)
+            return full_sort(pair, chunk, q)
+
+        monkeypatch.setattr(similarity, "_full_sort_quantile", counted)
+        estimate_quantile_threshold(pair, q, 4096)
+        assert calls == []
+
+
+class TestMemory:
+    """Peak traced allocation at d = 64."""
+
+    TILE_BYTES = 2048 * 2048 * 8  # all N x N products at N = 2048
 
     def peak(self, fn) -> int:
         tracemalloc.start()
@@ -435,6 +514,16 @@ class TestMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("threads, tiles", [(1, 1.25), (2, 2.5)])
+    def test_estimate_and_graph_follow_the_tile_budget(self, threads, tiles):
+        pair = random_pair(8192, 64, seed=56)
+
+        def epoch():
+            t = estimate_quantile_threshold(pair, 0.999, 4096, threads=threads)
+            build_sparse_graph(pair, t, threads=threads)
+
+        assert self.peak(epoch) < tiles * similarity._TILE_BYTES
 
     def test_high_quantile_estimate_and_graph_hold_one_tile(self):
         pair = random_pair(2048, 64, seed=51)
