@@ -15,7 +15,7 @@ flagged ``oversampled``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,7 @@ from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import (
-    _BlockReader,
-    _map_tiles,
-    _reader_of,
-    _Readers,
+    _row_parts,
     build_sparse_graph,
     default_chunk_rows,
     estimate_quantile_threshold,
@@ -112,32 +109,15 @@ def _nearest_part(rows: tuple[int, int], z: np.ndarray) -> np.ndarray:
     return nearest
 
 
-class _NearestReader(_BlockReader):
-    """Tile reader that keeps the row argmax of :func:`nearest_cross_neighbors`,
-    taken from the raw products, before any reader scales them."""
-
-    def __init__(self):
-        super().__init__(_nearest_part)
-
-
-def _reading_nearest(pair: EmbeddingPair) -> EmbeddingPair:
-    """``pair`` whose cutoff scan also finds each row's nearest cross
-    neighbour, ahead of the pair's own tile reader."""
-    readers = (_NearestReader(),) + ((pair._tile_reader,) if pair._tile_reader else ())
-    return replace(pair, _tile_reader=_Readers(readers))
-
-
 def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1) -> np.ndarray:
     """For each row i, the j != i maximizing x_i . y_j (ties: lowest j).
 
-    A tile the pair's nearest reader read from this pair is not multiplied
-    again.  Raises ParameterError below two rows, where no j != i exists.
+    Blocks the pair's tile reader kept for :func:`_nearest_part` are not
+    multiplied again.  Raises ParameterError below two rows, where no
+    j != i exists.
     """
     _check_two_samples(pair.n)
-    reader = _reader_of(pair, _NearestReader)
-    blocks = reader.blocks_for(pair) if reader is not None else {}
-    done = {span: np.concatenate(parts) for span, parts in blocks.items()}
-    return np.concatenate(_map_tiles(pair, _nearest_part, threads, done)).astype(np.int64)
+    return np.concatenate(_row_parts(pair, _nearest_part, (), threads)).astype(np.int64)
 
 
 def hard_negative_batches(

@@ -23,7 +23,7 @@ from . import __version__
 from .bandwidth import cuthill_mckee
 from .batching import (
     _check_mined_batch_size,
-    _reading_nearest,
+    _nearest_part,
     bandwidth_pipeline,
     format_batches,
     hard_negative_batches,
@@ -40,15 +40,16 @@ from .io import (
 )
 from .losses import (
     _check_tau,
+    _global_part,
     _global_stats,
     _json_value,
-    _reading_global_stats,
     _report,
     gap_report,
 )
 from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap
 from .similarity import (
     CHUNK_ROWS,
+    _reading,
     build_sparse_graph,
     default_chunk_rows,
     estimate_quantile_threshold,
@@ -117,14 +118,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_normalized(args, report: bool = False) -> EmbeddingPair:
+def _load_normalized(args, *parts) -> EmbeddingPair:
     """The one place the CLI normalizes: every row of X and Y, on load.
 
-    With ``report`` set, the cutoff's tile scan also reads the report's
-    global loss at ``--tau``, so the report need not multiply X·Yᵀ again.
+    The cutoff's tile scan also keeps each ``(fn, args)`` of ``parts``
+    (``similarity._reading``), so the scans that read them later need not
+    multiply X·Yᵀ again.
     """
     pair = load_pair(args.x, args.y).normalized()
-    return _reading_global_stats(pair, args.tau) if report else pair
+    return _reading(pair, *parts) if parts else pair
+
+
+def _global_terms(args, wanted: bool = True) -> list:
+    """The report's global-loss part at ``--tau`` if ``wanted``; it scales
+    each block in place, so it is the last part read."""
+    return [(_global_part, (args.tau,))] if wanted else []
 
 
 def _pipeline(pair: EmbeddingPair, args):
@@ -155,7 +163,7 @@ def _write_all(writes) -> None:
 
 
 def cmd_permute(args) -> int:
-    pair = _load_normalized(args, report=args.report)
+    pair = _load_normalized(args, *_global_terms(args, args.report))
     order, assignment = _pipeline(pair, args)
     report = None
     if args.report:  # encoded before any file is written, so a failing report writes none
@@ -173,7 +181,7 @@ def cmd_permute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    pair = _load_normalized(args, report=args.strategy == "gcbs" and not args.perm)
+    pair = _load_normalized(args, *_global_terms(args, args.strategy == "gcbs" and not args.perm))
     k, strategy, quantile = args.batch_size, args.strategy, None
     if args.perm:
         assignment, strategy = sequential_batches(load_permutation(args.perm), k), "file"
@@ -192,8 +200,8 @@ def cmd_compare(args) -> int:
     """Emit [pipeline, mined-negative, random...] reports plus random-seed stats."""
     if args.seeds < 1:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
-    # the cutoff's tile scan also reads the mined baseline's neighbours
-    pair = _reading_nearest(_load_normalized(args, report=True))
+    # the cutoff's tile scan also reads the mined baseline's argmax, from the raw products
+    pair = _load_normalized(args, (_nearest_part, ()), *_global_terms(args))
     k = args.batch_size
     _check_mined_batch_size(pair.n, k)  # an odd k fails before the pipeline's work
     _, pipeline = _pipeline(pair, args)

@@ -150,17 +150,8 @@ class EmbeddingPair:
     """Row-aligned embeddings: row i of ``x`` and row i of ``y`` are positives.
 
     Immutable after construction; safe to share across threads.
-    ``_tile_reader``, when set, is called as ``reader(pair, span, rows,
-    block)`` on each grid tile ``span`` of X·Yᵀ the cutoff's tile scan
-    multiplies, once per row block: ``block`` holds the products of rows
-    ``rows``, the blocks of a tile come in row order from one thread, and
-    each comes after the scan's own reads of it.  The reader may overwrite
-    the block but keeps no view of it, as the product's buffer is reused;
-    a ``similarity._Readers`` tuple calls several in order, and only its
-    last may leave the block changed.  The CLI sets one when a gap report
-    will follow, so the report reads its global loss from those tiles, and
-    ``compare`` puts the mined baseline's argmax reader ahead of it.  It
-    takes no part in equality or repr.
+    ``_tile_reader`` is the cutoff scan's ``similarity._TileReader``, set
+    by ``similarity._reading``; it takes no part in equality or repr.
     """
 
     x: np.ndarray

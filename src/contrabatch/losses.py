@@ -19,9 +19,9 @@ row with the row's actual candidate count, which reduces to the familiar
 log(N/k) when every batch is full.
 
 Every loss and bound derives from two scans: one over all N candidates
-per sample, one over the in-batch candidates per slot.  The first can ride
-the cutoff estimator's tile scan (a pair's tile reader, see
-``similarity``), which leaves it no tile to multiply.  The second stacks
+per sample, one over the in-batch candidates per slot.  The first reads
+row blocks through ``similarity._row_parts``, so it can ride the cutoff
+estimator's tile scan and then has no tile to multiply.  The second stacks
 the batches of one shape (rows and candidates per batch) and multiplies
 each stack with one ``np.matmul``, which still makes one BLAS call per
 batch, so every batch's products have the bits of its own
@@ -40,7 +40,7 @@ Two scalar objectives summarize how hard a batch assignment is:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from math import inf, isfinite, log
 
 import numpy as np
@@ -50,7 +50,7 @@ from ._parallel import chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
-from .similarity import _BlockReader, _map_tiles, _reader_of, _row_blocks
+from .similarity import _row_parts
 
 
 def _check_tau(tau: float) -> float:
@@ -97,45 +97,11 @@ def _global_part(rows: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.n
         return (*_logsumexp_rows(z), positive)
 
 
-def _global_tile(span: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
-    """:func:`_global_part` of a whole tile product, a row block at a time."""
-    return _joined(_global_part(rows, block, tau) for rows, block in _row_blocks(span, z))
-
-
-class _GlobalReader(_BlockReader):
-    """Tile reader that keeps the global-stats parts of the blocks it is given.
-
-    Set on a pair by :func:`_reading_global_stats`; :func:`_global_stats`
-    at the same tau then takes these parts instead of multiplying the tiles
-    again.  A part is the same function of the same product bits either
-    way, so the stats are bit-identical.  It scales each block in place, so
-    it is the last reader of a block.
-    """
-
-    def __init__(self, tau: float):
-        super().__init__(lambda rows, block: _global_part(rows, block, tau))
-        self.tau = tau
-
-    def parts_for(self, pair: EmbeddingPair, tau: float) -> dict:
-        """The tile parts read from ``pair`` at ``tau``, by span."""
-        if tau != self.tau:
-            return {}
-        return {span: _joined(blocks) for span, blocks in self.blocks_for(pair).items()}
-
-
-def _reading_global_stats(pair: EmbeddingPair, tau: float) -> EmbeddingPair:
-    """``pair`` with a :class:`_GlobalReader` at ``tau`` as its tile reader."""
-    return replace(pair, _tile_reader=_GlobalReader(_check_tau(tau)))
-
-
 def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalStats:
-    """Global stats over the row tiles, in row order; a tile the pair's reader
-    already read at this tau is not multiplied again."""
+    """Global stats of every row, in row order; blocks the pair's tile reader
+    kept for :func:`_global_part` at this tau are not multiplied again."""
     tau = _check_tau(tau)
-    reader = _reader_of(pair, _GlobalReader)
-    done = reader.parts_for(pair, tau) if reader is not None else None
-    parts = _map_tiles(pair, lambda span, z: _global_tile(span, z, tau), threads, done)
-    return _GlobalStats(*_joined(parts))
+    return _GlobalStats(*_joined(_row_parts(pair, _global_part, (tau,), threads)))
 
 
 @dataclass(frozen=True)

@@ -144,14 +144,16 @@ def exhaustive_min_gap(pair: EmbeddingPair, k: int, tau: float) -> OracleResult:
     _guard(pair, k)
     tau = _check_tau(tau)
     global_loss = ntxent_global(pair, tau)
-    z = pair.x @ pair.y.T / tau
+    with np.errstate(all="ignore"):  # overflowed logits: a NaN gap, which _maximize rejects
+        z = pair.x @ pair.y.T / tau
 
     def negated_gap(partition) -> float:
         total = 0.0
         for block in partition:
             sub = z[np.ix_(block, block)]
             positive = sub.diagonal().copy()
-            total += float(np.sum(_logsumexp_rows(sub)[0] - positive))
+            with np.errstate(all="ignore"):  # as above
+                total += float(np.sum(_logsumexp_rows(sub)[0] - positive))
         return -(global_loss - total / pair.n)
 
     result = _maximize(pair, k, negated_gap)

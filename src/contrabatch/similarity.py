@@ -44,36 +44,34 @@ graph built from the same products, bit for bit, as a rescan.
 Tile walk.  Once BLAS has written a tile, every later read of it goes row
 block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a
 block is still in cache for each pass after its first.  A block only splits
-element-wise work and per-row maxima and sums, whose bits do not depend on
-how many rows share a call, so the block height changes no output.  Each
-scan (the estimator's tile jobs, ``_map_tiles``, the graph's rescans)
+element-wise work and per-row maxima, argmaxima and sums, whose bits do not
+depend on how many rows share a call, so the block height changes no output.
+Each scan (the estimator's tile jobs, ``_row_parts``, the graph's rescans)
 multiplies into one buffer per worker thread (``_buffered_products``), reused
 tile after tile and freed when the scan returns: a function given a buffered
 product keeps no view of it.
 
-Tile readers.  A pair may carry a ``_tile_reader`` (the CLI sets one when a
-gap report follows).  The estimator walks each tile on the ``_tiles((0,
-N), N)`` grid once: per row block it copies out the block's tail entries, then
-hands the block to the reader.  Several readers go in a ``_Readers`` tuple
-and see each block in its order: readers that leave the block as they found
-it first, the one that overwrites it in place last.  A ``_BlockReader``
-keeps its part of each block by tile, with the arrays the tile came from,
-and a scan takes only the parts read from its own pair.  The report's
-global-loss terms are read this way, so a ``permute --report`` run
-multiplies X·Yᵀ once and reads each tile from memory once after the
-multiply; ``compare`` also reads the mined baseline's row argmax, from the
-raw products before the global-loss reader scales them, so it multiplies
-X·Yᵀ once too.  Tiles the estimator does not scan (q below about 15/16,
-whose full sort works in place) or scans with other spans (``chunk_rows``
-off the grid) are not read, and the report and the argmax multiply them
-themselves, on the same grid, so their bits do not change.
+Tile readers.  Every per-row reduction of X·Yᵀ outside this module (the
+global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
+*args)`` read by ``_row_parts``, block by block, on the ``_tiles((0, N),
+N)`` grid.  A pair made by ``_reading(pair, *parts)`` carries a
+``_TileReader``: the estimator hands it each block of each grid tile it
+scans, after copying out the block's tail, and it keeps each part of each
+block, in the order given, so a part that overwrites the block (the global
+terms scale it in place) comes last.  ``_row_parts`` then takes the kept
+blocks of its ``(fn, args)`` and multiplies only the tiles the estimator
+did not scan (q below about 15/16, whose full sort works in place) or
+scanned with other spans (``chunk_rows`` off the grid).  A part is the
+same function of the same product bits either way.  So ``permute --report``
+and ``compare`` multiply X·Yᵀ once.  The reader records nothing from a
+pair with other arrays, and ``_row_parts`` reads it only for its own pair.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,57 +245,56 @@ def _row_blocks(span: tuple[int, int], z: np.ndarray) -> list:
     return [((start + a, start + b), z[a:b]) for a, b in chunk_spans(len(z), height)]
 
 
-class _BlockReader:
-    """Tile reader that keeps ``part(rows, block)`` of each row block it is
-    given, by tile, with the arrays the tile was read from."""
+class _TileReader:
+    """Tile reader built for one pair: keeps ``fn(rows, block, *args)`` of
+    each ``(fn, args)`` in ``parts``, in that order, for every row block the
+    cutoff's scan hands it, by tile.  Called with a pair whose ``x`` or
+    ``y`` is another array, it records nothing."""
 
-    def __init__(self, part):
-        self.part = part
-        self.parts: dict = {}  # span -> (x, y, block parts)
+    def __init__(self, pair: EmbeddingPair, parts: tuple):
+        self.x, self.y = pair.x, pair.y
+        self.wanted = parts
+        self.parts: dict = {}  # span -> one list of block results per part
 
     def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
                  block: np.ndarray) -> None:
+        if pair.x is not self.x or pair.y is not self.y:
+            return
         if rows[0] == span[0]:  # a tile's blocks come in row order, from one thread
-            self.parts[span] = (pair.x, pair.y, [])
-        self.parts[span][2].append(self.part(rows, block))
-
-    def blocks_for(self, pair: EmbeddingPair) -> dict:
-        """The block parts of each tile read from ``pair``'s own arrays, by span."""
-        return {span: blocks for span, (x, y, blocks) in self.parts.items()
-                if x is pair.x and y is pair.y}
+            self.parts[span] = tuple([] for _ in self.wanted)
+        for (fn, args), kept in zip(self.wanted, self.parts[span]):
+            kept.append(fn(rows, block, *args))
 
 
-class _Readers(tuple):
-    """Tile readers called on each block in order; one that overwrites the
-    block comes last."""
-
-    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
-                 block: np.ndarray) -> None:
-        for reader in self:
-            reader(pair, span, rows, block)
+def _reading(pair: EmbeddingPair, *parts) -> EmbeddingPair:
+    """``pair`` whose cutoff scan also keeps each ``(fn, args)`` of ``parts``
+    per row block, in order: a part that overwrites the block comes last."""
+    return replace(pair, _tile_reader=_TileReader(pair, parts))
 
 
-def _reader_of(pair: EmbeddingPair, kind: type):
-    """The pair's tile reader of class ``kind``, alone or in its ``_Readers``, or None."""
-    reader = pair._tile_reader
-    return next((r for r in (reader if isinstance(reader, _Readers) else (reader,))
-                 if isinstance(r, kind)), None)
+def _row_parts(pair: EmbeddingPair, fn, args: tuple, threads: int = 1) -> list:
+    """``fn(rows, block, *args)`` of every row block of every tile of all N
+    rows, in row order.
 
-
-def _map_tiles(pair: EmbeddingPair, fn, threads: int = 1, done: dict | None = None) -> list:
-    """``fn(span, product)`` over the row tiles of all N rows, in row order.
-
-    A tile whose span is a key of ``done`` takes that value instead and is
-    not multiplied.  The product is buffered: ``fn`` keeps no view of it.
+    A tile whose blocks the pair's own tile reader kept for this ``(fn,
+    args)`` takes them; only the other tiles are multiplied, into buffered
+    products, so ``fn`` keeps no view of its block.
     """
-    done = done or {}
+    reader = pair._tile_reader
+    done = {}
+    if (reader is not None and reader.x is pair.x and reader.y is pair.y
+            and (fn, args) in reader.wanted):
+        at = reader.wanted.index((fn, args))
+        done = {span: kept[at] for span, kept in reader.parts.items()}
     tiles = _tiles((0, pair.n), pair.n)
     product = _buffered_products(pair, [span for span in tiles if span not in done])
 
-    def run(span: tuple[int, int]):
-        return done[span] if span in done else fn(span, product(span))
+    def run(span: tuple[int, int]) -> list:
+        if span in done:
+            return done[span]
+        return [fn(rows, block, *args) for rows, block in _row_blocks(span, product(span))]
 
-    return ordered_map(run, tiles, threads)
+    return [part for parts in ordered_map(run, tiles, threads) for part in parts]
 
 
 def _sample_stride(entries: int, width: int) -> int:
@@ -438,8 +435,14 @@ class SparseSimilarityGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges, directed_entry_count: int | None = None):
-        """Build from an iterable of undirected (i, j) pairs."""
+        """Build from an iterable of undirected (i, j) pairs.
+
+        Raises GraphError when a pair has an index outside 0..n-1.
+        """
         pairs = [(int(i), int(j)) for i, j in edges]
+        bad = next((p for p in pairs if min(p) < 0 or max(p) >= n), None)
+        if bad is not None:
+            raise GraphError(f"edge {bad} has an index outside 0..{n - 1}")
         if not pairs:
             return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), directed_entry_count or 0)
         src = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.int64)

@@ -127,18 +127,22 @@ class TestPermute:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("tau", ["1e-308", "1e-310"])
-    def test_overflowing_report_prints_one_error_line(self, tmp_path, threads, tau):
+    @pytest.mark.parametrize("n, argv, message", [
+        (300, ["permute", "--batch-size", "8", "--report"], "error: non-finite value"),
+        (8, ["oracle", "--batch-size", "4"], "error: objective is NaN"),  # the oracle caps N at 10
+    ], ids=["permute", "oracle"])
+    def test_overflowing_report_prints_one_error_line(self, tmp_path, threads, tau, n, argv,
+                                                      message):
         # run as a process: NumPy's floating-point warnings reach stderr there
-        x, y = write_pair(tmp_path, random_pair(300, 16, seed=3))
+        x, y = write_pair(tmp_path, random_pair(n, 16, seed=3))
         child = subprocess.run(
             [sys.executable, "-c", "from contrabatch.cli import entrypoint; entrypoint()",
-             "permute", "--x", x, "--y", y, "--batch-size", "8", "--report",
-             "--tau", tau, "--threads", threads],
+             *argv, "--x", x, "--y", y, "--tau", tau, "--threads", threads],
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert child.returncode == 2
         assert child.stdout == ""
-        assert child.stderr.startswith("error: non-finite value")
+        assert child.stderr.startswith(message)
         assert child.stderr.count("\n") == 1
 
     def test_degenerate_row_exits_one(self, tmp_path, capsys):
@@ -556,7 +560,8 @@ class TestOneSweep:
         """``plain`` reading neighbours and global stats, as compare sets it,
         after the cutoff's scan."""
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
-        pair = batching._reading_nearest(losses._reading_global_stats(plain, 0.05))
+        pair = similarity._reading(plain, (batching._nearest_part, ()),
+                                   (losses._global_part, (0.05,)))
         similarity.estimate_quantile_threshold(pair, 0.999, 512)
         return pair
 
@@ -571,6 +576,14 @@ class TestOneSweep:
         copied = replace(pair, x=other.x, y=other.y)  # carries the readers along
         np.testing.assert_array_equal(batching.nearest_cross_neighbors(copied),
                                       batching.nearest_cross_neighbors(other))
+        assert sorted(calls) == sorted(self.TILES * 2)
+        # the other way round: a scan of the copy leaves the pair nothing to read
+        fresh = similarity._reading(plain, (batching._nearest_part, ()),
+                                    (losses._global_part, (0.05,)))
+        similarity.estimate_quantile_threshold(replace(fresh, x=other.x, y=other.y), 0.999, 512)
+        calls.clear()
+        np.testing.assert_array_equal(batching.nearest_cross_neighbors(fresh),
+                                      batching.nearest_cross_neighbors(plain))
         assert sorted(calls) == sorted(self.TILES * 2)
 
     def test_read_neighbours_keep_the_tie_rule(self, monkeypatch):

@@ -109,7 +109,7 @@ class TestGlobalStatsFromTheCutoffTiles:
     def scanned(self, monkeypatch, tau):
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
         plain = random_pair(512, 16, seed=48)
-        pair = losses._reading_global_stats(plain, tau)
+        pair = similarity._reading(plain, (losses._global_part, (tau,)))
         similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=2)
         return plain, pair, count_products(monkeypatch)
 
@@ -131,7 +131,7 @@ class TestGlobalStatsFromTheCutoffTiles:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pair = losses._reading_global_stats(plain, 0.05)
+            pair = similarity._reading(plain, (losses._global_part, (0.05,)))
             similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=8)
         finally:
             sys.setswitchinterval(interval)
@@ -147,6 +147,12 @@ class TestGlobalStatsFromTheCutoffTiles:
         assert copied._tile_reader is pair._tile_reader
         assert ntxent_global(copied, 0.05) == ntxent_global(other, 0.05)
         assert sorted(calls) == sorted(self.TILES * 2)
+        # the other way round: a scan of the copy leaves the pair nothing to read
+        fresh = similarity._reading(plain, (losses._global_part, (0.05,)))
+        similarity.estimate_quantile_threshold(replace(fresh, x=other.x, y=other.y), 0.999, 512)
+        calls.clear()
+        assert ntxent_global(fresh, 0.05) == ntxent_global(plain, 0.05)
+        assert sorted(calls) == sorted(self.TILES * 2)  # every tile, for each pair
 
 
 class TestTrainLoss:

@@ -165,6 +165,11 @@ class TestGraphConstruction:
         with pytest.raises(GraphError):
             g.validate()
 
+    @pytest.mark.parametrize("edge", [(0, 5), (-1, 2)])
+    def test_from_edges_rejects_an_index_outside_the_nodes(self, edge):
+        with pytest.raises(GraphError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
+            SparseSimilarityGraph.from_edges(4, [(0, 1), edge])
+
 
 class TestRetainedFraction:
     def test_complete_graph(self):
@@ -388,7 +393,7 @@ def scan_outputs(pair: EmbeddingPair, threads: int = 1) -> tuple:
     """Every output of the tile scans at q = 0.999, comparable with ``==``:
     the cutoff, the tails, the global stats read during the estimate and
     computed anew, the nearest cross neighbours and the graph."""
-    reading = losses._reading_global_stats(pair, 0.05)
+    reading = similarity._reading(pair, (losses._global_part, (0.05,)))
     chunk_rows = similarity.default_chunk_rows(pair.n)
     t = estimate_quantile_threshold(reading, 0.999, chunk_rows, threads=threads)
     tails = [(span, tail.bound, tail.offsets.tobytes(), tail.values.tobytes())
