@@ -140,6 +140,27 @@ def hard_negative_batches(
     return BatchAssignment(n=n, k=k, batches=batches, perm=None, oversampled=True)
 
 
+def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
+            reverse: bool = True, threads: int = 1):
+    """The pipeline's one composition: yield the cutoff, the graph, then the order.
+
+    ``chunk_rows`` defaults to ``default_chunk_rows``.  Warns, naming the
+    caller of :func:`bandwidth_pipeline`, when no inner product beats the
+    cutoff (ties at it are dropped), because the order of an edgeless graph
+    only follows the row index.
+    """
+    if chunk_rows is None:
+        chunk_rows = default_chunk_rows(pair.n)
+    threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
+    yield threshold
+    graph = build_sparse_graph(pair, threshold, threads=threads)
+    if graph.edge_count == 0:
+        warnings.warn(f"no inner product exceeds the cutoff {threshold.value!r}: the graph has "
+                      "no edges and the order only follows the row index", stacklevel=3)
+    yield graph
+    yield cuthill_mckee(graph, reverse=reverse)
+
+
 def bandwidth_pipeline(
     pair: EmbeddingPair,
     q: float,
@@ -151,22 +172,13 @@ def bandwidth_pipeline(
     """Full reordering pipeline: threshold, sparsify, order, batch.
 
     Runs on the pair as given, so the caller decides normalization (the CLI
-    normalizes on load): cutoff estimation at quantile ``q`` (``chunk_rows``
-    defaults to ``default_chunk_rows``), sparse graph construction, BFS
-    bandwidth ordering (reversed by default), sequential batching.
-    Pure function of its inputs: repeated runs are bit-identical.  Warns
-    when no inner product beats the cutoff (ties at it are dropped), because
-    the order of an edgeless graph only follows the row index.
+    normalizes on load): cutoff estimation at quantile ``q``, sparse graph
+    construction, BFS bandwidth ordering (reversed by default), all in
+    :func:`_stages`, then sequential batching.  Pure function of its
+    inputs: repeated runs are bit-identical.
     """
     _check_batch_size(pair.n, k)
-    if chunk_rows is None:
-        chunk_rows = default_chunk_rows(pair.n)
-    threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
-    graph = build_sparse_graph(pair, threshold, threads=threads)
-    if graph.edge_count == 0:
-        warnings.warn(f"no inner product exceeds the cutoff {threshold.value!r}: the graph has "
-                      "no edges and the order only follows the row index", stacklevel=2)
-    order = cuthill_mckee(graph, reverse=reverse)
+    *_, order = _stages(pair, q, chunk_rows, reverse, threads)
     return order, sequential_batches(order, k)
 
 

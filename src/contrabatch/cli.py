@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import cuthill_mckee
 from .batching import (
     _check_mined_batch_size,
     _nearest_part,
+    _stages,
     bandwidth_pipeline,
     format_batches,
     hard_negative_batches,
@@ -31,13 +31,7 @@ from .batching import (
     sequential_batches,
 )
 from .errors import CapacityError, ContrabatchError, ObjectiveUndefined, ParameterError
-from .io import (
-    EmbeddingPair,
-    load_pair,
-    load_permutation,
-    normalize_rows,
-    save_permutation,
-)
+from .io import MAX_ELEMENTS, EmbeddingPair, load_pair, load_permutation, save_permutation
 from .losses import (
     _check_tau,
     _global_part,
@@ -47,13 +41,7 @@ from .losses import (
     gap_report,
 )
 from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap
-from .similarity import (
-    CHUNK_ROWS,
-    _reading,
-    build_sparse_graph,
-    default_chunk_rows,
-    estimate_quantile_threshold,
-)
+from .similarity import CHUNK_ROWS, _reading
 
 _PARAM_EXIT = 2
 _IO_EXIT = 1
@@ -109,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True,
                        help="comma-separated sample counts, e.g. 1024,2048")
     bench.add_argument("--dim", type=int, default=64, help="embedding width (default 64)")
-    bench.add_argument("--batch-size", type=int, default=32, help="batch size k (default 32)")
     add(bench, *pipeline_flags, "--seed", "--threads")
 
     oracle = sub.add_parser("oracle", help="exhaustive optima at toy sizes (debugging)")
@@ -163,6 +150,11 @@ def _write_all(writes) -> None:
 
 
 def cmd_permute(args) -> int:
+    # a move replaces the name itself, not what a link there points to: resolve the directories
+    targets = [(os.path.realpath(Path(path).parent), Path(path).name)
+               for path in (args.out_perm, args.out_batches) if path]
+    if len(set(targets)) < len(targets):
+        raise ParameterError(f"--out-perm and --out-batches name the same file: {args.out_perm}")
     pair = _load_normalized(args, *_global_terms(args, args.report))
     order, assignment = _pipeline(pair, args)
     report = None
@@ -232,39 +224,24 @@ def cmd_bench(args) -> int:
         raise ParameterError(f"--sizes needs positive sample counts, got {args.sizes!r}")
     if args.dim < 1:
         raise ParameterError(f"--dim must be at least 1, got {args.dim}")
-    if not 0.0 < args.quantile < 1.0:
-        raise ParameterError(f"quantile must lie strictly inside (0,1), got {args.quantile}")
-    if args.batch_size < 1:
-        raise ParameterError(f"--batch-size must be at least 1, got {args.batch_size}")
-    if args.chunk_rows is not None and not 1 <= args.chunk_rows <= min(sizes):
-        raise ParameterError(f"--chunk-rows must lie in [1, {min(sizes)}], got {args.chunk_rows}")
+    if max(sizes) * args.dim > MAX_ELEMENTS:
+        raise CapacityError(f"{max(sizes)}x{args.dim} exceeds element limit")
     rng = np.random.default_rng(args.seed)
-    print("n,stage,seconds")
-    totals = []
+    rows, totals = ["n,stage,seconds"], []
     for n in sizes:
-        x = normalize_rows(rng.standard_normal((n, args.dim)))
-        y = normalize_rows(rng.standard_normal((n, args.dim)))
-        pair = EmbeddingPair(x, y)
-        chunk = args.chunk_rows or default_chunk_rows(n)
+        pair = EmbeddingPair(rng.standard_normal((n, args.dim)),
+                             rng.standard_normal((n, args.dim))).normalized()
         # the first size runs twice; its untimed first pass absorbs start-up cost
         for _ in range(1 if totals else 2):
-            t0 = time.perf_counter()
-            threshold = estimate_quantile_threshold(pair, args.quantile, chunk, threads=args.threads)
-            t1 = time.perf_counter()
-            graph = build_sparse_graph(pair, threshold, threads=args.threads)
-            t2 = time.perf_counter()
-            order = cuthill_mckee(graph, reverse=args.reverse_cm)
-            t3 = time.perf_counter()
-            sequential_batches(order, min(args.batch_size, n))
-        stage_rows = [
-            ("quantile", t1 - t0),
-            ("graph", t2 - t1),
-            ("ordering", t3 - t2),
-            ("total", t3 - t0),
-        ]
-        for stage, seconds in stage_rows:
-            print(f"{n},{stage},{_json_value(seconds)}")
+            stamps = [time.perf_counter()]
+            stamps += [time.perf_counter() for _ in _stages(
+                pair, args.quantile, args.chunk_rows, args.reverse_cm, args.threads)]
+        t0, t1, t2, t3 = stamps
+        for stage, seconds in [("quantile", t1 - t0), ("graph", t2 - t1),
+                               ("ordering", t3 - t2), ("total", t3 - t0)]:
+            rows.append(f"{n},{stage},{_json_value(seconds)}")
         totals.append((n, t3 - t0))
+    print("\n".join(rows))  # printed only once every size ran, so a failure prints no row
     if len({n for n, _ in totals}) >= 2:  # a slope needs two distinct sizes
         logs_n = np.log([t[0] for t in totals])
         logs_t = np.log([t[1] for t in totals])

@@ -213,8 +213,12 @@ def save_permutation(order: np.ndarray, path: str | Path) -> None:
 
 def load_permutation(path: str | Path) -> np.ndarray:
     """Read a permutation file; any non-bijection raises PermutationError."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise PermutationError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from exc
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             continue
         try:

@@ -443,8 +443,6 @@ class SparseSimilarityGraph:
         bad = next((p for p in pairs if min(p) < 0 or max(p) >= n), None)
         if bad is not None:
             raise GraphError(f"edge {bad} has an index outside 0..{n - 1}")
-        if not pairs:
-            return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), directed_entry_count or 0)
         src = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.int64)
         dst = np.array([p[1] for p in pairs] + [p[0] for p in pairs], dtype=np.int64)
         return cls._from_directed(n, src, dst, directed_entry_count)

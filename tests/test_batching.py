@@ -156,14 +156,16 @@ class TestPipeline:
 
     def test_empty_graph_still_yields_valid_batching(self):
         pair = random_pair(9, 16, seed=10)
-        order, asg = bandwidth_pipeline(pair, 0.9999, k=4)
+        with pytest.warns(UserWarning, match="no inner product exceeds"):
+            order, asg = bandwidth_pipeline(pair, 0.9999, k=4)
         np.testing.assert_array_equal(np.sort(order), np.arange(9))
         assert [b.size for b in asg.batches] == [4, 4, 1]
 
     def test_edgeless_graph_warns(self):
         # every product is 0 or 1 and the cutoff lands on 1: the strict > keeps nothing
-        with pytest.warns(UserWarning, match="no edges"):
+        with pytest.warns(UserWarning, match="no edges") as record:
             order, _ = bandwidth_pipeline(orthogonal_ties(), 0.999, k=4)
+        assert record[0].filename == __file__  # it names the pipeline's caller
         np.testing.assert_array_equal(order, np.arange(32)[::-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,6 @@
 """Command-line surface: flags, outputs, exit codes, determinism."""
 
+import contextlib
 import json
 import math
 import subprocess
@@ -116,6 +117,18 @@ class TestPermute:
             "a-directory", "perm.txt", "x.emb1", "y.emb1"]
         assert list((tmp_path / "a-directory").iterdir()) == []
 
+    @pytest.mark.parametrize("batches", ["perm.txt", "sub/../perm.txt", "link/perm.txt"])
+    def test_one_path_for_both_outputs_exits_two(self, tmp_path, capsys, batches):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=3))
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path)
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "4", "--out-perm",
+                   str(tmp_path / "perm.txt"), "--out-batches", str(tmp_path / batches)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub", "x.emb1", "y.emb1"]
+
     def test_outputs_leave_no_temporary_files(self, tmp_path):
         x, y = write_pair(tmp_path, two_cluster_pair())
         rc = main(["permute", "--x", x, "--y", y, "--quantile", "0.5", "--batch-size", "4",
@@ -204,13 +217,18 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_bad_permutation_file_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("contents", [b"0\n0\n1\n2\n", b"EMB1\x80\x00\n"],
+                             ids=["duplicate", "binary"])
+    def test_bad_permutation_file_exits_one(self, tmp_path, capsys, contents):
         x, y = write_pair(tmp_path, random_pair(4, 3, seed=6))
         perm = tmp_path / "p.txt"
-        perm.write_text("0\n0\n1\n2\n")
+        perm.write_bytes(contents)
         rc = main(["analyze", "--x", x, "--y", y, "--batch-size", "2",
                    "--perm", str(perm)])
+        captured = capsys.readouterr()
         assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestCompare:
@@ -325,13 +343,13 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
 class TestBench:
     def test_first_size_warmed_up_untimed(self, capsys, monkeypatch):
         calls = []
-        real = cli.estimate_quantile_threshold
+        real = batching.estimate_quantile_threshold
 
         def counted(pair, *args, **kwargs):
             calls.append(pair.n)
             return real(pair, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "estimate_quantile_threshold", counted)
+        monkeypatch.setattr(batching, "estimate_quantile_threshold", counted)
         rc = main(["bench", "--sizes", "64,128", "--dim", "8"])
         assert rc == 0
         assert calls == [64, 64, 128]
@@ -368,6 +386,13 @@ class TestBench:
         stages = ["quantile", "graph", "ordering", "total"]
         assert rows == [["64", stage] for _ in range(2) for stage in stages]
         assert "slope" not in captured.err
+
+    def test_edgeless_graph_warns(self, capsys):
+        # one column of +-1 entries: every product is +-1 and the cutoff lands on 1
+        with pytest.warns(UserWarning, match="no inner product exceeds"):
+            rc = main(["bench", "--sizes", "4", "--dim", "1"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
     def test_empty_sizes_exits_two(self, capsys):
         assert main(["bench", "--sizes", ""]) == 2
@@ -612,26 +637,32 @@ class TestOneSweep:
         chunk_tiles = [(s, min(s + 100, 512)) for s in range(0, 512, 100)]
         assert sorted(calls) == sorted(chunk_tiles + self.TILES * 2)  # graph and report
 
-    @pytest.mark.parametrize("pair, flags, row_chunk", [
-        (random_pair(512, 16, seed=41), ["--quantile", "0.9"], 128),
-        (duplicated_cluster_pair(), ["--quantile", "0.999"], 128),
-        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--chunk-rows", "100"], 128),
-        (random_pair(2050, 16, seed=47), ["--quantile", "0.999"], None),
-        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--threads", "2"], 128),
-        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--tau", "0.05"], 128),
-        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--tau", "0.5"], 128),
+    @pytest.mark.parametrize("pair, flags, row_chunk, edgeless", [
+        (random_pair(512, 16, seed=41), ["--quantile", "0.9"], 128, False),
+        (duplicated_cluster_pair(), ["--quantile", "0.999"], 128, True),  # the cutoff is the top
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--chunk-rows", "100"], 128,
+         False),
+        (random_pair(2050, 16, seed=47), ["--quantile", "0.999"], None, False),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--threads", "2"], 128, False),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--tau", "0.05"], 128, False),
+        (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--tau", "0.5"], 128, False),
     ], ids=["full-sort", "dropped-tail", "off-grid-chunks", "n-2050", "threads-2",
             "tau-0.05", "tau-0.5"])
     def test_report_bytes_on_every_path(self, tmp_path, capsys, monkeypatch, pair, flags,
-                                        row_chunk):
+                                        row_chunk, edgeless):
         if row_chunk is not None:
             monkeypatch.setattr(similarity, "ROW_CHUNK", row_chunk)
-        x, y, _, out = self.run(tmp_path, capsys, monkeypatch, pair, flags)
         opts = dict(zip(flags[::2], flags[1::2]))
         chunk_rows = int(opts["--chunk-rows"]) if "--chunk-rows" in opts else None
-        assert out == plain_report(x, y, float(opts["--quantile"]), 16,
-                                   float(opts.get("--tau", "0.05")), chunk_rows=chunk_rows,
-                                   threads=int(opts.get("--threads", "1")))
+        warned = (pytest.warns(UserWarning, match="no inner product exceeds") if edgeless
+                  else contextlib.nullcontext([]))
+        with warned as record:
+            x, y, _, out = self.run(tmp_path, capsys, monkeypatch, pair, flags)
+            want = plain_report(x, y, float(opts["--quantile"]), 16,
+                                float(opts.get("--tau", "0.05")), chunk_rows=chunk_rows,
+                                threads=int(opts.get("--threads", "1")))
+        assert out == want
+        assert len(record) == (2 if edgeless else 0)  # the CLI's pipeline and the plain one
 
     def test_duplicated_pair_drops_a_tail(self, tmp_path, monkeypatch):
         # the premise of the dropped-tail case above
@@ -663,9 +694,11 @@ class TestFlagValidation:
         ["--sizes", "a"], ["--sizes", "64", "--dim", "0"],
         ["--sizes", "64", "--threads", "0"], ["--sizes", "64", "--seed", "-1"],
         ["--sizes", "64", "--chunk-rows", "0"], ["--sizes", "64", "--quantile", "1.5"],
-        ["--sizes", "64", "--batch-size", "0"],
+        ["--sizes", "128,64", "--chunk-rows", "100"],
+        ["--sizes", "64", "--dim", "1000000000000"], ["--sizes", "100000000000000000"],
     ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "seed-negative", "chunk-rows-zero",
-            "quantile-out-of-range", "batch-size-zero"])
+            "quantile-out-of-range", "chunk-rows-above-a-later-size", "dim-too-large",
+            "size-too-large"])
     def test_bench(self, capsys, flags):
         rc = main(["bench"] + flags)
         captured = capsys.readouterr()
@@ -687,5 +720,12 @@ class TestUnreadFlags:
         x, y = write_pair(tmp_path, random_pair(4, 3, seed=1))
         with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--x", x, "--y", y, "--batch-size", "2"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bench_rejects_batch_size(self, capsys):
+        # bench cuts no batches, so it takes no batch size
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--sizes", "64", "--batch-size", "8"])
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""

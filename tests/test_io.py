@@ -217,6 +217,12 @@ class TestPermutationFiles:
         with pytest.raises(PermutationError):
             load_permutation(path)
 
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "p.emb1"
+        save_embeddings(np.eye(3), path)
+        with pytest.raises(PermutationError, match="p.emb1: not a text file"):
+            load_permutation(path)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 64))
     def test_accepts_exactly_bijections(self, seed, n):
