@@ -59,14 +59,6 @@ from .losses import (
     qap_objective,
     qbap_objective,
 )
-from .oracle import (
-    OracleResult,
-    exhaustive_min_gap,
-    exhaustive_qap,
-    exhaustive_qbap,
-    iter_block_partitions,
-    partition_count,
-)
 
 __version__ = "0.1.0"
 
@@ -120,3 +112,22 @@ __all__ = [
     "sequential_batches",
     "validate_permutation",
 ]
+
+# The exhaustive solvers are for debugging at toy sizes: they load on first
+# access, so a command that never asks for them does not import them.
+_ORACLE_NAMES = frozenset({
+    "OracleResult",
+    "exhaustive_min_gap",
+    "exhaustive_qap",
+    "exhaustive_qbap",
+    "iter_block_partitions",
+    "partition_count",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

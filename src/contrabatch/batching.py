@@ -14,6 +14,7 @@ flagged ``oversampled``.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -147,7 +148,7 @@ def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
     ``chunk_rows`` defaults to ``default_chunk_rows``.  Warns, naming the
     caller of :func:`bandwidth_pipeline`, when no inner product beats the
     cutoff (ties at it are dropped), because the order of an edgeless graph
-    only follows the row index.
+    only follows the row index; every such run warns, not only the first.
     """
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
@@ -155,8 +156,13 @@ def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
     yield threshold
     graph = build_sparse_graph(pair, threshold, threads=threads)
     if graph.edge_count == 0:
-        warnings.warn(f"no inner product exceeds the cutoff {threshold.value!r}: the graph has "
-                      "no edges and the order only follows the row index", stacklevel=3)
+        # as warn(stacklevel=3), but with no registry: warn keeps one in the module it
+        # names, so a message repeated from one line would show once per process
+        caller = sys._getframe(2)
+        warnings.warn_explicit(f"no inner product exceeds the cutoff {threshold.value!r}: the "
+                               "graph has no edges and the order only follows the row index",
+                               UserWarning, caller.f_code.co_filename, caller.f_lineno,
+                               caller.f_globals.get("__name__"), module_globals=caller.f_globals)
     yield graph
     yield cuthill_mckee(graph, reverse=reverse)
 

@@ -3,9 +3,9 @@ batches, report loss gaps, compare strategies, and benchmark the pipeline.
 
 Reports go to stdout, diagnostics to stderr; files are written only when
 output paths are given.  Exit codes: 0 success, 1 I/O or format problems,
-2 parameter validation.  Every command is deterministic for fixed inputs,
-flags, and seed (bench timings excepted: the measured seconds vary, the
-row structure does not).
+2 parameter validation or running out of memory.  Every command is
+deterministic for fixed inputs, flags, and seed (bench timings excepted:
+the measured seconds vary, the row structure does not).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .losses import (
     _report,
     gap_report,
 )
-from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap
 from .similarity import CHUNK_ROWS, _reading
 
 _PARAM_EXIT = 2
@@ -251,6 +250,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import exhaustive_min_gap, exhaustive_qap, exhaustive_qbap  # debugging only
+
     pair = _load_normalized(args)
     k = args.batch_size
     results = {
@@ -300,6 +301,10 @@ def main(argv=None) -> int:
     except (ContrabatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _IO_EXIT
+    except MemoryError as exc:  # a quantile too low or an N too large for this host
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return _PARAM_EXIT
 
 
 def entrypoint() -> None:

@@ -212,19 +212,26 @@ def save_permutation(order: np.ndarray, path: str | Path) -> None:
 
 
 def load_permutation(path: str | Path) -> np.ndarray:
-    """Read a permutation file; any non-bijection raises PermutationError."""
+    """Read a permutation file; any non-bijection raises PermutationError.
+
+    Each non-empty line holds ASCII digits only: no sign, space, underscore,
+    other script's digits or CR.
+    """
     try:
-        text = Path(path).read_text()
+        with open(path, newline="") as fh:  # no newline translation: a CR is kept, and rejected
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise PermutationError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from exc
     entries = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             continue
-        try:
-            entries.append(int(line))
-        except ValueError as exc:
-            raise PermutationError(f"{path}:{lineno}: not a decimal index: {line!r}") from exc
+        if not (line.isascii() and line.isdigit()):
+            raise PermutationError(f"{path}:{lineno}: not a decimal index: {line!r}")
+        digits = line.lstrip("0") or "0"
+        if len(digits) > 18:  # past int64, and past the line count of any file
+            raise PermutationError(f"{path}:{lineno}: index out of range ({len(digits)} digits)")
+        entries.append(int(digits))
     if not entries:
         raise PermutationError(f"{path}: empty permutation file")
     return validate_permutation(np.array(entries, dtype=np.int64))

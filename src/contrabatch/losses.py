@@ -50,7 +50,7 @@ from ._parallel import chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
-from .similarity import _row_parts
+from .similarity import _row_parts, _sorted_unique
 
 
 def _check_tau(tau: float) -> float:
@@ -188,8 +188,9 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Run]:
             f"assignment covers {assignment.n} samples, embeddings have {pair.n}"
         )
     batches = assignment.batches
-    # an oversampled batch counts each sample once among its candidates
-    candidates = [np.unique(b) for b in batches] if assignment.oversampled else batches
+    # an oversampled batch counts each sample once among its candidates; np.unique
+    # would import numpy.ma
+    candidates = [_sorted_unique(b) for b in batches] if assignment.oversampled else batches
     sizes = np.array([b.size for b in batches], dtype=np.int64)
     first_slot = np.cumsum(sizes) - sizes
     groups: dict = {}

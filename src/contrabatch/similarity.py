@@ -132,6 +132,15 @@ def _read_quantile(top: np.ndarray, size: int, q: float) -> float:
     return float(top[lo - skip] + t * (top[hi - skip] - top[lo - skip]))
 
 
+def _median(values: list[float]) -> float:
+    """``np.median`` of finite ``values``, bit for bit: the same partition and
+    mean, without the NaN check whose first call imports ``numpy.ma``."""
+    size = len(values)
+    mid = size // 2
+    part = np.partition(values, [mid - 1, mid, -1] if size % 2 == 0 else [mid, -1])
+    return float(np.mean(part[mid - 1 + size % 2 : mid + 1]))
+
+
 def interpolated_quantile(values: np.ndarray, q: float) -> float:
     """Empirical q-quantile with linear interpolation between order statistics."""
     if not 0.0 < q < 1.0:
@@ -400,7 +409,7 @@ def estimate_quantile_threshold(
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"
     return SimilarityThreshold(
         quantile_q=q,
-        value=float(np.median(per_chunk)),
+        value=_median(per_chunk),
         chunk_rows=chunk_rows,
         estimator=estimator,
         _tails=_Tails(pair, by_span) if by_span else None,

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -157,6 +158,30 @@ class TestPermute:
         assert child.stdout == ""
         assert child.stderr.startswith(message)
         assert child.stderr.count("\n") == 1
+
+    def test_out_of_memory_prints_one_error_line(self, tmp_path):
+        # q = 0.5 sorts a whole 4096 x 40000 chunk, 1.2 GiB, past the child's 1 GiB address
+        # space; the cap holds in the child only, so the host never runs short
+        rng = np.random.default_rng(7)
+        x, y = write_pair(tmp_path, EmbeddingPair(rng.standard_normal((40000, 8)),
+                                                  rng.standard_normal((40000, 8))))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        child = subprocess.run(
+            [sys.executable, "-c", "from contrabatch.cli import entrypoint; entrypoint()",
+             "permute", "--x", x, "--y", y, "--batch-size", "64", "--quantile", "0.5",
+             "--out-perm", "P"],
+            capture_output=True, text=True, env=src_env(OPENBLAS_NUM_THREADS="1"),
+            cwd=tmp_path, preexec_fn=cap_address_space, timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: out of memory")
+        assert child.stderr.count("\n") == 1
+        assert "Traceback" not in child.stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.emb1", "y.emb1"]
 
     def test_degenerate_row_exits_one(self, tmp_path, capsys):
         m = np.ones((4, 3))
@@ -330,14 +355,38 @@ class TestNormalizeOnce:
         assert calls == [(16, 4), (16, 4)]  # X and Y, once each
 
 
+# Modules no epoch needs: the thread pool and the logging it imports (a one-thread run),
+# the debugging-only exhaustive solvers, and numpy.ma (12-20 ms), which np.median and
+# np.unique import on their first call.
+UNNEEDED_MODULES = ("concurrent.futures", "logging", "contrabatch.oracle", "numpy.ma")
+
+
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # a one-thread run never needs the pool, or the logging it imports
     code = ("import sys, numpy, contrabatch.cli; "
-            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+            f"print([m for m in {UNNEEDED_MODULES!r} if m in sys.modules])")
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env=src_env(), timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["permute", "--report", "--out-perm", "perm.txt", "--out-batches", "batches.txt"],
+    ["compare", "--seeds", "2"],
+    ["analyze", "--strategy", "hardneg1"],  # oversampled batches: distinct candidates per batch
+], ids=["permute", "compare", "analyze-hardneg1"])
+def test_epoch_commands_leave_numpy_ma_and_the_oracle_unloaded(tmp_path, argv):
+    x, y = write_pair(tmp_path, random_pair(64, 8, seed=5))
+    code = ("import sys; from contrabatch.cli import main; code = main(sys.argv[1:]); "
+            f"print([m for m in {UNNEEDED_MODULES[2:]!r} if m in sys.modules], file=sys.stderr); "
+            "sys.exit(code)")
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--x", x, "--y", y, "--batch-size", "8",
+         "--quantile", "0.99"],
+        capture_output=True, text=True, env=src_env(), cwd=tmp_path, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "[]\n"
 
 
 class TestBench:
@@ -396,6 +445,19 @@ class TestBench:
 
     def test_empty_sizes_exits_two(self, capsys):
         assert main(["bench", "--sizes", ""]) == 2
+
+    def test_every_edgeless_run_warns(self, tmp_path):
+        # under the default filters: the warm-up and both timed runs warn, permute's one run once
+        def warnings_of(*argv) -> int:
+            child = subprocess.run(
+                [sys.executable, "-c", "from contrabatch.cli import entrypoint; entrypoint()",
+                 *argv], capture_output=True, text=True, env=src_env(), timeout=120)
+            assert child.returncode == 0, child.stderr
+            return child.stderr.count("UserWarning: no inner product exceeds")
+
+        assert warnings_of("bench", "--sizes", "4,4", "--dim", "1") == 3
+        x, y = write_pair(tmp_path, orthogonal_ties())
+        assert warnings_of("permute", "--x", x, "--y", y, "--batch-size", "4") == 1
 
 
 class TestOracleCommand:

@@ -211,6 +211,29 @@ class TestPermutationFiles:
         with pytest.raises(PermutationError):
             load_permutation(path)
 
+    @pytest.mark.parametrize("line, index", [
+        ("\u0661", 1), ("+3", 3), (" 2 ", 2), ("1_0", 10), ("-0", 0), ("1\r", 1),
+    ], ids=["arabic-indic-one", "plus-sign", "spaces", "underscore", "minus-zero", "cr-ended"])
+    def test_only_ascii_digit_lines(self, tmp_path, line, index):
+        # Python's int reads each of these lines as ``index``; the format is ASCII digits, LF-ended
+        lines = [str(i) for i in range(index + 1)]
+        lines[index] = line
+        path = tmp_path / "p.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(PermutationError, match=f"p.txt:{index + 1}: not a decimal index"):
+            load_permutation(path)
+
+    def test_leading_zeros_and_blank_lines(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("\n002\n0\n\n00000000000000000000001\n")
+        np.testing.assert_array_equal(load_permutation(path), [2, 0, 1])
+
+    def test_index_past_int64(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("99999999999999999999\n0\n")
+        with pytest.raises(PermutationError, match="p.txt:1: index out of range"):
+            load_permutation(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("")

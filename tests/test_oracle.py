@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import contrabatch
 from contrabatch import (
     CapacityError,
     EmbeddingPair,
@@ -22,7 +23,20 @@ from contrabatch import (
     qbap_objective,
     random_batches,
 )
+from contrabatch import oracle
 from conftest import random_pair, two_cluster_pair
+
+
+def test_star_import_binds_every_public_name():
+    # the solvers load on first access; a star import reaches them too
+    namespace = {}
+    exec("from contrabatch import *", namespace)
+    assert set(contrabatch.__all__) <= namespace.keys()
+    for name in ("OracleResult", "exhaustive_min_gap", "exhaustive_qap", "exhaustive_qbap",
+                 "iter_block_partitions", "partition_count"):
+        assert namespace[name] is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="no attribute 'exhaustive_qp'"):
+        contrabatch.exhaustive_qp
 
 
 class TestPartitionEnumeration:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrabatch import losses, similarity
 from contrabatch import (
@@ -550,3 +552,18 @@ class TestMemory:
         pair = random_pair(2048, 64, seed=52)
         peak = self.peak(lambda: estimate_quantile_threshold(pair, 0.5, 2048))
         assert peak <= 2 * self.TILE_BYTES
+
+
+# the values a cutoff median can meet: signed zeros, subnormals, duplicates, Gaussians
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),  # a small pool repeats
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.integers(0, 2**32).map(lambda seed: float(np.random.default_rng(seed).standard_normal())),
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(values=st.lists(MEDIAN_VALUES, min_size=1, max_size=9))
+def test_cutoff_median_is_np_median_bit_for_bit(values):
+    got = np.array(similarity._median(values))
+    assert got.view(np.int64) == np.array(np.median(values)).view(np.int64)
