@@ -26,6 +26,7 @@ from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import (
     _row_parts,
+    _Scan,
     build_sparse_graph,
     default_chunk_rows,
     estimate_quantile_threshold,
@@ -110,19 +111,20 @@ def _nearest_part(rows: tuple[int, int], z: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1) -> np.ndarray:
+def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1, *,
+                            _scan: _Scan | None = None) -> np.ndarray:
     """For each row i, the j != i maximizing x_i . y_j (ties: lowest j).
 
-    Blocks the pair's tile reader kept for :func:`_nearest_part` are not
+    Blocks the epoch's ``_scan`` kept for :func:`_nearest_part` are not
     multiplied again.  Raises ParameterError below two rows, where no
     j != i exists.
     """
     _check_two_samples(pair.n)
-    return np.concatenate(_row_parts(pair, _nearest_part, (), threads)).astype(np.int64)
+    return np.concatenate(_row_parts(pair, _nearest_part, (), threads, _scan)).astype(np.int64)
 
 
 def hard_negative_batches(
-    pair: EmbeddingPair, k: int, seed: int = 0, threads: int = 1
+    pair: EmbeddingPair, k: int, seed: int = 0, threads: int = 1, *, _scan: _Scan | None = None
 ) -> BatchAssignment:
     """Mined-negative baseline: each batch pairs k/2 samples with their neighbors.
 
@@ -132,7 +134,7 @@ def hard_negative_batches(
     """
     n = pair.n
     _check_mined_batch_size(n, k)
-    nn = nearest_cross_neighbors(pair, threads=threads)
+    nn = nearest_cross_neighbors(pair, threads=threads, _scan=_scan)
     refs = np.random.default_rng(seed).permutation(n).astype(np.int64)
     half = k // 2
     batches = tuple(
@@ -142,19 +144,21 @@ def hard_negative_batches(
 
 
 def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
-            reverse: bool = True, threads: int = 1):
+            reverse: bool = True, threads: int = 1, _scan: _Scan | None = None):
     """The pipeline's one composition: yield the cutoff, the graph, then the order.
 
-    ``chunk_rows`` defaults to ``default_chunk_rows``.  Warns, naming the
+    ``chunk_rows`` defaults to ``default_chunk_rows``.  The graph filters the
+    tails kept in ``_scan``, or in a fresh scan, by the cutoff.  Warns, naming the
     caller of :func:`bandwidth_pipeline`, when no inner product beats the
     cutoff (ties at it are dropped), because the order of an edgeless graph
     only follows the row index; every such run warns, not only the first.
     """
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
-    threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
+    scan = _Scan() if _scan is None else _scan
+    threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads, _scan=scan)
     yield threshold
-    graph = build_sparse_graph(pair, threshold, threads=threads)
+    graph = build_sparse_graph(pair, threshold, threads=threads, _scan=scan)
     if graph.edge_count == 0:
         # as warn(stacklevel=3), but with no registry: warn keeps one in the module it
         # names, so a message repeated from one line would show once per process
@@ -174,6 +178,7 @@ def bandwidth_pipeline(
     chunk_rows: int | None = None,
     reverse: bool = True,
     threads: int = 1,
+    *, _scan: _Scan | None = None,
 ) -> tuple[np.ndarray, BatchAssignment]:
     """Full reordering pipeline: threshold, sparsify, order, batch.
 
@@ -181,10 +186,10 @@ def bandwidth_pipeline(
     normalizes on load): cutoff estimation at quantile ``q``, sparse graph
     construction, BFS bandwidth ordering (reversed by default), all in
     :func:`_stages`, then sequential batching.  Pure function of its
-    inputs: repeated runs are bit-identical.
+    inputs: repeated runs are bit-identical.  The CLI hands in its epoch's ``_scan``.
     """
     _check_batch_size(pair.n, k)
-    *_, order = _stages(pair, q, chunk_rows, reverse, threads)
+    *_, order = _stages(pair, q, chunk_rows, reverse, threads, _scan)
     return order, sequential_batches(order, k)
 
 

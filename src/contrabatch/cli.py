@@ -40,7 +40,7 @@ from .losses import (
     _report,
     gap_report,
 )
-from .similarity import CHUNK_ROWS, _reading
+from .similarity import CHUNK_ROWS, _Scan
 
 _PARAM_EXIT = 2
 _IO_EXIT = 1
@@ -104,26 +104,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_normalized(args, *parts) -> EmbeddingPair:
-    """The one place the CLI normalizes: every row of X and Y, on load.
-
-    The cutoff's tile scan also keeps each ``(fn, args)`` of ``parts``
-    (``similarity._reading``), so the scans that read them later need not
-    multiply X·Yᵀ again.
-    """
-    pair = load_pair(args.x, args.y).normalized()
-    return _reading(pair, *parts) if parts else pair
+def _load_normalized(args) -> EmbeddingPair:
+    """The one place the CLI normalizes: every row of X and Y, on load."""
+    return load_pair(args.x, args.y).normalized()
 
 
 def _global_terms(args, wanted: bool = True) -> list:
     """The report's global-loss part at ``--tau`` if ``wanted``; it scales
-    each block in place, so it is the last part read."""
+    each block in place, so it is the last part of a scan."""
     return [(_global_part, (args.tau,))] if wanted else []
 
 
-def _pipeline(pair: EmbeddingPair, args):
+def _pipeline(pair: EmbeddingPair, args, scan: _Scan):
     return bandwidth_pipeline(pair, args.quantile, args.batch_size, chunk_rows=args.chunk_rows,
-                              reverse=args.reverse_cm, threads=args.threads)
+                              reverse=args.reverse_cm, threads=args.threads, _scan=scan)
 
 
 def _write_all(writes) -> None:
@@ -154,12 +148,13 @@ def cmd_permute(args) -> int:
                for path in (args.out_perm, args.out_batches) if path]
     if len(set(targets)) < len(targets):
         raise ParameterError(f"--out-perm and --out-batches name the same file: {args.out_perm}")
-    pair = _load_normalized(args, *_global_terms(args, args.report))
-    order, assignment = _pipeline(pair, args)
+    pair = _load_normalized(args)
+    scan = _Scan(*_global_terms(args, args.report))
+    order, assignment = _pipeline(pair, args, scan)
     report = None
     if args.report:  # encoded before any file is written, so a failing report writes none
         report = gap_report(pair, assignment, args.tau, strategy="gcbs",
-                            quantile=args.quantile, threads=args.threads).to_json()
+                            quantile=args.quantile, threads=args.threads, _scan=scan).to_json()
     writes = []
     if args.out_perm:
         writes.append((args.out_perm, lambda path: save_permutation(order, path)))
@@ -172,18 +167,19 @@ def cmd_permute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    pair = _load_normalized(args, *_global_terms(args, args.strategy == "gcbs" and not args.perm))
+    pair = _load_normalized(args)
+    scan = _Scan(*_global_terms(args))  # filled only by the pipeline's cutoff
     k, strategy, quantile = args.batch_size, args.strategy, None
     if args.perm:
         assignment, strategy = sequential_batches(load_permutation(args.perm), k), "file"
     elif strategy == "gcbs":
-        assignment, quantile = _pipeline(pair, args)[1], args.quantile
+        assignment, quantile = _pipeline(pair, args, scan)[1], args.quantile
     elif strategy == "random":
         assignment = random_batches(pair.n, k, args.seed)
     else:
         assignment = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
     print(gap_report(pair, assignment, args.tau, strategy=strategy,
-                     quantile=quantile, threads=args.threads).to_json())
+                     quantile=quantile, threads=args.threads, _scan=scan).to_json())
     return 0
 
 
@@ -191,17 +187,18 @@ def cmd_compare(args) -> int:
     """Emit [pipeline, mined-negative, random...] reports plus random-seed stats."""
     if args.seeds < 1:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
+    pair = _load_normalized(args)
     # the cutoff's tile scan also reads the mined baseline's argmax, from the raw products
-    pair = _load_normalized(args, (_nearest_part, ()), *_global_terms(args))
+    scan = _Scan((_nearest_part, ()), *_global_terms(args))
     k = args.batch_size
     _check_mined_batch_size(pair.n, k)  # an odd k fails before the pipeline's work
-    _, pipeline = _pipeline(pair, args)
-    mined = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
+    _, pipeline = _pipeline(pair, args, scan)
+    mined = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads, _scan=scan)
     runs = [(pipeline, "gcbs", args.quantile), (mined, "hardneg1", None)]
     runs += [(random_batches(pair.n, k, seed), "random", None)
              for seed in range(args.seed, args.seed + args.seeds)]
     # assignment-free, so shared by every report; read from the cutoff's tiles
-    g = _global_stats(pair, args.tau, args.threads)
+    g = _global_stats(pair, args.tau, args.threads, scan)
     reports = [_report(pair, g, assignment, args.tau, strategy, quantile, args.threads)
                for assignment, strategy, quantile in runs]
     summary = {}

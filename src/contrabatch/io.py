@@ -20,7 +20,7 @@ Permutations are stored as ASCII decimal indices, one per line, LF-ended.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -149,14 +149,13 @@ def _as_matrix(matrix: np.ndarray) -> np.ndarray:
 class EmbeddingPair:
     """Row-aligned embeddings: row i of ``x`` and row i of ``y`` are positives.
 
-    Immutable after construction; safe to share across threads.
-    ``_tile_reader`` is the cutoff scan's ``similarity._TileReader``, set
-    by ``similarity._reading``; it takes no part in equality or repr.
+    Immutable after construction; safe to share across threads.  It holds
+    the two matrices only: what one scan of X·Yᵀ keeps for later calls
+    lives in the epoch's ``similarity._Scan``, not here.
     """
 
     x: np.ndarray
     y: np.ndarray
-    _tile_reader: object = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         x = _as_matrix(self.x)

@@ -50,7 +50,7 @@ from ._parallel import chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
-from .similarity import _row_parts, _sorted_unique
+from .similarity import _row_parts, _Scan, _sorted_unique
 
 
 def _check_tau(tau: float) -> float:
@@ -97,11 +97,12 @@ def _global_part(rows: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.n
         return (*_logsumexp_rows(z), positive)
 
 
-def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1) -> _GlobalStats:
-    """Global stats of every row, in row order; blocks the pair's tile reader
+def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1,
+                  _scan: _Scan | None = None) -> _GlobalStats:
+    """Global stats of every row, in row order; blocks the epoch's ``_scan``
     kept for :func:`_global_part` at this tau are not multiplied again."""
     tau = _check_tau(tau)
-    return _GlobalStats(*_joined(_row_parts(pair, _global_part, (tau,), threads)))
+    return _GlobalStats(*_joined(_row_parts(pair, _global_part, (tau,), threads, _scan)))
 
 
 @dataclass(frozen=True)
@@ -402,13 +403,15 @@ def gap_report(
     strategy: str | None = None,
     quantile: float | None = None,
     threads: int = 1,
+    *, _scan: _Scan | None = None,
 ) -> GapReport:
     """Assemble losses, bounds, and objectives for one batch assignment.
 
     ``qbap_value`` is null when every batch is a singleton (k = 1), where
-    the bottleneck objective has no pairs to range over.
+    the bottleneck objective has no pairs to range over.  The global loss
+    reads what the epoch's ``_scan`` kept of it, if given.
     """
-    g = _global_stats(pair, tau, threads)
+    g = _global_stats(pair, tau, threads, _scan)
     return _report(pair, g, assignment, tau, strategy, quantile, threads)
 
 

@@ -37,9 +37,9 @@ instead of multiplying again, and is multiplied a second time when q is
 below about 15/16 (no tails are kept), its tail was dropped for holding over
 1/8 of the tile, its tail's ``lb`` lies above the cutoff (possible under
 ``chunk_median``), ``chunk_rows`` is off the tile grid (the estimate's tiles
-have other spans), or the threshold was made by hand or estimated
-from another pair.  Reusing a tail only on an identical span keeps the
-graph built from the same products, bit for bit, as a rescan.
+have other spans), or the graph is built without the epoch's scan.  Reusing
+a tail only on an identical span keeps the graph built from the same
+products, bit for bit, as a rescan.
 
 Tile walk.  Once BLAS has written a tile, every later read of it goes row
 block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a
@@ -51,27 +51,26 @@ multiplies into one buffer per worker thread (``_buffered_products``), reused
 tile after tile and freed when the scan returns: a function given a buffered
 product keeps no view of it.
 
-Tile readers.  Every per-row reduction of X·Yᵀ outside this module (the
+The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
 *args)`` read by ``_row_parts``, block by block, on the ``_tiles((0, N),
-N)`` grid.  A pair made by ``_reading(pair, *parts)`` carries a
-``_TileReader``: the estimator hands it each block of each grid tile it
-scans, after copying out the block's tail, and it keeps each part of each
-block, in the order given, so a part that overwrites the block (the global
-terms scale it in place) comes last.  ``_row_parts`` then takes the kept
-blocks of its ``(fn, args)`` and multiplies only the tiles the estimator
-did not scan (q below about 15/16, whose full sort works in place) or
-scanned with other spans (``chunk_rows`` off the grid).  A part is the
-same function of the same product bits either way.  So ``permute --report``
-and ``compare`` multiply X·Yᵀ once.  The reader records nothing from a
-pair with other arrays, and ``_row_parts`` reads it only for its own pair.
+N)`` grid.  An epoch owns one ``_Scan`` and hands it to each stage as
+``_scan=``.  The estimator stores its tails in it, and hands it each block
+of each grid tile after copying out the block's tail; the scan keeps each
+of its parts of the block, in order, so a part that overwrites the block
+(the global terms scale it in place) comes last.  The graph then filters
+the kept tails, and ``_row_parts`` takes the kept blocks and multiplies
+only the tiles the estimator did not scan (q below about 15/16, whose full
+sort works in place) or scanned with other spans (``chunk_rows`` off the
+grid).  So ``permute --report`` and ``compare`` multiply X·Yᵀ once.  A call
+without ``_scan=`` multiplies every tile it reads.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,30 +161,20 @@ class _Tail:
     values: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _Tails:
-    """The tails of one estimate, valid only for the pair they were scanned from."""
-
-    pair: EmbeddingPair
-    by_span: dict
-
-
 @dataclass(frozen=True)
 class SimilarityThreshold:
     """Inner-product cutoff estimated at quantile ``quantile_q``.
 
     ``estimator`` records how the value was obtained: ``"exact"`` when one
-    chunk covered the whole matrix, ``"chunk_median"`` otherwise.  An
-    estimated threshold also carries the tiles' kept tails, so that
-    :func:`build_sparse_graph` need not multiply X·Yᵀ again; they take no
-    part in equality or repr.
+    chunk covered the whole matrix, ``"chunk_median"`` otherwise.  It holds
+    nothing of the scan that made it: :func:`build_sparse_graph` gives the
+    same graph from any threshold with the same value.
     """
 
     quantile_q: float
     value: float
     chunk_rows: int
     estimator: str
-    _tails: _Tails | None = field(default=None, compare=False, repr=False)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -254,47 +243,37 @@ def _row_blocks(span: tuple[int, int], z: np.ndarray) -> list:
     return [((start + a, start + b), z[a:b]) for a, b in chunk_spans(len(z), height)]
 
 
-class _TileReader:
-    """Tile reader built for one pair: keeps ``fn(rows, block, *args)`` of
-    each ``(fn, args)`` in ``parts``, in that order, for every row block the
-    cutoff's scan hands it, by tile.  Called with a pair whose ``x`` or
-    ``y`` is another array, it records nothing."""
+class _Scan:
+    """One epoch's pass over X·Yᵀ of one pair, handed to its calls as ``_scan=``.
 
-    def __init__(self, pair: EmbeddingPair, parts: tuple):
-        self.x, self.y = pair.x, pair.y
-        self.wanted = parts
-        self.parts: dict = {}  # span -> one list of block results per part
+    The estimator stores its kept tails here by span, and hands each row
+    block of each grid tile to :meth:`keep`.  Hand a scan only to calls on
+    the pair that filled it.
+    """
 
-    def __call__(self, pair: EmbeddingPair, span: tuple[int, int], rows: tuple[int, int],
-                 block: np.ndarray) -> None:
-        if pair.x is not self.x or pair.y is not self.y:
-            return
-        if rows[0] == span[0]:  # a tile's blocks come in row order, from one thread
-            self.parts[span] = tuple([] for _ in self.wanted)
-        for (fn, args), kept in zip(self.wanted, self.parts[span]):
-            kept.append(fn(rows, block, *args))
+    def __init__(self, *parts):
+        self.tails: dict = {}  # span -> _Tail
+        self.parts = {part: {} for part in parts}  # (fn, args) -> span -> one result per block
 
-
-def _reading(pair: EmbeddingPair, *parts) -> EmbeddingPair:
-    """``pair`` whose cutoff scan also keeps each ``(fn, args)`` of ``parts``
-    per row block, in order: a part that overwrites the block comes last."""
-    return replace(pair, _tile_reader=_TileReader(pair, parts))
+    def keep(self, span: tuple[int, int], rows: tuple[int, int], block: np.ndarray) -> None:
+        """Keep ``fn(rows, block, *args)`` of each part, in order; a tile's
+        blocks come in row order, from one thread."""
+        for (fn, args), kept in self.parts.items():
+            if rows[0] == span[0]:
+                kept[span] = []
+            kept[span].append(fn(rows, block, *args))
 
 
-def _row_parts(pair: EmbeddingPair, fn, args: tuple, threads: int = 1) -> list:
+def _row_parts(pair: EmbeddingPair, fn, args: tuple, threads: int = 1,
+               _scan: _Scan | None = None) -> list:
     """``fn(rows, block, *args)`` of every row block of every tile of all N
     rows, in row order.
 
-    A tile whose blocks the pair's own tile reader kept for this ``(fn,
-    args)`` takes them; only the other tiles are multiplied, into buffered
-    products, so ``fn`` keeps no view of its block.
+    A tile whose blocks ``_scan`` kept for this ``(fn, args)`` takes them;
+    only the other tiles are multiplied, into buffered products, so ``fn``
+    keeps no view of its block.
     """
-    reader = pair._tile_reader
-    done = {}
-    if (reader is not None and reader.x is pair.x and reader.y is pair.y
-            and (fn, args) in reader.wanted):
-        at = reader.wanted.index((fn, args))
-        done = {span: kept[at] for span, kept in reader.parts.items()}
+    done = _scan.parts.get((fn, args), {}) if _scan is not None else {}
     tiles = _tiles((0, pair.n), pair.n)
     product = _buffered_products(pair, [span for span in tiles if span not in done])
 
@@ -315,12 +294,13 @@ def _sample_stride(entries: int, width: int) -> int:
     return stride
 
 
-def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share: float) -> _Tail:
+def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share: float,
+               scan: _Scan | None) -> _Tail:
     """Keep the entries of tile product ``z`` at or above a sampled bound.
 
     After the sample, the tile is walked once in row blocks: each block's
-    tail is copied out, then a grid tile's block goes to the pair's tile
-    reader, which may overwrite it.
+    tail is copied out, then a grid tile's block goes to ``scan``, whose
+    parts may overwrite it.
     """
     flat = z.reshape(-1)
     sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
@@ -328,7 +308,7 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share:
     kth = sample.size - keep
     sample.partition(kth)
     bound = float(sample[kth])
-    reader = pair._tile_reader if _on_grid(span, pair.n) else None
+    keep = scan.keep if scan is not None and _on_grid(span, pair.n) else None
     limit = _MAX_TAIL_SHARE * flat.size
     offsets, values, count = [], [], 0
     for rows, block in _row_blocks(span, z):
@@ -337,20 +317,21 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share:
             count += hits.size
             offsets.append(hits + (rows[0] - span[0]) * pair.n)
             values.append(block.reshape(-1)[hits])
-        if reader is not None:
-            reader(pair, span, rows, block)
+        if keep is not None:
+            keep(span, rows, block)
     if count > limit:
         return _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
     return _Tail(span, bound, np.concatenate(offsets), np.concatenate(values))
 
 
-def _scan_tails(pair: EmbeddingPair, jobs: list, threads: int) -> dict:
+def _scan_jobs(pair: EmbeddingPair, jobs: list, threads: int, scan: _Scan | None) -> dict:
     """The tails of the (tile, share) ``jobs``, by span.
 
     The products' buffers are freed on return, before any full sort.
     """
     product = _buffered_products(pair, [tile for tile, _ in jobs])
-    tails = ordered_map(lambda job: _scan_tail(pair, job[0], product(job[0]), job[1]), jobs, threads)
+    tails = ordered_map(lambda job: _scan_tail(pair, job[0], product(job[0]), job[1], scan),
+                        jobs, threads)
     return {tail.span: tail for tail in tails}
 
 
@@ -366,13 +347,14 @@ def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -
 
 
 def estimate_quantile_threshold(
-    pair: EmbeddingPair, q: float, chunk_rows: int, threads: int = 1
+    pair: EmbeddingPair, q: float, chunk_rows: int, threads: int = 1, *, _scan: _Scan | None = None
 ) -> SimilarityThreshold:
     """Estimate the q-quantile of all cross inner products of ``pair``.
 
     Rows of ``pair.x`` are processed in ``chunk_rows``-high chunks against
     all of ``pair.y``; the median of the per-chunk quantiles is returned.
     Each chunk's value equals :func:`interpolated_quantile` of its entries.
+    The tile scan keeps its tails and parts in ``_scan``, if given.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"quantile must lie strictly inside (0,1), got {q}")
@@ -392,7 +374,9 @@ def estimate_quantile_threshold(
         size, need = tail_need(chunk)
         if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
             jobs += [(tile, need / size) for tile in _tiles(chunk, n)]
-    by_span = _scan_tails(pair, jobs, threads)
+    by_span = _scan_jobs(pair, jobs, threads, _scan)
+    if _scan is not None:
+        _scan.tails = by_span
 
     def chunk_quantile(chunk: tuple[int, int]) -> float:
         size, need = tail_need(chunk)
@@ -412,7 +396,6 @@ def estimate_quantile_threshold(
         value=_median(per_chunk),
         chunk_rows=chunk_rows,
         estimator=estimator,
-        _tails=_Tails(pair, by_span) if by_span else None,
     )
 
 
@@ -522,22 +505,23 @@ def build_sparse_graph(
     pair: EmbeddingPair,
     threshold: SimilarityThreshold,
     threads: int = 1,
+    *, _scan: _Scan | None = None,
 ) -> SparseSimilarityGraph:
     """Keep node pairs whose inner product beats the cutoff in either direction.
 
     An undirected edge (i, j), i != j, exists iff x_i.y_j > value or
     x_j.y_i > value (strict inequality; ties at the cutoff are dropped).
     The OR-symmetrization makes the structure usable by the bandwidth
-    ordering, which needs symmetric adjacency.  With a threshold estimated
-    from this same ``pair``, row tiles reuse the estimate's kept tails where
-    they cover the tile; every other tile is multiplied.
+    ordering, which needs symmetric adjacency.  Every tile of X·Yᵀ is
+    multiplied, except, given the epoch's ``_scan``, a tile whose kept tail
+    covers it (same span, bound at or below the cutoff): that tail is
+    filtered instead, with the same result.
     """
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
     n = pair.n
     cut = threshold.value
-    tails = threshold._tails
-    by_span = tails.by_span if tails is not None and tails.pair is pair else {}
+    by_span = _scan.tails if _scan is not None else {}
     kept = {span: tail for span, tail in by_span.items() if tail.bound <= cut}
     tiles = _tiles((0, n), n)
     product = _buffered_products(pair, [span for span in tiles if span not in kept])

@@ -7,7 +7,6 @@ import resource
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -643,45 +642,32 @@ class TestOneSweep:
         assert sorted(calls) == self.TILES  # the estimate: the mined baseline reads its argmax
         assert out.startswith('{"reports": [' + plain_report(x, y, 0.999, 16, 0.05)[:-1])
 
-    def scanned(self, monkeypatch, plain):
-        """``plain`` reading neighbours and global stats, as compare sets it,
-        after the cutoff's scan."""
+    def scanned(self, monkeypatch, pair):
+        """The scan of ``pair``'s cutoff, keeping neighbours and global stats
+        as compare's does."""
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
-        pair = similarity._reading(plain, (batching._nearest_part, ()),
-                                   (losses._global_part, (0.05,)))
-        similarity.estimate_quantile_threshold(pair, 0.999, 512)
-        return pair
+        scan = similarity._Scan((batching._nearest_part, ()), (losses._global_part, (0.05,)))
+        similarity.estimate_quantile_threshold(pair, 0.999, 512, _scan=scan)
+        return scan
 
-    def test_neighbours_of_another_pair_are_multiplied(self, monkeypatch):
-        plain, other = random_pair(512, 16, seed=41), random_pair(512, 16, seed=49)
-        pair = self.scanned(monkeypatch, plain)
+    def test_neighbours_without_the_scan_are_multiplied(self, monkeypatch):
+        pair = random_pair(512, 16, seed=41)
+        scan = self.scanned(monkeypatch, pair)
         calls = count_products(monkeypatch)
-        np.testing.assert_array_equal(batching.nearest_cross_neighbors(pair),
-                                      batching.nearest_cross_neighbors(plain))
-        assert sorted(calls) == self.TILES  # the plain pair's pass only
-        calls.clear()
-        copied = replace(pair, x=other.x, y=other.y)  # carries the readers along
-        np.testing.assert_array_equal(batching.nearest_cross_neighbors(copied),
-                                      batching.nearest_cross_neighbors(other))
-        assert sorted(calls) == sorted(self.TILES * 2)
-        # the other way round: a scan of the copy leaves the pair nothing to read
-        fresh = similarity._reading(plain, (batching._nearest_part, ()),
-                                    (losses._global_part, (0.05,)))
-        similarity.estimate_quantile_threshold(replace(fresh, x=other.x, y=other.y), 0.999, 512)
-        calls.clear()
-        np.testing.assert_array_equal(batching.nearest_cross_neighbors(fresh),
-                                      batching.nearest_cross_neighbors(plain))
-        assert sorted(calls) == sorted(self.TILES * 2)
+        read = batching.nearest_cross_neighbors(pair, _scan=scan)
+        assert calls == []
+        np.testing.assert_array_equal(batching.nearest_cross_neighbors(pair), read)
+        assert sorted(calls) == self.TILES
 
     def test_read_neighbours_keep_the_tie_rule(self, monkeypatch):
-        plain = duplicated_cluster_pair()
-        pair = self.scanned(monkeypatch, plain)
+        pair = duplicated_cluster_pair()
+        scan = self.scanned(monkeypatch, pair)
         calls = count_products(monkeypatch)
-        mined = hard_negative_batches(pair, 16, seed=3)
+        mined = hard_negative_batches(pair, 16, seed=3, _scan=scan)
         assert calls == []
-        nn = batching.nearest_cross_neighbors(plain)
+        nn = batching.nearest_cross_neighbors(pair)
         assert nn[0] == 2 and (nn[2::2] == 0).all()  # tied rows: the lowest j != i
-        want = hard_negative_batches(plain, 16, seed=3)
+        want = hard_negative_batches(pair, 16, seed=3)
         assert len(mined.batches) == len(want.batches)
         assert all(np.array_equal(a, b) for a, b in zip(mined.batches, want.batches))
 
@@ -730,8 +716,9 @@ class TestOneSweep:
         # the premise of the dropped-tail case above
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
         pair = load_pair(*write_pair(tmp_path, duplicated_cluster_pair())).normalized()
-        tails = similarity.estimate_quantile_threshold(pair, 0.999, 512)._tails.by_span
-        assert any(tail.bound == math.inf for tail in tails.values())
+        scan = similarity._Scan()
+        similarity.estimate_quantile_threshold(pair, 0.999, 512, _scan=scan)
+        assert any(tail.bound == math.inf for tail in scan.tails.values())
 
 
 class TestFlagValidation:

@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,58 +100,56 @@ class TestGlobalLoss:
 
 
 class TestGlobalStatsFromTheCutoffTiles:
-    """A pair reading global stats during the cutoff's scan gives the global
-    loss of a plain pair, bit for bit, and multiplies only what it lacks."""
+    """Global stats read from the cutoff's scan give the global loss of a
+    plain scan, bit for bit, and multiply only what the scan lacks."""
 
     TILES = [(0, 128), (128, 256), (256, 384), (384, 512)]
 
     def scanned(self, monkeypatch, tau):
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
-        plain = random_pair(512, 16, seed=48)
-        pair = similarity._reading(plain, (losses._global_part, (tau,)))
-        similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=2)
-        return plain, pair, count_products(monkeypatch)
+        pair = random_pair(512, 16, seed=48)
+        scan = similarity._Scan((losses._global_part, (tau,)))
+        similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=2, _scan=scan)
+        return pair, scan, count_products(monkeypatch)
+
+    @staticmethod
+    def read(pair, tau, scan, threads=1):
+        """The global loss at ``tau``, given the epoch's ``scan``."""
+        return losses._loss(losses._global_stats(pair, tau, threads, _scan=scan))
 
     def test_same_tau_needs_no_multiply(self, monkeypatch):
-        plain, pair, calls = self.scanned(monkeypatch, 0.05)
-        assert ntxent_global(pair, 0.05) == ntxent_global(plain, 0.05)
-        assert sorted(calls) == self.TILES  # the plain pair's pass only
+        pair, scan, calls = self.scanned(monkeypatch, 0.05)
+        assert self.read(pair, 0.05, scan) == ntxent_global(pair, 0.05)
+        assert sorted(calls) == self.TILES  # the plain pass only
 
     def test_another_tau_multiplies_every_tile(self, monkeypatch):
-        plain, pair, calls = self.scanned(monkeypatch, 0.05)
-        assert ntxent_global(pair, 0.5) == ntxent_global(plain, 0.5)
+        pair, scan, calls = self.scanned(monkeypatch, 0.05)
+        assert self.read(pair, 0.5, scan) == ntxent_global(pair, 0.5)
         assert sorted(calls) == sorted(self.TILES * 2)
 
     def test_many_workers_record_every_tile(self, monkeypatch):
         # 32 tiles on 8 workers, switching threads as often as the
         # interpreter allows: a lost part would show as a multiply
         monkeypatch.setattr(similarity, "ROW_CHUNK", 16)
-        plain = random_pair(512, 16, seed=50)
+        pair = random_pair(512, 16, seed=50)
+        scan = similarity._Scan((losses._global_part, (0.05,)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pair = similarity._reading(plain, (losses._global_part, (0.05,)))
-            similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=8)
+            similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=8, _scan=scan)
         finally:
             sys.setswitchinterval(interval)
-        assert len(pair._tile_reader.parts) == 32
+        assert len(scan.parts[(losses._global_part, (0.05,))]) == 32
         calls = count_products(monkeypatch)
-        assert ntxent_global(pair, 0.05, threads=8) == ntxent_global(plain, 0.05)
-        assert len(calls) == 32  # the plain pair's pass only
+        assert self.read(pair, 0.05, scan, threads=8) == ntxent_global(pair, 0.05)
+        assert len(calls) == 32  # the plain pass only
 
-    def test_parts_of_another_pair_are_ignored(self, monkeypatch):
-        plain, pair, calls = self.scanned(monkeypatch, 0.05)
-        other = random_pair(512, 16, seed=49)
-        copied = replace(pair, x=other.x, y=other.y)  # carries the reader along
-        assert copied._tile_reader is pair._tile_reader
-        assert ntxent_global(copied, 0.05) == ntxent_global(other, 0.05)
-        assert sorted(calls) == sorted(self.TILES * 2)
-        # the other way round: a scan of the copy leaves the pair nothing to read
-        fresh = similarity._reading(plain, (losses._global_part, (0.05,)))
-        similarity.estimate_quantile_threshold(replace(fresh, x=other.x, y=other.y), 0.999, 512)
-        calls.clear()
-        assert ntxent_global(fresh, 0.05) == ntxent_global(plain, 0.05)
-        assert sorted(calls) == sorted(self.TILES * 2)  # every tile, for each pair
+    def test_without_the_scan_every_tile_is_multiplied(self, monkeypatch):
+        pair, scan, calls = self.scanned(monkeypatch, 0.05)
+        read = self.read(pair, 0.05, scan)
+        assert calls == []
+        assert ntxent_global(pair, 0.05) == read
+        assert sorted(calls) == self.TILES
 
 
 class TestTrainLoss:

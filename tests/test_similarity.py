@@ -1,5 +1,6 @@
 """Quantile cutoff estimation and sparse graph construction."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrabatch import losses, similarity
+from contrabatch import batching, losses, similarity
 from contrabatch import (
     EmbeddingPair,
     GraphError,
@@ -247,10 +248,11 @@ class TestTailSelection:
         pair = make()
         want = chunk_oracle(pair, q, chunk_rows)
         for threads in (1, 2):
-            got = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads)
+            scan = similarity._Scan()
+            got = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads, _scan=scan)
             assert got.value == want
         # above q = 15/16 tails pay; below it every chunk is sorted whole
-        assert (got._tails is not None) == (q == 0.999)
+        assert bool(scan.tails) == (q == 0.999)
 
     def test_count_check_failure_falls_back_to_full_sort(self, monkeypatch):
         # a margin below 1 puts every sampled bound above the needed rank
@@ -265,11 +267,12 @@ class TestTailSelection:
 
         monkeypatch.setattr(similarity, "_full_sort_quantile", counted)
         pair = random_pair(256, 16, seed=33)
-        t = estimate_quantile_threshold(pair, 0.999, 128)
+        scan = similarity._Scan()
+        t = estimate_quantile_threshold(pair, 0.999, 128, _scan=scan)
         assert calls == [(0, 128), (128, 256)]
         assert t.value == chunk_oracle(pair, 0.999, 128)
         hand_made = SimilarityThreshold(0.999, t.value, 128, t.estimator)
-        assert build_sparse_graph(pair, t) == build_sparse_graph(pair, hand_made)
+        assert build_sparse_graph(pair, t, _scan=scan) == build_sparse_graph(pair, hand_made)
 
     def test_default_margin_takes_the_tail_path(self, monkeypatch):
         calls = []
@@ -281,12 +284,25 @@ class TestTailSelection:
         assert t.value == chunk_oracle(pair, 0.999, 128)
 
 
+@pytest.mark.parametrize("cls, names", [
+    (EmbeddingPair, ["x", "y"]),
+    (SimilarityThreshold, ["quantile_q", "value", "chunk_rows", "estimator"]),
+])
+def test_public_objects_hold_no_scan_state(cls, names):
+    # what one scan keeps for the next call lives in the epoch's similarity._Scan
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+def scanned_estimate(pair, q, chunk_rows, threads=1):
+    """(threshold, the scan that kept its tails)"""
+    scan = similarity._Scan()
+    return estimate_quantile_threshold(pair, q, chunk_rows, threads=threads, _scan=scan), scan
+
+
 class TestTailReuse:
-    def assert_same_graph(self, pair, t):
-        hand_made = SimilarityThreshold(t.quantile_q, t.value, t.chunk_rows, t.estimator)
-        assert hand_made._tails is None
-        reused = build_sparse_graph(pair, t)
-        rescanned = build_sparse_graph(pair, hand_made)
+    def assert_same_graph(self, pair, t, scan):
+        reused = build_sparse_graph(pair, t, _scan=scan)
+        rescanned = build_sparse_graph(pair, t)
         assert reused == rescanned
         assert reused.directed_entry_count == rescanned.directed_entry_count
         return reused
@@ -294,13 +310,13 @@ class TestTailReuse:
     def test_exact_estimate_graph_needs_no_multiply(self, monkeypatch):
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
         pair = random_pair(512, 16, seed=41)
-        t = estimate_quantile_threshold(pair, 0.999, 512)
+        t, scan = scanned_estimate(pair, 0.999, 512)
         calls = count_products(monkeypatch)
-        graph = self.assert_same_graph(pair, t)
+        graph = self.assert_same_graph(pair, t, scan)
         assert graph.edge_count > 0
         assert calls == [(0, 128), (128, 256), (256, 384), (384, 512)]  # the rescan only
         calls.clear()
-        build_sparse_graph(pair, t, threads=2)
+        build_sparse_graph(pair, t, threads=2, _scan=scan)
         assert calls == []
 
     def test_chunk_median_rescans_tiles_above_the_cutoff(self, monkeypatch):
@@ -314,20 +330,24 @@ class TestTailReuse:
         x[:128] = np.repeat(centres, 32, axis=0) + 0.05 * rng.standard_normal((128, 16))
         y[:128] = np.repeat(centres, 32, axis=0) + 0.05 * rng.standard_normal((128, 16))
         pair = EmbeddingPair(x, y).normalized()
-        t = estimate_quantile_threshold(pair, 0.999, 128)
+        t, scan = scanned_estimate(pair, 0.999, 128)
         assert t.estimator == "chunk_median"
-        above = sorted(s for s, tail in t._tails.by_span.items() if tail.bound > t.value)
+        above = sorted(s for s, tail in scan.tails.items() if tail.bound > t.value)
         assert above == [(0, 64), (64, 128)]
         calls = count_products(monkeypatch)
-        build_sparse_graph(pair, t)
+        build_sparse_graph(pair, t, _scan=scan)
         assert calls == above
-        self.assert_same_graph(pair, t)
+        self.assert_same_graph(pair, t, scan)
 
-    def test_tails_of_another_pair_are_ignored(self):
-        first, second = random_pair(128, 8, seed=43), random_pair(128, 8, seed=44)
-        t = estimate_quantile_threshold(first, 0.999, 128)
-        hand_made = SimilarityThreshold(0.999, t.value, 128, t.estimator)
-        assert build_sparse_graph(second, t) == build_sparse_graph(second, hand_made)
+    def test_graph_without_the_scan_multiplies_every_tile(self, monkeypatch):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 32)
+        pair = random_pair(128, 8, seed=43)
+        t, scan = scanned_estimate(pair, 0.999, 128)
+        calls = count_products(monkeypatch)
+        reused = build_sparse_graph(pair, t, _scan=scan)
+        assert calls == []
+        assert build_sparse_graph(pair, t) == reused
+        assert calls == [(0, 32), (32, 64), (64, 96), (96, 128)]
 
     def test_blocks_off_the_tile_grid_are_multiplied(self, monkeypatch):
         # products can differ in the last bit with block height, so a tail
@@ -335,12 +355,12 @@ class TestTailReuse:
         pair = random_pair(300, 12, seed=4)
         calls = count_products(monkeypatch)
         for chunk_rows, multiplied in ((300, []), (100, [(0, 300)])):
-            t = estimate_quantile_threshold(pair, 0.999, chunk_rows)
-            assert t._tails is not None
+            t, scan = scanned_estimate(pair, 0.999, chunk_rows)
+            assert scan.tails
             calls.clear()
-            build_sparse_graph(pair, t)
+            build_sparse_graph(pair, t, _scan=scan)
             assert calls == multiplied
-            assert self.assert_same_graph(pair, t).edge_count > 0
+            assert self.assert_same_graph(pair, t, scan).edge_count > 0
 
 
 class TestOneTileGrid:
@@ -395,13 +415,13 @@ def scan_outputs(pair: EmbeddingPair, threads: int = 1) -> tuple:
     """Every output of the tile scans at q = 0.999, comparable with ``==``:
     the cutoff, the tails, the global stats read during the estimate and
     computed anew, the nearest cross neighbours and the graph."""
-    reading = similarity._reading(pair, (losses._global_part, (0.05,)))
+    scan = similarity._Scan((losses._global_part, (0.05,)))
     chunk_rows = similarity.default_chunk_rows(pair.n)
-    t = estimate_quantile_threshold(reading, 0.999, chunk_rows, threads=threads)
+    t = estimate_quantile_threshold(pair, 0.999, chunk_rows, threads=threads, _scan=scan)
     tails = [(span, tail.bound, tail.offsets.tobytes(), tail.values.tobytes())
-             for span, tail in sorted(t._tails.by_span.items())]
+             for span, tail in sorted(scan.tails.items())]
     stats = [np.concatenate([g.lse, g.row_max, g.positive]).tobytes()
-             for g in (losses._global_stats(reading, 0.05),
+             for g in (losses._global_stats(pair, 0.05, _scan=scan),
                        losses._global_stats(pair, 0.05, threads=threads))]
     return (t.value, tails, stats, nearest_cross_neighbors(pair, threads=threads).tobytes(),
             build_sparse_graph(pair, t, threads=threads))
@@ -526,9 +546,9 @@ class TestMemory:
     def test_estimate_and_graph_follow_the_tile_budget(self, threads, tiles):
         pair = random_pair(8192, 64, seed=56)
 
-        def epoch():
-            t = estimate_quantile_threshold(pair, 0.999, 4096, threads=threads)
-            build_sparse_graph(pair, t, threads=threads)
+        def epoch():  # the CLI's path: the graph filters the cutoff's kept tails
+            for _ in batching._stages(pair, 0.999, 4096, threads=threads):
+                pass
 
         assert self.peak(epoch) < tiles * similarity._TILE_BYTES
 
