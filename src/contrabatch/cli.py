@@ -45,6 +45,10 @@ from .similarity import CHUNK_ROWS, _Scan
 _PARAM_EXIT = 2
 _IO_EXIT = 1
 
+# Most worker threads a run may ask for: a map starts one per tile, and a
+# large N has thousands of tiles.
+_MAX_THREADS = 256
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -143,9 +147,11 @@ def _write_all(writes) -> None:
 
 
 def cmd_permute(args) -> int:
+    paths = [path for path in (args.out_perm, args.out_batches) if path is not None]
+    if "" in paths:
+        raise ParameterError("--out-perm and --out-batches need a non-empty path")
     # a move replaces the name itself, not what a link there points to: resolve the directories
-    targets = [(os.path.realpath(Path(path).parent), Path(path).name)
-               for path in (args.out_perm, args.out_batches) if path]
+    targets = [(os.path.realpath(Path(path).parent), Path(path).name) for path in paths]
     if len(set(targets)) < len(targets):
         raise ParameterError(f"--out-perm and --out-batches name the same file: {args.out_perm}")
     pair = _load_normalized(args)
@@ -280,8 +286,8 @@ def _check_shared_flags(args) -> None:
     """Reject a seed, thread count or temperature outside its domain before any work."""
     if getattr(args, "seed", 0) < 0:
         raise ParameterError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.threads < 1:
-        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+    if not 1 <= args.threads <= _MAX_THREADS:
+        raise ParameterError(f"--threads must lie in [1, {_MAX_THREADS}], got {args.threads}")
     if "tau" in args and getattr(args, "report", True):  # permute reads --tau only with --report
         _check_tau(args.tau)
 

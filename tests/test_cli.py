@@ -32,6 +32,14 @@ from conftest import (
 )
 
 
+def count_loads(monkeypatch) -> list:
+    """Record the paths of every pair the CLI loads from now on."""
+    loads = []
+    load_pair = cli.load_pair
+    monkeypatch.setattr(cli, "load_pair", lambda *paths: loads.append(paths) or load_pair(*paths))
+    return loads
+
+
 def write_pair(tmp_path, pair, fmt="emb1"):
     x, y = tmp_path / f"x.{fmt}", tmp_path / f"y.{fmt}"
     save_embeddings(pair.x, x, fmt)
@@ -128,6 +136,22 @@ class TestPermute:
         assert rc == 2
         assert captured.out == "" and captured.err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub", "x.emb1", "y.emb1"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--out-perm", ""], ["--out-batches", ""], ["--out-perm", "", "--out-batches", "b.txt"],
+    ], ids=["perm", "batches", "perm-and-a-batch-file"])
+    def test_empty_output_path_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          flags):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=3))
+        loads = count_loads(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "4", "--report"] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert loads == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.emb1", "y.emb1"]
 
     def test_outputs_leave_no_temporary_files(self, tmp_path):
         x, y = write_pair(tmp_path, two_cluster_pair())
@@ -741,11 +765,13 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("flags", [
         ["--sizes", "a"], ["--sizes", "64", "--dim", "0"],
-        ["--sizes", "64", "--threads", "0"], ["--sizes", "64", "--seed", "-1"],
+        ["--sizes", "64", "--threads", "0"], ["--sizes", "64", "--threads", "100000"],
+        ["--sizes", "64", "--seed", "-1"],
         ["--sizes", "64", "--chunk-rows", "0"], ["--sizes", "64", "--quantile", "1.5"],
         ["--sizes", "128,64", "--chunk-rows", "100"],
         ["--sizes", "64", "--dim", "1000000000000"], ["--sizes", "100000000000000000"],
-    ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "seed-negative", "chunk-rows-zero",
+    ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "threads-above-the-ceiling",
+            "seed-negative", "chunk-rows-zero",
             "quantile-out-of-range", "chunk-rows-above-a-later-size", "dim-too-large",
             "size-too-large"])
     def test_bench(self, capsys, flags):
@@ -754,6 +780,27 @@ class TestFlagValidation:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+    # N = 64 is one tile, one chunk and one batch run: no map there has two items, so no
+    # run starts a pool thread, whatever --threads asks for
+    @pytest.mark.parametrize("command", [["permute", "--report"], ["analyze"], ["compare"]])
+    def test_threads_above_the_ceiling_exit_two_before_any_work(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        x, y = write_pair(tmp_path, random_pair(64, 4, seed=3))
+        loads = count_loads(monkeypatch)
+        argv = command + ["--x", x, "--y", y, "--batch-size", "8"]
+        assert main(argv + ["--threads", "256"]) == 0
+        at_the_ceiling = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == at_the_ceiling
+        loads.clear()
+        rc = main(argv + ["--threads", "100000"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: --threads must lie in [1, 256], got 100000\n"
+        assert loads == []
 
 
 class TestUnreadFlags:

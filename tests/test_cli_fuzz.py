@@ -1,4 +1,4 @@
-"""Fuzzed CLI runs on degenerate embedding files and temperatures.
+"""Fuzzed CLI runs on degenerate embedding files, temperatures and numeric extremes.
 
 Whatever the input, a run ends in exit 0, 1 or 2, lets no exception but
 SystemExit escape, on exit 0 prints JSON without NaN or infinity, and on
@@ -29,7 +29,15 @@ COMMANDS = [
     ["analyze", "--strategy", "random"],
     ["analyze", "--strategy", "hardneg1"],
     ["compare", "--seeds", "2"],
+    ["compare", "--seeds", "0"],
     ["oracle"],
+]
+# numeric extremes of the pipeline flags, which every command but oracle takes
+PIPELINE_EXTREMES = [
+    [],
+    ["--quantile", "1e400"], ["--quantile", "-0"], ["--quantile", "nan"],
+    ["--quantile", "5e-324"], ["--quantile", "0.9999999999999999"],
+    ["--chunk-rows", "0"], ["--chunk-rows", "1"], ["--chunk-rows", str(10**30)],
 ]
 
 
@@ -91,19 +99,22 @@ def run_cli(argv):
     d=st.integers(1, 4),
     seed=st.integers(0, 2**16),
     command=st.sampled_from(COMMANDS),
-    k=st.sampled_from([1, 2, 4]),
+    extreme=st.sampled_from(PIPELINE_EXTREMES),
+    k=st.sampled_from([1, 2, 4, 10**30]),
     # the last four are invalid, or make every logit overflow
     tau=st.sampled_from(["0.05", "1e-3", "inf", "0", "-1", "1e-310"]),
-    threads=st.sampled_from(["1", "2"]),
+    # above the ceiling, rejected before any file is read
+    threads=st.sampled_from(["1", "2", "100000"]),
 )
-def test_degenerate_inputs_exit_cleanly(kind, fmt, both_sides, n, d, seed, command, k, tau,
-                                        threads):
+def test_degenerate_inputs_exit_cleanly(kind, fmt, both_sides, n, d, seed, command, extreme, k,
+                                        tau, threads):
     with tempfile.TemporaryDirectory() as tmp:
         x, y, perm = Path(tmp) / "x", Path(tmp) / "y", Path(tmp) / "perm"
         x.write_bytes(matrix_bytes(kind, n, d, seed, fmt))
         y.write_bytes(matrix_bytes(kind if both_sides else "gaussian", n, d, seed + 1, fmt))
         out_flags = ["--out-perm", str(perm)] if command[0] == "permute" else []
         argv = command + ["--x", str(x), "--y", str(y), "--batch-size", str(k), "--tau", tau]
+        argv += extreme if command[0] != "oracle" else []
         code, stdout = run_cli(argv + ["--threads", threads] + out_flags)
         written = perm.exists()
         if code == 0 and threads != "1":
