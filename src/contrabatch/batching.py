@@ -148,10 +148,11 @@ def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
     """The pipeline's one composition: yield the cutoff, the graph, then the order.
 
     ``chunk_rows`` defaults to ``default_chunk_rows``.  The graph filters the
-    tails kept in ``_scan``, or in a fresh scan, by the cutoff.  Warns, naming the
-    caller of :func:`bandwidth_pipeline`, when no inner product beats the
-    cutoff (ties at it are dropped), because the order of an edgeless graph
-    only follows the row index; every such run warns, not only the first.
+    tails the cutoff kept in ``_scan``, or in a fresh scan.  Warns, naming
+    the caller of :func:`bandwidth_pipeline`, when no inner product beats
+    the cutoff (ties at it are dropped), because the order of an edgeless
+    graph only follows the row index; every such run warns, not only the
+    first.
     """
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
@@ -186,7 +187,8 @@ def bandwidth_pipeline(
     normalizes on load): cutoff estimation at quantile ``q``, sparse graph
     construction, BFS bandwidth ordering (reversed by default), all in
     :func:`_stages`, then sequential batching.  Pure function of its
-    inputs: repeated runs are bit-identical.  The CLI hands in its epoch's ``_scan``.
+    inputs: repeated runs are bit-identical.  The CLI hands in its epoch's
+    ``_scan``.
     """
     _check_batch_size(pair.n, k)
     *_, order = _stages(pair, q, chunk_rows, reverse, threads, _scan)

@@ -771,16 +771,14 @@ class TestFlagValidation:
         ["--sizes", "128,64", "--chunk-rows", "100"],
         ["--sizes", "64", "--dim", "1000000000000"], ["--sizes", "100000000000000000"],
     ], ids=["sizes-not-a-number", "dim-zero", "threads-zero", "threads-above-the-ceiling",
-            "seed-negative", "chunk-rows-zero",
-            "quantile-out-of-range", "chunk-rows-above-a-later-size", "dim-too-large",
-            "size-too-large"])
+            "seed-negative", "chunk-rows-zero", "quantile-out-of-range",
+            "chunk-rows-above-a-later-size", "dim-too-large", "size-too-large"])
     def test_bench(self, capsys, flags):
         rc = main(["bench"] + flags)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-
 
     # N = 64 is one tile, one chunk and one batch run: no map there has two items, so no
     # run starts a pool thread, whatever --threads asks for
