@@ -25,7 +25,6 @@ from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import (
-    _row_parts,
     _Scan,
     build_sparse_graph,
     default_chunk_rows,
@@ -115,12 +114,13 @@ def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1, *,
                             _scan: _Scan | None = None) -> np.ndarray:
     """For each row i, the j != i maximizing x_i . y_j (ties: lowest j).
 
-    Blocks the epoch's ``_scan`` kept for :func:`_nearest_part` are not
-    multiplied again.  Raises ParameterError below two rows, where no
-    j != i exists.
+    Read through the epoch's ``_scan``, if given, so the blocks it kept for
+    :func:`_nearest_part` are not multiplied again.  Raises ParameterError
+    below two rows, where no j != i exists.
     """
     _check_two_samples(pair.n)
-    return np.concatenate(_row_parts(pair, _nearest_part, (), threads, _scan)).astype(np.int64)
+    parts = (_scan or _Scan()).read(pair, (_nearest_part, ()), threads)
+    return np.concatenate(parts).astype(np.int64)
 
 
 def hard_negative_batches(

@@ -114,8 +114,8 @@ def _load_normalized(args) -> EmbeddingPair:
 
 
 def _global_terms(args, wanted: bool = True) -> list:
-    """The report's global-loss part at ``--tau`` if ``wanted``; it scales
-    each block in place, so it is the last part of a scan."""
+    """The report's global-loss part at ``--tau`` if ``wanted``, kept from each
+    tile's first walk by any stage; it scales the block in place, so it is last."""
     return [(_global_part, (args.tau,))] if wanted else []
 
 
@@ -174,7 +174,7 @@ def cmd_permute(args) -> int:
 
 def cmd_analyze(args) -> int:
     pair = _load_normalized(args)
-    scan = _Scan(*_global_terms(args))  # filled only by the pipeline's cutoff
+    scan = _Scan(*_global_terms(args))
     k, strategy, quantile = args.batch_size, args.strategy, None
     if args.perm:
         assignment, strategy = sequential_batches(load_permutation(args.perm), k), "file"
@@ -182,8 +182,9 @@ def cmd_analyze(args) -> int:
         assignment, quantile = _pipeline(pair, args, scan)[1], args.quantile
     elif strategy == "random":
         assignment = random_batches(pair.n, k, args.seed)
-    else:
-        assignment = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads)
+    else:  # the argmax reads the raw products, so it is listed ahead of the global terms
+        scan = _Scan((_nearest_part, ()), *_global_terms(args))
+        assignment = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads, _scan=scan)
     print(gap_report(pair, assignment, args.tau, strategy=strategy,
                      quantile=quantile, threads=args.threads, _scan=scan).to_json())
     return 0

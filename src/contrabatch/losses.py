@@ -20,8 +20,8 @@ log(N/k) when every batch is full.
 
 Every loss and bound derives from two scans: one over all N candidates
 per sample, one over the in-batch candidates per slot.  The first reads
-row blocks through ``similarity._row_parts``, so it can ride the cutoff
-estimator's tile scan and then has no tile to multiply.  The second stacks
+row blocks through ``similarity._Scan.read``, so it multiplies no tile that
+an earlier stage of the epoch walked.  The second stacks
 the batches of one shape (rows and candidates per batch) and multiplies
 each stack with one ``np.matmul``, which still makes one BLAS call per
 batch, so every batch's products have the bits of its own
@@ -50,7 +50,7 @@ from ._parallel import chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
-from .similarity import _row_parts, _Scan, _sorted_unique
+from .similarity import _Scan, _sorted_unique
 
 
 def _check_tau(tau: float) -> float:
@@ -102,7 +102,7 @@ def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1,
     """Global stats of every row, in row order; blocks the epoch's ``_scan``
     kept for :func:`_global_part` at this tau are not multiplied again."""
     tau = _check_tau(tau)
-    return _GlobalStats(*_joined(_row_parts(pair, _global_part, (tau,), threads, _scan)))
+    return _GlobalStats(*_joined((_scan or _Scan()).read(pair, (_global_part, (tau,)), threads)))
 
 
 @dataclass(frozen=True)

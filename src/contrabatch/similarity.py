@@ -31,39 +31,33 @@ tile, or q is too low for a tail to pay) the chunk's products are sorted in
 full, in place.
 
 Graph.  An undirected, unweighted graph keeps the node pairs whose inner
-product exceeds the cutoff in either direction.  It scans the tiles of all
-N rows; a tile filters a kept tail with exactly its span with ``> cut``
-instead of multiplying again, and is multiplied a second time when q is
-below about 15/16 (no tails are kept), its tail was dropped for holding over
-1/8 of the tile, its tail's ``lb`` lies above the cutoff (possible under
-``chunk_median``), ``chunk_rows`` is off the tile grid (the estimate's tiles
-have other spans), or the graph is built without the epoch's scan.  Reusing
-a tail only on an identical span keeps the graph built from the same
-products, bit for bit, as a rescan.
+product exceeds the cutoff in either direction.  A grid tile whose kept tail
+has exactly its span and an ``lb`` at or below the cutoff is filtered with
+``> cut``; any other tile is multiplied again (q below about 15/16 keeps no
+tails, a tail over 1/8 of its tile is dropped, ``chunk_median`` can put an
+``lb`` above the cutoff, off-grid chunks have other spans).  Reusing a tail
+only on an identical span keeps the graph bit for bit that of a rescan.
 
-Tile walk.  Once BLAS has written a tile, every later read of it goes row
-block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a
-block is still in cache for each pass after its first.  A block only splits
+Tile walk.  Every multiplied tile is walked once, by ``_Scan.walk``, row
+block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a block
+is still in cache for each pass after its first.  A block only splits
 element-wise work and per-row maxima, argmaxima and sums, whose bits do not
 depend on how many rows share a call, so the block height changes no output.
-Each scan (the estimator's tile jobs, ``_row_parts``, the graph's rescans)
+Each scan (the estimator's tile jobs, ``_Scan.read``, the graph's rescans)
 multiplies into one buffer per worker thread (``_buffered_products``), reused
 tile after tile and freed when the scan returns: a function given a buffered
 product keeps no view of it.
 
 The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
-*args)`` read by ``_row_parts``, block by block, on the ``_tiles((0, N),
-N)`` grid.  An epoch owns one ``_Scan`` and hands it to each stage as
-``_scan=``.  The estimator stores its tails in it, and hands it each block
-of each grid tile after copying out the block's tail; the scan keeps each
-of its parts of the block, in order, so a part that overwrites the block
-(the global terms scale it in place) comes last.  The graph then filters
-the kept tails, and ``_row_parts`` takes the kept blocks and multiplies
-only the tiles the estimator did not scan (q below about 15/16, whose full
-sort works in place) or scanned with other spans (``chunk_rows`` off the
-grid).  So ``permute --report`` and ``compare`` multiply X·Yᵀ once.  A call
-without ``_scan=`` multiplies every tile it reads.
+*args)`` listed in an epoch's one ``_Scan``, which each stage takes as
+``_scan=``.  One rule: a grid tile feeds each listed part once, in order,
+when the first stage multiplies it, after that stage took what it needs from
+each block (the estimator its tail, the graph its entries above the cutoff).
+``_Scan.read`` returns the kept blocks and multiplies only the grid tiles no
+stage has walked.  So ``permute --report`` and ``compare`` multiply a tile
+at most once beyond the estimator, whose full sort and off-grid tiles feed no
+part.  A call without ``_scan=`` walks a fresh scan.
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import chunk_spans, ordered_map
-from .errors import GraphError, ParameterError
+from .errors import DataError, GraphError, ParameterError
 from .io import EmbeddingPair
 
 # Tallest row tile multiplied against all of Y.  BLAS results can change in
@@ -141,10 +135,13 @@ def _median(values: list[float]) -> float:
 
 
 def interpolated_quantile(values: np.ndarray, q: float) -> float:
-    """Empirical q-quantile with linear interpolation between order statistics."""
+    """Empirical q-quantile with linear interpolation between order statistics
+    of ``values``, which must be non-empty and finite (else DataError)."""
     if not 0.0 < q < 1.0:
         raise ParameterError(f"quantile must lie strictly inside (0,1), got {q}")
     flat = np.sort(np.asarray(values, dtype=np.float64), axis=None)
+    if not (flat.size and np.isfinite(flat).all()):
+        raise DataError("a quantile needs a non-empty array of finite values")
     return _read_quantile(flat, flat.size, q)
 
 
@@ -246,43 +243,40 @@ def _row_blocks(span: tuple[int, int], z: np.ndarray) -> list:
 class _Scan:
     """One epoch's pass over X·Yᵀ of one pair, handed to its calls as ``_scan=``.
 
-    The estimator stores its kept tails here by span, and hands each row
-    block of each grid tile to :meth:`keep`.  Hand a scan only to calls on
-    the pair that filled it.
+    Every multiplied tile is walked by :meth:`walk`, so each grid tile feeds
+    each listed ``(fn, args)`` part once, whichever stage multiplied it; the
+    estimator's tails are kept by span.  Use it only on the pair it read.
     """
 
     def __init__(self, *parts):
         self.tails: dict = {}  # span -> _Tail
         self.parts = {part: {} for part in parts}  # (fn, args) -> span -> one result per block
 
-    def keep(self, span: tuple[int, int], rows: tuple[int, int], block: np.ndarray) -> None:
-        """Keep ``fn(rows, block, *args)`` of each part, in order; a tile's
-        blocks come in row order, from one thread."""
-        for (fn, args), kept in self.parts.items():
-            if rows[0] == span[0]:
-                kept[span] = []
-            kept[span].append(fn(rows, block, *args))
+    def walk(self, n: int, span: tuple[int, int], z: np.ndarray, select=None) -> list:
+        """``select(rows, block)`` of each row block of the product ``z`` of
+        ``span``, in row order; each block of a grid tile not walked before then
+        feeds each listed part in order (one that overwrites it is listed last)."""
+        outs = [(fn, args, kept.setdefault(span, [])) for (fn, args), kept in self.parts.items()
+                if _on_grid(span, n) and span not in kept]
+        picked = []
+        for rows, block in _row_blocks(span, z):
+            if select is not None:
+                picked.append(select(rows, block))
+            for fn, args, out in outs:
+                out.append(fn(rows, block, *args))
+        return picked
 
-
-def _row_parts(pair: EmbeddingPair, fn, args: tuple, threads: int = 1,
-               _scan: _Scan | None = None) -> list:
-    """``fn(rows, block, *args)`` of every row block of every tile of all N
-    rows, in row order.
-
-    A tile whose blocks ``_scan`` kept for this ``(fn, args)`` takes them;
-    only the other tiles are multiplied, into buffered products, so ``fn``
-    keeps no view of its block.
-    """
-    done = _scan.parts.get((fn, args), {}) if _scan is not None else {}
-    tiles = _tiles((0, pair.n), pair.n)
-    product = _buffered_products(pair, [span for span in tiles if span not in done])
-
-    def run(span: tuple[int, int]) -> list:
-        if span in done:
-            return done[span]
-        return [fn(rows, block, *args) for rows, block in _row_blocks(span, product(span))]
-
-    return [part for parts in ordered_map(run, tiles, threads) for part in parts]
+    def read(self, pair: EmbeddingPair, part: tuple, threads: int = 1) -> list:
+        """The kept ``fn(rows, block, *args)`` of every row block, ``part = (fn,
+        args)``; the grid tiles not yet walked are multiplied and walked now.
+        A part the scan does not list is read through a fresh ``_Scan(part)``."""
+        if part not in self.parts:
+            return _Scan(part).read(pair, part, threads)
+        tiles = _tiles((0, pair.n), pair.n)
+        todo = [span for span in tiles if span not in self.parts[part]]
+        product = _buffered_products(pair, todo)
+        ordered_map(lambda span: self.walk(pair.n, span, product(span)), todo, threads)
+        return [block for span in tiles for block in self.parts[part][span]]
 
 
 def _sample_stride(entries: int, width: int) -> int:
@@ -295,12 +289,11 @@ def _sample_stride(entries: int, width: int) -> int:
 
 
 def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share: float,
-               scan: _Scan | None) -> _Tail:
+               scan: _Scan) -> _Tail:
     """Keep the entries of tile product ``z`` at or above a sampled bound.
 
-    After the sample, the tile is walked once in row blocks: each block's
-    tail is copied out, then a grid tile's block goes to ``scan``, whose
-    parts may overwrite it.
+    After the sample, ``scan`` walks the tile once: each block's tail is
+    copied out before the scan's parts may overwrite the block.
     """
     flat = z.reshape(-1)
     sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
@@ -308,27 +301,25 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share:
     kth = sample.size - keep
     sample.partition(kth)
     bound = float(sample[kth])
-    keep = scan.keep if scan is not None and _on_grid(span, pair.n) else None
     limit = _MAX_TAIL_SHARE * flat.size
-    offsets, values, count = [], [], 0
-    for rows, block in _row_blocks(span, z):
+    count = 0
+
+    def select(rows: tuple[int, int], block: np.ndarray):
+        nonlocal count
         if count <= limit:  # past the limit the tail is dropped: stop collecting
             hits = np.flatnonzero(block >= bound)
             count += hits.size
-            offsets.append(hits + (rows[0] - span[0]) * pair.n)
-            values.append(block.reshape(-1)[hits])
-        if keep is not None:
-            keep(span, rows, block)
+            return hits + (rows[0] - span[0]) * pair.n, block.reshape(-1)[hits]
+
+    picked = scan.walk(pair.n, span, z, select)
     if count > limit:
         return _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
-    return _Tail(span, bound, np.concatenate(offsets), np.concatenate(values))
+    return _Tail(span, bound, *map(np.concatenate, zip(*picked)))
 
 
-def _scan_jobs(pair: EmbeddingPair, jobs: list, threads: int, scan: _Scan | None) -> dict:
-    """The tails of the (tile, share) ``jobs``, by span.
-
-    The products' buffers are freed on return, before any full sort.
-    """
+def _scan_jobs(pair: EmbeddingPair, jobs: list, threads: int, scan: _Scan) -> dict:
+    """The tails of the (tile, share) ``jobs``, by span; the products'
+    buffers are freed on return, before any full sort."""
     product = _buffered_products(pair, [tile for tile, _ in jobs])
     tails = ordered_map(lambda job: _scan_tail(pair, job[0], product(job[0]), job[1], scan),
                         jobs, threads)
@@ -354,7 +345,7 @@ def estimate_quantile_threshold(
     Rows of ``pair.x`` are processed in ``chunk_rows``-high chunks against
     all of ``pair.y``; the median of the per-chunk quantiles is returned.
     Each chunk's value equals :func:`interpolated_quantile` of its entries.
-    The tile scan keeps its tails and parts in ``_scan``, if given.
+    ``_scan`` (else a fresh scan) walks the tiles and keeps the tails.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"quantile must lie strictly inside (0,1), got {q}")
@@ -363,6 +354,7 @@ def estimate_quantile_threshold(
         raise ParameterError(f"chunk_rows must lie in [1, {n}], got {chunk_rows}")
 
     chunks = chunk_spans(n, chunk_rows)
+    scan = _scan or _Scan()
 
     def tail_need(chunk: tuple[int, int]) -> tuple[int, int]:
         """(entries, how many of the largest hold both order statistics)"""
@@ -374,9 +366,7 @@ def estimate_quantile_threshold(
         size, need = tail_need(chunk)
         if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
             jobs += [(tile, need / size) for tile in _tiles(chunk, n)]
-    by_span = _scan_jobs(pair, jobs, threads, _scan)
-    if _scan is not None:
-        _scan.tails = by_span
+    by_span = scan.tails = _scan_jobs(pair, jobs, threads, scan)
 
     def chunk_quantile(chunk: tuple[int, int]) -> float:
         size, need = tail_need(chunk)
@@ -512,32 +502,33 @@ def build_sparse_graph(
     An undirected edge (i, j), i != j, exists iff x_i.y_j > value or
     x_j.y_i > value (strict inequality; ties at the cutoff are dropped).
     The OR-symmetrization makes the structure usable by the bandwidth
-    ordering, which needs symmetric adjacency.  Every tile of X·Yᵀ is
-    multiplied, except, given the epoch's ``_scan``, a tile whose kept tail
-    covers it (same span, bound at or below the cutoff): that tail is
-    filtered instead, with the same result.
+    ordering, which needs symmetric adjacency.  A tile whose tail the
+    epoch's ``_scan`` kept (same span, bound at or below the cutoff) is
+    filtered instead of multiplied, with the same result; every other tile
+    is multiplied and walked by the scan.
     """
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
     n = pair.n
     cut = threshold.value
-    by_span = _scan.tails if _scan is not None else {}
-    kept = {span: tail for span, tail in by_span.items() if tail.bound <= cut}
+    scan = _scan or _Scan()
+    kept = {span: tail for span, tail in scan.tails.items() if tail.bound <= cut}
     tiles = _tiles((0, n), n)
     product = _buffered_products(pair, [span for span in tiles if span not in kept])
 
-    def scan(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def edges(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         tail = kept.get(span)
         if tail is not None:
             offsets = tail.offsets[tail.values > cut]
         else:
-            offsets = np.flatnonzero(product(span) > cut)
+            offsets = np.concatenate(scan.walk(n, span, product(span), lambda rows, block: (
+                np.flatnonzero(block > cut) + (rows[0] - span[0]) * n)))
         rows = offsets // n + span[0]
         cols = offsets % n
         off = rows != cols
         return rows[off], cols[off]
 
-    rows, cols = map(np.concatenate, zip(*ordered_map(scan, tiles, threads)))
+    rows, cols = map(np.concatenate, zip(*ordered_map(edges, tiles, threads)))
     src = np.concatenate([rows, cols])
     dst = np.concatenate([cols, rows])
     return SparseSimilarityGraph._from_directed(n, src, dst, rows.size)

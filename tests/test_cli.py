@@ -639,9 +639,10 @@ def duplicated_cluster_pair() -> EmbeddingPair:
 
 
 class TestOneSweep:
-    """The report reads its global loss from the cutoff's tiles: one X·Yᵀ
-    multiply per ``permute --report``, and the same report bytes as the
-    public functions on a plain pair on every path."""
+    """The report reads its global loss from each tile's first walk, by
+    whichever stage multiplied it: one X·Yᵀ multiply per ``permute --report``
+    at a high quantile, and the same report bytes as the public functions on
+    a plain pair on every path."""
 
     TILES = [(0, 128), (128, 256), (256, 384), (384, 512)]
 
@@ -695,19 +696,31 @@ class TestOneSweep:
         assert len(mined.batches) == len(want.batches)
         assert all(np.array_equal(a, b) for a, b in zip(mined.batches, want.batches))
 
-    def test_full_sort_multiplies_the_report_tiles(self, tmp_path, capsys, monkeypatch):
-        # q = 0.9 keeps no tails: the sort, the graph and the report each multiply
+    def test_full_sort_report_reads_the_graph_tiles(self, tmp_path, capsys, monkeypatch):
+        # q = 0.9 keeps no tails: the sort and the graph multiply, the report reads the graph's
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
         calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                          ["--quantile", "0.9"])[2]
-        assert sorted(calls) == sorted(self.TILES * 3)
+        assert sorted(calls) == sorted(self.TILES * 2)
 
-    def test_off_grid_chunks_multiply_the_report_tiles(self, tmp_path, capsys, monkeypatch):
+    def test_off_grid_chunks_report_reads_the_graph_tiles(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
         calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                          ["--quantile", "0.999", "--chunk-rows", "100"])[2]
         chunk_tiles = [(s, min(s + 100, 512)) for s in range(0, 512, 100)]
-        assert sorted(calls) == sorted(chunk_tiles + self.TILES * 2)  # graph and report
+        assert sorted(calls) == sorted(chunk_tiles + self.TILES)  # the report reads the graph's
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--strategy", "gcbs"], ["analyze", "--strategy", "random"],
+        ["analyze", "--strategy", "hardneg1"], ["permute"],
+    ], ids=["analyze-gcbs", "analyze-random", "analyze-hardneg1", "permute"])
+    def test_each_command_multiplies_each_tile_once(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        x, y = write_pair(tmp_path, random_pair(512, 16, seed=41))
+        calls = count_products(monkeypatch)
+        assert main(command + ["--x", x, "--y", y, "--batch-size", "16"]) == 0
+        assert sorted(calls) == self.TILES  # hardneg1 keeps the global terms with its argmax
 
     @pytest.mark.parametrize("pair, flags, row_chunk, edgeless", [
         (random_pair(512, 16, seed=41), ["--quantile", "0.9"], 128, False),

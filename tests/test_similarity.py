@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from contrabatch import batching, losses, similarity
 from contrabatch import (
+    DataError,
     EmbeddingPair,
     GraphError,
     ParameterError,
@@ -89,6 +90,13 @@ class TestQuantileEstimation:
     def test_interpolated_quantile_rejects_bad_q(self):
         with pytest.raises(ParameterError):
             interpolated_quantile(np.arange(5.0), 0.0)
+
+    @pytest.mark.parametrize("values", [
+        np.array([]), np.empty((0, 3)), [1.0, np.nan, 3.0], [np.inf, 0.0], [-np.inf],
+    ], ids=["empty", "empty-2d", "nan", "inf", "minus-inf"])
+    def test_interpolated_quantile_rejects_empty_or_non_finite_values(self, values):
+        with pytest.raises(DataError):
+            interpolated_quantile(values, 0.5)
 
 
 class TestGraphConstruction:
