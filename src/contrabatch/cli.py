@@ -32,14 +32,7 @@ from .batching import (
 )
 from .errors import CapacityError, ContrabatchError, ObjectiveUndefined, ParameterError
 from .io import MAX_ELEMENTS, EmbeddingPair, load_pair, load_permutation, save_permutation
-from .losses import (
-    _check_tau,
-    _global_part,
-    _global_stats,
-    _json_value,
-    _report,
-    gap_report,
-)
+from .losses import _check_tau, _global_part, _json_value, gap_report
 from .similarity import CHUNK_ROWS, _Scan
 
 _PARAM_EXIT = 2
@@ -128,7 +121,8 @@ def _write_all(writes) -> None:
     """Run each ``(path, write)`` on a sibling temporary file, then move every
     file into place: a failed write leaves no output and no existing file
     changed."""
-    temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.{i}.tmp")
+    # named apart from the output, so a name at the length limit still has a temporary file
+    temps = [Path(path).parent / f".contrabatch.{os.getpid()}.{i}.tmp"
              for i, (path, _) in enumerate(writes)]
     try:
         for (path, write), temp in zip(writes, temps):
@@ -204,9 +198,9 @@ def cmd_compare(args) -> int:
     runs = [(pipeline, "gcbs", args.quantile), (mined, "hardneg1", None)]
     runs += [(random_batches(pair.n, k, seed), "random", None)
              for seed in range(args.seed, args.seed + args.seeds)]
-    # assignment-free, so shared by every report; read from the cutoff's tiles
-    g = _global_stats(pair, args.tau, args.threads, scan)
-    reports = [_report(pair, g, assignment, args.tau, strategy, quantile, args.threads)
+    # each report reads the global terms the scan kept from the cutoff's tiles
+    reports = [gap_report(pair, assignment, args.tau, strategy=strategy, quantile=quantile,
+                          threads=args.threads, _scan=scan)
                for assignment, strategy, quantile in runs]
     summary = {}
     for field in ("train_loss", "gap"):

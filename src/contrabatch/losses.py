@@ -21,7 +21,8 @@ log(N/k) when every batch is full.
 Every loss and bound derives from two scans: one over all N candidates
 per sample, one over the in-batch candidates per slot.  The first reads
 row blocks through ``similarity._Scan.read``, so it multiplies no tile that
-an earlier stage of the epoch walked.  The second stacks
+an earlier stage of the epoch walked, and each report of an epoch given the
+epoch's scan reads the blocks it kept.  The second stacks
 the batches of one shape (rows and candidates per batch) and multiplies
 each stack with one ``np.matmul``, which still makes one BLAS call per
 batch, so every batch's products have the bits of its own
@@ -412,12 +413,6 @@ def gap_report(
     reads what the epoch's ``_scan`` kept of it, if given.
     """
     g = _global_stats(pair, tau, threads, _scan)
-    return _report(pair, g, assignment, tau, strategy, quantile, threads)
-
-
-def _report(pair: EmbeddingPair, g: _GlobalStats, assignment: BatchAssignment, tau: float,
-            strategy: str | None, quantile: float | None, threads: int) -> GapReport:
-    """``gap_report`` with the assignment-free global stats ``g`` given."""
     runs = _batch_runs(pair, assignment)  # one stack of products for the stats and objectives
     s = _slot_stats(pair, assignment, tau, threads, runs)
     global_loss, train_loss = _loss(g), _loss(s)

@@ -37,6 +37,10 @@ has exactly its span and an ``lb`` at or below the cutoff is filtered with
 tails, a tail over 1/8 of its tile is dropped, ``chunk_median`` can put an
 ``lb`` above the cutoff, off-grid chunks have other spans).  Reusing a tail
 only on an identical span keeps the graph bit for bit that of a rescan.
+The graph works in keys ``row·N + col``: a tile's flat offsets plus
+``start·N``.  The diagonal's keys are the multiples of N + 1, the transposed
+key is ``key % N · N + key // N``, and the sorted distinct keys of both
+directions give the CSR rows and columns.
 
 Tile walk.  Every multiplied tile is walked once, by ``_Scan.walk``, row
 block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a block
@@ -44,9 +48,10 @@ is still in cache for each pass after its first.  A block only splits
 element-wise work and per-row maxima, argmaxima and sums, whose bits do not
 depend on how many rows share a call, so the block height changes no output.
 Each scan (the estimator's tile jobs, ``_Scan.read``, the graph's rescans)
-multiplies into one buffer per worker thread (``_buffered_products``), reused
-tile after tile and freed when the scan returns: a function given a buffered
-product keeps no view of it.
+is one call of ``_map_products``, which multiplies into one buffer per worker
+thread, reused tile after tile and freed when the scan returns: a function
+given a buffered product keeps no view of it.  Only it and the full sort
+call ``_products``.
 
 The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
@@ -152,7 +157,6 @@ class _Tail:
     ``bound`` is inf when the tile kept nothing.
     """
 
-    span: tuple[int, int]
     bound: float
     offsets: np.ndarray
     values: np.ndarray
@@ -213,23 +217,22 @@ def _on_grid(span: tuple[int, int], n: int) -> bool:
     return start % rows == 0 and stop == min(start + rows, n)
 
 
-def _buffered_products(pair: EmbeddingPair, spans: list[tuple[int, int]]):
-    """``span -> _products(pair, span)`` into one buffer per calling thread.
+def _map_products(pair: EmbeddingPair, spans: list[tuple[int, int]], fn, threads: int = 1) -> list:
+    """``fn(span, z)`` of each of ``spans``, in order, ``z`` the span's product.
 
-    The buffer holds the tallest of ``spans``, is allocated on a thread's
-    first product and is reused for each later one, so a product is valid
-    only until its thread multiplies the next tile.  It is freed with the
-    returned function.
+    Each worker thread multiplies into one buffer that holds the tallest of
+    ``spans``, allocated on its first product and reused for each later one,
+    so ``fn`` keeps no view of ``z``.  The buffers are freed on return.
     """
     local = threading.local()
     rows = max((stop - start for start, stop in spans), default=0)
 
-    def product(span: tuple[int, int]) -> np.ndarray:
+    def job(span: tuple[int, int]):
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((rows, pair.n))
-        return _products(pair, span, out=local.buffer[: span[1] - span[0]])
+        return fn(span, _products(pair, span, out=local.buffer[: span[1] - span[0]]))
 
-    return product
+    return ordered_map(job, spans, threads)
 
 
 def _row_blocks(span: tuple[int, int], z: np.ndarray) -> list:
@@ -274,8 +277,7 @@ class _Scan:
             return _Scan(part).read(pair, part, threads)
         tiles = _tiles((0, pair.n), pair.n)
         todo = [span for span in tiles if span not in self.parts[part]]
-        product = _buffered_products(pair, todo)
-        ordered_map(lambda span: self.walk(pair.n, span, product(span)), todo, threads)
+        _map_products(pair, todo, lambda span, z: self.walk(pair.n, span, z), threads)
         return [block for span in tiles for block in self.parts[part][span]]
 
 
@@ -313,17 +315,8 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share:
 
     picked = scan.walk(pair.n, span, z, select)
     if count > limit:
-        return _Tail(span, math.inf, np.empty(0, dtype=np.int64), np.empty(0))
-    return _Tail(span, bound, *map(np.concatenate, zip(*picked)))
-
-
-def _scan_jobs(pair: EmbeddingPair, jobs: list, threads: int, scan: _Scan) -> dict:
-    """The tails of the (tile, share) ``jobs``, by span; the products'
-    buffers are freed on return, before any full sort."""
-    product = _buffered_products(pair, [tile for tile, _ in jobs])
-    tails = ordered_map(lambda job: _scan_tail(pair, job[0], product(job[0]), job[1], scan),
-                        jobs, threads)
-    return {tail.span: tail for tail in tails}
+        return _Tail(math.inf, np.empty(0, dtype=np.int64), np.empty(0))
+    return _Tail(bound, *map(np.concatenate, zip(*picked)))
 
 
 def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -> float:
@@ -361,12 +354,14 @@ def estimate_quantile_threshold(
         size = (chunk[1] - chunk[0]) * n
         return size, size - _ranks(size, q)[0]
 
-    jobs = []
+    shares = {}  # tile -> the tail share its chunk needs
     for chunk in chunks:
         size, need = tail_need(chunk)
         if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
-            jobs += [(tile, need / size) for tile in _tiles(chunk, n)]
-    by_span = scan.tails = _scan_jobs(pair, jobs, threads, scan)
+            shares.update(dict.fromkeys(_tiles(chunk, n), need / size))
+    # the tiles' buffers are freed here, before any full sort
+    by_span = scan.tails = dict(zip(shares, _map_products(
+        pair, list(shares), lambda span, z: _scan_tail(pair, span, z, shares[span], scan), threads)))
 
     def chunk_quantile(chunk: tuple[int, int]) -> float:
         size, need = tail_need(chunk)
@@ -425,22 +420,17 @@ class SparseSimilarityGraph:
         bad = next((p for p in pairs if min(p) < 0 or max(p) >= n), None)
         if bad is not None:
             raise GraphError(f"edge {bad} has an index outside 0..{n - 1}")
-        src = np.array([p[0] for p in pairs] + [p[1] for p in pairs], dtype=np.int64)
-        dst = np.array([p[1] for p in pairs] + [p[0] for p in pairs], dtype=np.int64)
-        return cls._from_directed(n, src, dst, directed_entry_count)
+        keys = np.array([i * n + j for i, j in pairs], dtype=np.int64)
+        return cls._from_keys(n, keys, directed_entry_count)
 
     @classmethod
-    def _from_directed(
-        cls, n: int, src: np.ndarray, dst: np.ndarray, directed_entry_count: int | None = None
-    ):
-        """Build from directed pairs already containing both orientations."""
-        if src.size:
-            keys = _sorted_unique(src * np.int64(n) + dst)
-            src = keys // n
-            dst = keys % n
+    def _from_keys(cls, n: int, keys: np.ndarray, directed_entry_count: int | None = None):
+        """Build from the keys ``i·n + j`` of directed pairs (i, j); each pair
+        is also added as (j, i), whose key is ``key % n · n + key // n``."""
+        keys = _sorted_unique(np.concatenate([keys, keys % n * n + keys // n]))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n, indptr, dst, directed_entry_count)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n, directed_entry_count)
 
     @property
     def edge_count(self) -> int:
@@ -512,26 +502,20 @@ def build_sparse_graph(
     n = pair.n
     cut = threshold.value
     scan = _scan or _Scan()
-    kept = {span: tail for span, tail in scan.tails.items() if tail.bound <= cut}
     tiles = _tiles((0, n), n)
-    product = _buffered_products(pair, [span for span in tiles if span not in kept])
 
-    def edges(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        tail = kept.get(span)
-        if tail is not None:
-            offsets = tail.offsets[tail.values > cut]
-        else:
-            offsets = np.concatenate(scan.walk(n, span, product(span), lambda rows, block: (
-                np.flatnonzero(block > cut) + (rows[0] - span[0]) * n)))
-        rows = offsets // n + span[0]
-        cols = offsets % n
-        off = rows != cols
-        return rows[off], cols[off]
+    def rescan(span: tuple[int, int], z: np.ndarray) -> np.ndarray:
+        return np.concatenate(scan.walk(n, span, z, lambda rows, block: (
+            np.flatnonzero(block > cut) + rows[0] * n)))
 
-    rows, cols = map(np.concatenate, zip(*ordered_map(edges, tiles, threads)))
-    src = np.concatenate([rows, cols])
-    dst = np.concatenate([cols, rows])
-    return SparseSimilarityGraph._from_directed(n, src, dst, rows.size)
+    # each tile's keys row·n + col, filtered from its kept tail or rescanned
+    by_span = {span: tail.offsets[tail.values > cut] + span[0] * n
+               for span, tail in scan.tails.items() if _on_grid(span, n) and tail.bound <= cut}
+    todo = [span for span in tiles if span not in by_span]
+    by_span.update(zip(todo, _map_products(pair, todo, rescan, threads)))
+    keys = np.concatenate([by_span[span] for span in tiles])
+    keys = keys[keys % (n + 1) != 0]  # the diagonal's keys are i·(n + 1)
+    return SparseSimilarityGraph._from_keys(n, keys, keys.size)
 
 
 def expected_retained_fraction(graph: SparseSimilarityGraph) -> float:

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -161,6 +162,25 @@ class TestPermute:
         assert rc == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "batches.txt", "perm.txt", "x.emb1", "y.emb1"]
+
+    def test_longest_output_names_are_written(self, tmp_path, capsys):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=3))
+        out = tmp_path / "out"
+        out.mkdir()
+        longest = os.pathconf(out, "PC_NAME_MAX")
+        perm, batches = out / ("p" * longest), out / ("b" * longest)
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "4", "--out-perm", str(perm),
+                   "--out-batches", str(batches)])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert sorted(out.iterdir()) == [batches, perm]
+        assert perm.read_text().count("\n") == 16 and batches.read_text().count("\n") == 4
+
+    def test_an_output_path_without_a_name_exits_one(self, tmp_path, capsys, monkeypatch):
+        x, y = write_pair(tmp_path, random_pair(16, 4, seed=3))
+        monkeypatch.chdir(tmp_path)
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "4", "--out-perm", "."])
+        assert (rc, capsys.readouterr().err) == (1, "error: [Errno 21] Is a directory: '.'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.emb1", "y.emb1"]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("tau", ["1e-308", "1e-310"])
@@ -345,19 +365,40 @@ class TestCompare:
         expected = ", ".join(gap_report(pair, a, 0.05, strategy=s, quantile=q).to_json()
                              for a, s, q in runs)
         calls = []
-        real = losses._global_stats
+        real = losses._global_part
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(rows, z, tau):
+            calls.append(rows)
+            return real(rows, z, tau)
 
-        monkeypatch.setattr(losses, "_global_stats", counted)
-        monkeypatch.setattr(cli, "_global_stats", counted)
+        monkeypatch.setattr(losses, "_global_part", counted)
+        monkeypatch.setattr(cli, "_global_part", counted)
+        losses.ntxent_global(pair, 0.05)
+        plain = calls[:]
+        calls.clear()
         rc = main(["compare", "--x", x, "--y", y, "--batch-size", "4",
                    "--quantile", "0.8", "--seeds", "5"])
         assert rc == 0
-        assert len(calls) == 1
+        assert calls == plain  # the blocks of one pass: no report computes the terms again
         assert capsys.readouterr().out.startswith(f'{{"reports": [{expected}], ')
+
+    def test_every_report_reads_the_epoch_scan(self, tmp_path, capsys, monkeypatch):
+        n = 48
+        x, y = write_pair(tmp_path, random_pair(n, 6, seed=15))
+        scans = []
+        real = cli.gap_report
+
+        def counted(*args, **kwargs):
+            scans.append(kwargs.get("_scan"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gap_report", counted)
+        calls = count_products(monkeypatch)
+        rc = main(["compare", "--x", x, "--y", y, "--batch-size", "4", "--seeds", "2"])
+        assert rc == 0
+        json.loads(capsys.readouterr().out)
+        assert len(scans) == 4 and scans[0] is not None and scans.count(scans[0]) == 4
+        assert sorted(calls) == similarity._tiles((0, n), n)  # each grid tile once, no more
 
 
 class TestNormalizeOnce:

@@ -1,6 +1,7 @@
 """One walk per multiplied tile, as a property: the CLI's epoch scan gives the
 bytes of the public functions, each run on a fresh scan, and multiplies no
-more than the estimator's own tiles plus one pass over the tile grid."""
+more than the estimator's own tiles plus one pass over the tile grid, in
+``permute``, ``compare`` and each ``analyze`` strategy."""
 
 import contextlib
 import io
@@ -56,8 +57,9 @@ def run(argv: list) -> tuple[str, list]:
 
 def public_outputs(tmp: Path, x: str, y: str, q: float, k: int, tau: float,
                    chunk_rows: int | None, threads: int) -> tuple:
-    """What ``permute --report --out-perm --out-batches`` and ``compare --seeds
-    1`` print and write, built by the public functions, each on a fresh scan."""
+    """What ``permute --report --out-perm --out-batches``, ``compare --seeds 1``
+    and ``analyze`` print and write, built by the public functions, each on a
+    fresh scan; ``analyze`` by strategy, with the warnings of ``gcbs`` only."""
     pair = load_pair(x, y).normalized()
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -74,8 +76,10 @@ def public_outputs(tmp: Path, x: str, y: str, q: float, k: int, tau: float,
                for field in ("train_loss", "gap")}
     compared = (f'{{"reports": [{", ".join(r.to_json() for r in reports)}], '
                 f'"random_summary": {_json_value(summary)}}}\n')
+    analyzed = {strategy: (r.to_json() + "\n", warned if strategy == "gcbs" else [])
+                for r, (_, strategy, _) in zip(reports, runs)}
     return (reports[0].to_json() + "\n", (tmp / "want.perm").read_bytes(),
-            format_batches(assignment), compared, warned)
+            format_batches(assignment), compared, warned, analyzed)
 
 
 @st.composite
@@ -128,12 +132,15 @@ def test_epoch_scan_gives_the_public_bytes_and_multiplies_each_tile_once_more(ca
             bound = Counter(calls) + Counter(similarity._tiles((0, n), n))
             perm, batches = tmp / "got.perm", tmp / "got.batches"
             for command in (["permute", "--report", "--out-perm", str(perm),
-                             "--out-batches", str(batches)], ["compare", "--seeds", "1"]):
+                             "--out-batches", str(batches)], ["compare", "--seeds", "1"],
+                            *(["analyze", "--strategy", s] for s in want[5])):
                 calls.clear()
                 out, warned = run(command + flags)
                 assert not Counter(calls) - bound  # the estimator's tiles and one grid pass
                 if command[0] == "permute":
                     assert (out, perm.read_bytes(), batches.read_text()) == want[:3]
+                    assert warned == want[4]
+                elif command[0] == "compare":
+                    assert (out, warned) == want[3:5]
                 else:
-                    assert out == want[3]
-                assert warned == want[4]
+                    assert (out, warned) == want[5][command[2]]

@@ -465,8 +465,8 @@ class TestTileBuffers:
         monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
         pair = random_pair(512, 16, seed=54)
         buffered = scan_outputs(pair, threads)
-        monkeypatch.setattr(similarity, "_buffered_products",
-                            lambda pair, spans: lambda span: similarity._products(pair, span))
+        products = similarity._products  # every tile fresh; q = 0.999 runs no full sort into ``out``
+        monkeypatch.setattr(similarity, "_products", lambda pair, span, out=None: products(pair, span))
         assert scan_outputs(pair, threads) == buffered
 
 
