@@ -49,16 +49,6 @@ from .batching import (
     random_batches,
     sequential_batches,
 )
-from .losses import (
-    GapReport,
-    gap_report,
-    gap_upper_bounds,
-    lse_component_bounds,
-    ntxent_global,
-    ntxent_train,
-    qap_objective,
-    qbap_objective,
-)
 
 __version__ = "0.1.0"
 
@@ -113,21 +103,35 @@ __all__ = [
     "validate_permutation",
 ]
 
-# The exhaustive solvers are for debugging at toy sizes: they load on first
-# access, so a command that never asks for them does not import them.
-_ORACLE_NAMES = frozenset({
-    "OracleResult",
-    "exhaustive_min_gap",
-    "exhaustive_qap",
-    "exhaustive_qbap",
-    "iter_block_partitions",
-    "partition_count",
-})
+# Names that load their module on first access, so a command that never asks
+# for them does not import it: the losses (``permute`` without ``--report``
+# computes none) and the exhaustive solvers, for debugging at toy sizes.
+_LAZY_NAMES = {
+    "losses": frozenset({
+        "GapReport",
+        "gap_report",
+        "gap_upper_bounds",
+        "lse_component_bounds",
+        "ntxent_global",
+        "ntxent_train",
+        "qap_objective",
+        "qbap_objective",
+    }),
+    "oracle": frozenset({
+        "OracleResult",
+        "exhaustive_min_gap",
+        "exhaustive_qap",
+        "exhaustive_qbap",
+        "iter_block_partitions",
+        "partition_count",
+    }),
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            from importlib import import_module
 
-        return getattr(oracle, name)
+            return getattr(import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,27 @@ from .similarity import SparseSimilarityGraph, _sorted_unique
 # test oracles, not solvers.
 _MAX_EXHAUSTIVE_NODES = 10
 
+# Neighbor slots a BFS level gathers at once (1 MiB of int64 each): a level
+# is expanded in runs of its vertices, so its temporaries stay bounded at any
+# degree.  Orders do not depend on it.
+_GATHER_SLOTS = 1 << 17
+
+
+def _unvisited_neighbors(graph: SparseSimilarityGraph, level: np.ndarray,
+                         visited: np.ndarray) -> np.ndarray:
+    """The neighbors of ``level`` not yet visited, each once, in ascending
+    index order; they are marked visited."""
+    # every neighbor slot of the level in one gather: the runs
+    # indptr[u] .. indptr[u + 1], laid end to end
+    starts = graph.indptr[level]
+    counts = graph.indptr[level + 1] - starts
+    slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    slots += np.arange(slots.size)
+    found = graph.indices[slots]
+    found = _sorted_unique(found[~visited[found]])
+    visited[found] = True
+    return found
+
 
 def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndarray:
     """Return a bandwidth-reducing node order (``order[t]`` = node at position t).
@@ -29,10 +50,14 @@ def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndar
     Deterministic: every tie (root choice and within-level order) is broken
     by ascending node index, so identical graphs always yield identical
     orders.  ``reverse=True`` returns the exact reversal of the plain order.
+    A hand-made graph is validated first; one from ``build_sparse_graph`` is
+    valid by construction.
     """
-    graph.validate()
+    graph._check()
     n = graph.n
     degrees = graph.degrees
+    # a level expands this many vertices at a time, at most _GATHER_SLOTS slots
+    step = max(1, _GATHER_SLOTS // max(1, int(degrees.max(initial=0))))
     # Fixed (degree, index) ranking; the first unvisited entry is always the
     # lowest-degree unvisited vertex, which seeds each component.
     by_degree = np.lexsort((np.arange(n), degrees))
@@ -51,17 +76,9 @@ def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndar
         filled += 1
         level = np.array([root], dtype=np.int64)
         while level.size:
-            # every neighbor slot of the level in one gather: the runs
-            # indptr[u] .. indptr[u + 1], laid end to end
-            starts = graph.indptr[level]
-            counts = graph.indptr[level + 1] - starts
-            firsts = np.repeat(starts - np.cumsum(counts) + counts, counts)
-            slots = firsts + np.arange(firsts.size)
-            candidates = _sorted_unique(graph.indices[slots])
-            frontier = candidates[~visited[candidates]]
-            visited[frontier] = True
-            # candidates come out index-sorted; the stable sort by degree
-            # therefore breaks ties by ascending index
+            frontier = np.concatenate([_unvisited_neighbors(graph, level[a : a + step], visited)
+                                       for a in range(0, level.size, step)])
+            # the level sorted by degree, ties by ascending index
             frontier = frontier[np.lexsort((frontier, degrees[frontier]))]
             order[filled : filled + frontier.size] = frontier
             filled += frontier.size

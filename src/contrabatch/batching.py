@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import chunk_spans
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import (
+    _MAX_DIRECTED_ENTRIES,
     _Scan,
     build_sparse_graph,
     default_chunk_rows,
@@ -143,12 +144,25 @@ def hard_negative_batches(
     return BatchAssignment(n=n, k=k, batches=batches, perm=None, oversampled=True)
 
 
+def _check_graph_fits(n: int, q: float) -> None:
+    """Reject an epoch whose graph would hold more than ``_MAX_DIRECTED_ENTRIES``
+    directed entries, predicted as (1 - q)·N², before any product is taken."""
+    predicted = (1.0 - q) * n * n
+    if predicted > _MAX_DIRECTED_ENTRIES:
+        raise CapacityError(
+            f"a graph of N = {n} rows at quantile {q} would hold about {predicted:.3g} directed "
+            f"entries, above the cap of {_MAX_DIRECTED_ENTRIES} (2**26); raise the quantile "
+            "or use fewer rows")
+
+
 def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
             reverse: bool = True, threads: int = 1, _scan: _Scan | None = None):
     """The pipeline's one composition: yield the cutoff, the graph, then the order.
 
-    ``chunk_rows`` defaults to ``default_chunk_rows``.  The graph filters the
-    tails the cutoff kept in ``_scan``, or in a fresh scan.  Warns, naming
+    ``chunk_rows`` defaults to ``default_chunk_rows``.  Raises CapacityError
+    first when the graph would pass the edge cap.  The graph filters the
+    tails the cutoff kept in ``_scan``, or in a fresh scan, and the tails
+    are dropped once it is built: no later stage reads them.  Warns, naming
     the caller of :func:`bandwidth_pipeline`, when no inner product beats
     the cutoff (ties at it are dropped), because the order of an edgeless
     graph only follows the row index; every such run warns, not only the
@@ -156,10 +170,13 @@ def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
     """
     if chunk_rows is None:
         chunk_rows = default_chunk_rows(pair.n)
+    if 0.0 < q < 1.0:  # else the estimator names the bad quantile
+        _check_graph_fits(pair.n, q)
     scan = _Scan() if _scan is None else _scan
     threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads, _scan=scan)
     yield threshold
     graph = build_sparse_graph(pair, threshold, threads=threads, _scan=scan)
+    scan.tails = {}
     if graph.edge_count == 0:
         # as warn(stacklevel=3), but with no registry: warn keeps one in the module it
         # names, so a message repeated from one line would show once per process

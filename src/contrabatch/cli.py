@@ -32,7 +32,6 @@ from .batching import (
 )
 from .errors import CapacityError, ContrabatchError, ObjectiveUndefined, ParameterError
 from .io import MAX_ELEMENTS, EmbeddingPair, load_pair, load_permutation, save_permutation
-from .losses import _check_tau, _global_part, _json_value, gap_report
 from .similarity import CHUNK_ROWS, _Scan
 
 _PARAM_EXIT = 2
@@ -41,6 +40,27 @@ _IO_EXIT = 1
 # Most worker threads a run may ask for: a map starts one per tile, and a
 # large N has thousands of tiles.
 _MAX_THREADS = 256
+
+# The names taken from ``losses``, bound on first use (``_load_losses``):
+# ``permute`` without ``--report`` computes no loss, so it imports neither
+# ``losses`` nor the ``json`` it pulls in.
+_LOSS_NAMES = ("_check_tau", "_global_part", "_json_value", "gap_report")
+
+
+def _load_losses() -> None:
+    """Bind the ``_LOSS_NAMES`` here, importing ``losses``; a name already
+    bound, such as a wrapper set on ``cli.gap_report``, is kept."""
+    from . import losses
+
+    for name in _LOSS_NAMES:
+        globals().setdefault(name, getattr(losses, name))
+
+
+def __getattr__(name: str):
+    if name in _LOSS_NAMES:
+        _load_losses()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,6 +310,8 @@ def _check_shared_flags(args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "report", True):  # every command but a bare permute reads the losses
+        _load_losses()
     try:
         _check_shared_flags(args)
         return _COMMANDS[args.command](args)

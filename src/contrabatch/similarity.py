@@ -6,10 +6,21 @@ every product, here and in the loss and baseline scans, is a row tile from
 the last bit with block height, so one tile grid keeps every stage's
 products bit-identical.  The tile height is a function of N alone
 (``_tile_rows``): the tallest power of two, at most ``ROW_CHUNK``, whose
-products fit a per-worker budget of ``_TILE_BYTES``.  So at a high quantile
-the products held at once are at most the budget times the worker threads,
-plus the kept tails and the inputs.  The exception is the full sort of a
-low quantile, which holds a whole chunk of products (``chunk_rows`` x N).
+products fit a per-worker budget of ``_TILE_BYTES``.
+
+Memory budget.  An epoch (``batching._stages``) at a high quantile peaks
+within
+
+    inputs + workers x ``_TILE_BYTES`` + 12 bytes x kept tail entries
+           + c x CSR bytes,
+
+where the CSR is the graph's ``indptr`` and ``indices`` and c = 2.5: the
+graph stage peaks within 2.5x its CSR, the CSR included (1.3-2.2x measured
+with tracemalloc at N = 4096-16384, q = 0.5-0.99), and the ordering holds
+at most 1.5x beyond it (0.01-0.22x measured).  The tails are dropped once
+the graph is built.  The exception is the full sort of a low quantile,
+which holds a whole chunk of products (``chunk_rows`` x N);
+``_MAX_DIRECTED_ENTRIES`` caps the graph an epoch may predict.
 
 Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
 ``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
@@ -38,9 +49,12 @@ tails, a tail over 1/8 of its tile is dropped, ``chunk_median`` can put an
 ``lb`` above the cutoff, off-grid chunks have other spans).  Reusing a tail
 only on an identical span keeps the graph bit for bit that of a rescan.
 The graph works in keys ``row·N + col``: a tile's flat offsets plus
-``start·N``.  The diagonal's keys are the multiples of N + 1, the transposed
-key is ``key % N · N + key // N``, and the sorted distinct keys of both
-directions give the CSR rows and columns.
+``start·N``, which come out ascending.  The diagonal's keys are the
+multiples of N + 1, the transposed key is ``key % N · N + key // N``, and
+the sorted distinct keys of both directions give the CSR rows and columns.
+Both directions go into one array, sorted, deduplicated and turned into
+the columns in place, so the graph holds its tiles' int32 offsets and that
+array, twice the directed count, at most.
 
 Tile walk.  Every multiplied tile is walked once, by ``_Scan.walk``, row
 block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a block
@@ -90,8 +104,8 @@ CHUNK_ROWS = 4096
 # where the sample holds _TAIL_MARGIN times the needed tail share (and at
 # least _MIN_SAMPLE_TAIL sampled entries), and keep a tail only while it is
 # at most _MAX_TAIL_SHARE of the tile; a larger one is dropped and its chunk
-# sorted in place.  Kept pairs cost 16 bytes each, so the cap holds all tails
-# to a quarter of the bytes of the full product.
+# sorted in place.  Kept pairs cost 12 bytes each (``_Tail``), so the cap
+# holds all tails to 3/16 of the bytes of the full product.
 _SAMPLE_SIZE = 1 << 16
 _TAIL_MARGIN = 2.0
 _MIN_SAMPLE_TAIL = 64
@@ -109,6 +123,12 @@ _BLOCK_BYTES = 1 << 20
 # MiB) at N = 8192 and 16384, and 4 MiB was 8-20% slower.
 # With N not a multiple of 8 the height can change products in the last bit.
 _TILE_BYTES = 16 << 20
+
+# Most directed entries an epoch's graph may hold, predicted as (1 - q)·N²
+# before the cutoff (``batching._stages``).  Each entry and its transpose take
+# 16 CSR bytes, so the cap holds the CSR to 1 GiB and the graph stage, at
+# c × the CSR (module docstring), to about 2.5 GiB on any host.
+_MAX_DIRECTED_ENTRIES = 1 << 26
 
 
 def default_chunk_rows(n: int) -> int:
@@ -154,7 +174,11 @@ def interpolated_quantile(values: np.ndarray, q: float) -> float:
 class _Tail:
     """Entries >= ``bound`` of one row tile: flat offsets into the tile, values.
 
-    ``bound`` is inf when the tile kept nothing.
+    ``bound`` is inf when the tile kept nothing.  Offsets are int32, so an
+    entry costs 12 bytes: a tile holds at most ``_TILE_BYTES / 8`` = 2²¹
+    products, or N when ``_tile_rows`` returns 1, and ``io.MAX_ELEMENTS``
+    bounds N·d at 2³¹, so every offset fits.  Values stay float64, because
+    the selection is rank-exact.
     """
 
     bound: float
@@ -303,6 +327,7 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share:
     kth = sample.size - keep
     sample.partition(kth)
     bound = float(sample[kth])
+    del sample  # read: the walk holds only the tail
     limit = _MAX_TAIL_SHARE * flat.size
     count = 0
 
@@ -311,11 +336,12 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share:
         if count <= limit:  # past the limit the tail is dropped: stop collecting
             hits = np.flatnonzero(block >= bound)
             count += hits.size
-            return hits + (rows[0] - span[0]) * pair.n, block.reshape(-1)[hits]
+            offsets = (hits + (rows[0] - span[0]) * pair.n).astype(np.int32)
+            return offsets, block.reshape(-1)[hits]
 
     picked = scan.walk(pair.n, span, z, select)
     if count > limit:
-        return _Tail(math.inf, np.empty(0, dtype=np.int64), np.empty(0))
+        return _Tail(math.inf, np.empty(0, dtype=np.int32), np.empty(0))
     return _Tail(bound, *map(np.concatenate, zip(*picked)))
 
 
@@ -393,7 +419,9 @@ class SparseSimilarityGraph:
     symmetrized; it feeds the retained-fraction diagnostic.
 
     The constructor trusts its inputs; :meth:`validate` checks the
-    structural invariants and is invoked by the ordering routines.
+    structural invariants and is invoked by the ordering routines, except on
+    a graph :func:`build_sparse_graph` made, which is valid by construction:
+    its arrays are read-only.
     """
 
     def __init__(
@@ -409,6 +437,7 @@ class SparseSimilarityGraph:
         self.directed_entry_count = (
             int(self.indices.size) if directed_entry_count is None else int(directed_entry_count)
         )
+        self._sealed = None  # (n, indptr, indices) as built, once sealed
 
     @classmethod
     def from_edges(cls, n: int, edges, directed_entry_count: int | None = None):
@@ -420,17 +449,52 @@ class SparseSimilarityGraph:
         bad = next((p for p in pairs if min(p) < 0 or max(p) >= n), None)
         if bad is not None:
             raise GraphError(f"edge {bad} has an index outside 0..{n - 1}")
-        keys = np.array([i * n + j for i, j in pairs], dtype=np.int64)
-        return cls._from_keys(n, keys, directed_entry_count)
+        keys = np.empty(2 * len(pairs), dtype=np.int64)
+        keys[: len(pairs)] = [i * n + j for i, j in pairs]
+        return cls._from_keys(n, keys, len(pairs), directed_entry_count)
 
     @classmethod
-    def _from_keys(cls, n: int, keys: np.ndarray, directed_entry_count: int | None = None):
-        """Build from the keys ``i·n + j`` of directed pairs (i, j); each pair
-        is also added as (j, i), whose key is ``key % n · n + key // n``."""
-        keys = _sorted_unique(np.concatenate([keys, keys % n * n + keys // n]))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls(n, indptr, keys % n, directed_entry_count)
+    def _from_keys(cls, n: int, keys: np.ndarray, count: int, directed_entry_count: int | None = None):
+        """Build from the keys ``i·n + j`` of directed pairs (i, j) in
+        ``keys[:count]``, an int64 array with room for twice as many; each pair
+        is also added as (j, i), whose key is ``key % n · n + key // n``.
+
+        The caller hands ``keys`` over: it is sorted, compacted to the distinct
+        keys of both directions and shrunk in place, in runs of ``_BLOCK_BYTES``,
+        so it becomes the CSR's columns.  No view of it may be kept.
+        """
+        run = max(1, _BLOCK_BYTES // 8)
+        for a, b in chunk_spans(count, run):
+            rows, cols = np.divmod(keys[a:b], n)
+            cols *= n
+            np.add(cols, rows, out=keys[count + a : count + b])
+        keys[: 2 * count].sort()
+        size, last = 0, None
+        for a, b in chunk_spans(2 * count, run):  # a run is read before any write reaches it
+            new = np.concatenate(([a == 0 or keys[a] != last], keys[a + 1 : b] != keys[a : b - 1]))
+            fresh = keys[a:b][new]
+            last = keys[b - 1]
+            keys[size : size + fresh.size] = fresh
+            size += fresh.size
+        indptr = np.searchsorted(keys[:size], np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(keys[:size], n, out=keys[:size])
+        keys.resize(size, refcheck=False)
+        return cls(n, indptr, keys, directed_entry_count)
+
+    def _seal(self) -> SparseSimilarityGraph:
+        """Vouch for a graph valid by construction: its arrays become read-only,
+        and :meth:`_check` skips :meth:`validate` while it holds these arrays."""
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        self._sealed = (self.n, self.indptr, self.indices)
+        return self
+
+    def _check(self) -> None:
+        """:meth:`validate`, unless the graph is as :meth:`_seal` left it."""
+        sealed = self._sealed
+        if (sealed is None or sealed[0] != self.n or sealed[1] is not self.indptr
+                or sealed[2] is not self.indices or self.indptr.flags.writeable
+                or self.indices.flags.writeable):
+            self.validate()
 
     @property
     def edge_count(self) -> int:
@@ -506,16 +570,24 @@ def build_sparse_graph(
 
     def rescan(span: tuple[int, int], z: np.ndarray) -> np.ndarray:
         return np.concatenate(scan.walk(n, span, z, lambda rows, block: (
-            np.flatnonzero(block > cut) + rows[0] * n)))
+            np.flatnonzero(block > cut) + (rows[0] - span[0]) * n).astype(np.int32)))
 
-    # each tile's keys row·n + col, filtered from its kept tail or rescanned
-    by_span = {span: tail.offsets[tail.values > cut] + span[0] * n
+    # each tile's int32 offsets above the cutoff, filtered from its kept tail or rescanned
+    by_span = {span: tail.offsets[tail.values > cut]
                for span, tail in scan.tails.items() if _on_grid(span, n) and tail.bound <= cut}
     todo = [span for span in tiles if span not in by_span]
     by_span.update(zip(todo, _map_products(pair, todo, rescan, threads)))
-    keys = np.concatenate([by_span[span] for span in tiles])
-    keys = keys[keys % (n + 1) != 0]  # the diagonal's keys are i·(n + 1)
-    return SparseSimilarityGraph._from_keys(n, keys, keys.size)
+    # the keys row·n + col, in row order, with room for the transposed ones
+    keys = np.empty(2 * sum(offsets.size for offsets in by_span.values()), dtype=np.int64)
+    count = 0
+    for span in tiles:
+        offsets = by_span.pop(span)
+        run = keys[count : count + offsets.size]
+        np.add(offsets, np.int64(span[0] * n), out=run)  # int64: span[0]·n can pass 2³¹
+        run = run[run % (n + 1) != 0]  # the diagonal's keys are i·(n + 1)
+        keys[count : count + run.size] = run
+        count += run.size
+    return SparseSimilarityGraph._from_keys(n, keys, count, count)._seal()
 
 
 def expected_retained_fraction(graph: SparseSimilarityGraph) -> float:

@@ -11,10 +11,14 @@ from contrabatch import (
     ParameterError,
     PermutationError,
     SparseSimilarityGraph,
+    bandwidth,
+    build_sparse_graph,
     cuthill_mckee,
+    estimate_quantile_threshold,
     exhaustive_min_bandwidth,
     matrix_bandwidth,
 )
+from conftest import random_pair
 
 
 def brute_bandwidth(n, edges, order):
@@ -133,6 +137,47 @@ class TestOrdering:
         g = SparseSimilarityGraph(3, np.array([0, 1, 1, 1]), np.array([1]))
         with pytest.raises(GraphError):
             cuthill_mckee(g)
+
+    @pytest.mark.parametrize("n, indptr, indices, message", [
+        (3, [0, 1, 1, 1], [1], "not symmetric"),
+        (2, [0, 2, 3], [0, 1, 0], "self-loop"),
+        (3, [0, 2, 3, 4], [2, 1, 0, 0], "not strictly ascending"),
+    ], ids=["asymmetric", "self-loop", "unsorted"])
+    def test_hand_made_graphs_are_validated(self, n, indptr, indices, message):
+        with pytest.raises(GraphError, match=message):
+            cuthill_mckee(SparseSimilarityGraph(n, np.array(indptr), np.array(indices)))
+
+    def test_a_built_graph_is_validated_only_once_changed(self, monkeypatch):
+        pair = random_pair(64, 8, seed=9)
+        built = build_sparse_graph(pair, estimate_quantile_threshold(pair, 0.8, 64))
+        copy = SparseSimilarityGraph(built.n, built.indptr.copy(), built.indices.copy())
+        validated = []
+        validate = SparseSimilarityGraph.validate
+        monkeypatch.setattr(SparseSimilarityGraph, "validate",
+                            lambda graph: validated.append(graph) or validate(graph))
+        np.testing.assert_array_equal(cuthill_mckee(built), cuthill_mckee(copy))
+        assert validated == [copy]
+        with pytest.raises(ValueError, match="read-only"):
+            built.indices[0] = 0
+        assert built.degrees[0] > 0
+        built.indices = built.indices.copy()  # now a self-loop at node 0, on a new array
+        built.indices[0] = 0
+        with pytest.raises(GraphError, match="self-loop"):
+            cuthill_mckee(built)
+        built.indices.flags.writeable = False
+        with pytest.raises(GraphError, match="self-loop"):
+            cuthill_mckee(built)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_level_runs_do_not_change_the_order(self, monkeypatch, seed):
+        g, _ = random_connected_graph(40, seed + 70)
+        isolated = SparseSimilarityGraph(45, np.concatenate([g.indptr, np.full(5, g.indptr[-1])]),
+                                         g.indices)
+        want = [cuthill_mckee(graph, reverse=False) for graph in (g, isolated)]
+        monkeypatch.setattr(bandwidth, "_GATHER_SLOTS", 1)  # one vertex per run
+        got = [cuthill_mckee(graph, reverse=False) for graph in (g, isolated)]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestMatrixBandwidth:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from contrabatch import (
+    CapacityError,
     EmbeddingPair,
     bandwidth_pipeline,
     gap_report,
@@ -203,8 +204,10 @@ class TestPermute:
         assert child.stderr.count("\n") == 1
 
     def test_out_of_memory_prints_one_error_line(self, tmp_path):
-        # q = 0.5 sorts a whole 4096 x 40000 chunk, 1.2 GiB, past the child's 1 GiB address
-        # space; the cap holds in the child only, so the host never runs short
+        # q = 0.5 at N = 40000 predicts 8e8 directed entries, 12x the edge cap: the epoch is
+        # refused before its first product, where it once sorted a 1.2 GiB chunk past the
+        # child's 1 GiB address space; the cap holds in the child only, so the host never
+        # runs short
         rng = np.random.default_rng(7)
         x, y = write_pair(tmp_path, EmbeddingPair(rng.standard_normal((40000, 8)),
                                                   rng.standard_normal((40000, 8))))
@@ -221,10 +224,36 @@ class TestPermute:
         )
         assert child.returncode == 2
         assert child.stdout == ""
-        assert child.stderr.startswith("error: out of memory")
+        assert child.stderr.startswith("error: a graph of N = 40000 rows at quantile 0.5 ")
+        assert f"above the cap of {similarity._MAX_DIRECTED_ENTRIES} " in child.stderr
         assert child.stderr.count("\n") == 1
         assert "Traceback" not in child.stderr
         assert sorted(path.name for path in tmp_path.iterdir()) == ["x.emb1", "y.emb1"]
+
+    def test_memory_error_prints_one_error_line(self, tmp_path, capsys, monkeypatch):
+        x, y = write_pair(tmp_path, random_pair(64, 8, seed=3))
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(batching, "build_sparse_graph", exhausted)
+        rc = main(["permute", "--x", x, "--y", y, "--batch-size", "8", "--out-perm",
+                   str(tmp_path / "perm")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: out of memory: Unable to allocate 1.00 TiB\n")
+        assert not (tmp_path / "perm").exists()
+
+    @pytest.mark.parametrize("n, q", [(4096, 0.5), (16384, 0.9), (65536, 0.999)])
+    def test_edge_cap_admits_the_measured_epochs(self, n, q):
+        batching._check_graph_fits(n, q)
+
+    def test_edge_cap_refuses_before_the_first_product(self, monkeypatch):
+        calls = count_products(monkeypatch)
+        pair = random_pair(12000, 2, seed=4)  # q = 0.5 predicts 7.2e7 directed entries
+        with pytest.raises(CapacityError, match=r"N = 12000 rows at quantile 0\.5 .* 67108864"):
+            bandwidth_pipeline(pair, 0.5, 64)
+        assert calls == []
 
     def test_degenerate_row_exits_one(self, tmp_path, capsys):
         m = np.ones((4, 3))
@@ -434,15 +463,21 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     assert child.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["permute", "--report", "--out-perm", "perm.txt", "--out-batches", "batches.txt"],
-    ["compare", "--seeds", "2"],
-    ["analyze", "--strategy", "hardneg1"],  # oversampled batches: distinct candidates per batch
-], ids=["permute", "compare", "analyze-hardneg1"])
-def test_epoch_commands_leave_numpy_ma_and_the_oracle_unloaded(tmp_path, argv):
+# ... and, without a report, the loss code and the json module it imports
+REPORT_MODULES = ("contrabatch.losses", "json")
+
+
+@pytest.mark.parametrize("argv, unneeded", [
+    (["permute", "--report", "--out-perm", "perm.txt", "--out-batches", "batches.txt"], ()),
+    (["permute", "--out-perm", "perm.txt", "--out-batches", "batches.txt"], REPORT_MODULES),
+    (["compare", "--seeds", "2"], ()),
+    (["analyze", "--strategy", "hardneg1"], ()),  # oversampled batches: distinct candidates
+], ids=["permute", "permute-no-report", "compare", "analyze-hardneg1"])
+def test_epoch_commands_leave_numpy_ma_and_the_oracle_unloaded(tmp_path, argv, unneeded):
     x, y = write_pair(tmp_path, random_pair(64, 8, seed=5))
+    modules = UNNEEDED_MODULES[2:] + unneeded
     code = ("import sys; from contrabatch.cli import main; code = main(sys.argv[1:]); "
-            f"print([m for m in {UNNEEDED_MODULES[2:]!r} if m in sys.modules], file=sys.stderr); "
+            f"print([m for m in {modules!r} if m in sys.modules], file=sys.stderr); "
             "sys.exit(code)")
     child = subprocess.run(
         [sys.executable, "-c", code, *argv, "--x", x, "--y", y, "--batch-size", "8",

@@ -58,6 +58,8 @@ def test_graph_equals_the_plain_definition(monkeypatch, kind, chunk, q):
     for graph in (build_sparse_graph(pair, threshold, _scan=scan),
                   build_sparse_graph(pair, threshold)):
         assert (graph.indptr.tolist(), graph.indices.tolist(), graph.directed_entry_count) == want
+        graph.validate()  # the ordering skips this on a built graph: it must hold
+        assert not (graph.indptr.flags.writeable or graph.indices.flags.writeable)
 
 
 @pytest.mark.parametrize("kind, chunk", [("gaussian", "off-grid"), ("duplicates", "whole")])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrabatch import batching, losses, similarity
+from contrabatch import bandwidth, batching, losses, similarity
 from contrabatch import (
     DataError,
     EmbeddingPair,
@@ -175,6 +175,32 @@ class TestGraphConstruction:
         g = SparseSimilarityGraph(2, np.array([0, 1, 1]), np.array([0]))
         with pytest.raises(GraphError):
             g.validate()
+
+    def test_tail_keys_past_two_to_the_31_are_exact(self, monkeypatch):
+        # n > 46341 makes n² pass 2³¹: keys built from a tile's int32 offsets
+        # need int64 once span[0]·n does
+        n = 50000
+        x = np.linspace(-1.0, 1.0, n).reshape(n, 1)
+        pair = EmbeddingPair(x, x.copy())
+        cut = 0.5
+        grid = similarity._tiles((0, n), n)
+        start, stop = grid[1400]
+        assert start * n > 2**31
+        empty = similarity._Tail(cut, np.empty(0, dtype=np.int32), np.empty(0))
+        scan = similarity._Scan()
+        scan.tails = dict.fromkeys(grid, empty)
+        entries = {  # (row, col) -> value; the diagonal and values at the cutoff are dropped
+            (start, 0): 0.9, (start, n - 1): 0.6, (start + 1, start + 1): 0.9,
+            (start + 3, 17): 0.5, (stop - 1, 49998): 0.7, (stop - 1, start): 0.8,
+        }
+        offsets = np.array([(i - start) * n + j for i, j in entries], dtype=np.int32)
+        scan.tails[(start, stop)] = similarity._Tail(cut, offsets, np.array(list(entries.values())))
+        calls = count_products(monkeypatch)
+        graph = build_sparse_graph(pair, SimilarityThreshold(0.999, cut, n, "exact"), _scan=scan)
+        assert calls == []
+        kept = [(i, j) for (i, j), value in entries.items() if value > cut and i != j]
+        assert graph == SparseSimilarityGraph.from_edges(n, kept)
+        assert graph.directed_entry_count == len(kept) == 4
 
     @pytest.mark.parametrize("edge", [(0, 5), (-1, 2)])
     def test_from_edges_rejects_an_index_outside_the_nodes(self, edge):
@@ -537,6 +563,26 @@ class TestTileBudget:
         assert calls == []
 
 
+# The memory budget's c (similarity.py): the graph stage peaks within this
+# multiple of its CSR's bytes, the CSR included, and the ordering's own
+# temporaries within the second.
+GRAPH_CSR_MULTIPLE = 2.5
+ORDERING_CSR_MULTIPLE = 1.5
+
+
+def csr_bytes(graph: SparseSimilarityGraph) -> int:
+    return graph.indptr.nbytes + graph.indices.nbytes
+
+
+def traced_peak(fn) -> tuple:
+    """``fn()`` and the most bytes it held at once beyond what was traced before
+    it; tracemalloc must be running."""
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = fn()
+    return out, tracemalloc.get_traced_memory()[1] - start
+
+
 class TestMemory:
     """Peak traced allocation at d = 64."""
 
@@ -575,6 +621,45 @@ class TestMemory:
         monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", 1)
         pair = random_pair(2048, 64, seed=52)
         assert self.peak(lambda: estimate_quantile_threshold(pair, 0.999, 2048)) < 1.25 * self.TILE_BYTES
+
+    def test_ordering_holds_no_tail_and_a_fraction_of_the_csr(self, monkeypatch):
+        pair = random_pair(8192, 64, seed=60)
+        scan = similarity._Scan()
+        seen = {}
+        ordering = bandwidth.cuthill_mckee
+
+        def traced(graph, reverse=True):
+            seen["tails"] = dict(scan.tails)
+            order, seen["peak"] = traced_peak(lambda: ordering(graph, reverse))
+            return order
+
+        monkeypatch.setattr(batching, "cuthill_mckee", traced)
+        stages = batching._stages(pair, 0.99, threads=1, _scan=scan)
+        tracemalloc.start()
+        try:
+            next(stages)
+            assert scan.tails  # the cutoff kept tails for the graph to read
+            graph = next(stages)
+            next(stages)
+        finally:
+            tracemalloc.stop()
+        assert seen["tails"] == {}
+        assert seen["peak"] <= ORDERING_CSR_MULTIPLE * csr_bytes(graph)
+
+    def test_graph_and_ordering_within_their_csr_multiples_at_q_one_half(self):
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((4096, 64))
+        pair = EmbeddingPair(x, x + 0.5 * rng.standard_normal(x.shape)).normalized()
+        threshold = estimate_quantile_threshold(pair, 0.5, 4096)
+        tracemalloc.start()
+        try:
+            graph, graph_peak = traced_peak(lambda: build_sparse_graph(pair, threshold))
+            _, ordering_peak = traced_peak(lambda: bandwidth.cuthill_mckee(graph))
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count > 4_000_000
+        assert graph_peak <= GRAPH_CSR_MULTIPLE * csr_bytes(graph)
+        assert ordering_peak <= ORDERING_CSR_MULTIPLE * csr_bytes(graph)
 
     def test_low_quantile_sort_holds_no_more_than_product_and_copy(self):
         pair = random_pair(2048, 64, seed=52)
