@@ -3,7 +3,8 @@ batches, report loss gaps, compare strategies, and benchmark the pipeline.
 
 Reports go to stdout, diagnostics to stderr; files are written only when
 output paths are given.  Exit codes: 0 success, 1 I/O or format problems,
-2 parameter validation or running out of memory.  Every command is
+2 parameter validation, an epoch whose graph would pass the edge cap, or
+running out of memory.  Every command is
 deterministic for fixed inputs, flags, and seed (bench timings excepted:
 the measured seconds vary, the row structure does not).
 """
