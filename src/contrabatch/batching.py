@@ -160,7 +160,8 @@ def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
     """The pipeline's one composition: yield the cutoff, the graph, then the order.
 
     ``chunk_rows`` defaults to ``default_chunk_rows``.  Raises CapacityError
-    first when the graph would pass the edge cap.  The graph filters the
+    first when the graph is predicted to pass the edge cap, and the graph
+    raises it when the entries it counts do.  The graph filters the
     tails the cutoff kept in ``_scan``, or in a fresh scan, and the tails
     are dropped once it is built: no later stage reads them.  Warns, naming
     the caller of :func:`bandwidth_pipeline`, when no inner product beats

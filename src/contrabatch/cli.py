@@ -127,15 +127,40 @@ def _load_normalized(args) -> EmbeddingPair:
     return load_pair(args.x, args.y).normalized()
 
 
-def _global_terms(args, wanted: bool = True) -> list:
-    """The report's global-loss part at ``--tau`` if ``wanted``, kept from each
-    tile's first walk by any stage; it scales the block in place, so it is last."""
-    return [(_global_part, (args.tau,))] if wanted else []
-
-
-def _pipeline(pair: EmbeddingPair, args, scan: _Scan):
-    return bandwidth_pipeline(pair, args.quantile, args.batch_size, chunk_rows=args.chunk_rows,
-                              reverse=args.reverse_cm, threads=args.threads, _scan=scan)
+def _epoch(args, strategies, report: bool = True):
+    """The epoch of ``permute``, ``analyze`` and ``compare``: load and normalize
+    the pair, assign each ``(strategy, seed)`` in turn (``gcbs`` runs the
+    pipeline, ``file`` cuts ``--perm``) and, if ``report``, report on each, all
+    from one scan.  Returns the pipeline's order or None, the assignments and
+    the reports."""
+    pair, k = _load_normalized(args), args.batch_size
+    parts = []
+    # the mined baseline's argmax reads the raw products, so it goes first; the report's
+    # global terms scale each block in place, so they go last
+    if any(strategy == "hardneg1" for strategy, _ in strategies):
+        _check_mined_batch_size(pair.n, k)  # an odd k fails before the pipeline's work
+        parts.append((_nearest_part, ()))
+    if report:
+        parts.append((_global_part, (args.tau,)))
+    scan = _Scan(*parts)
+    order, assignments = None, []
+    for strategy, seed in strategies:
+        if strategy == "gcbs":
+            order, assignment = bandwidth_pipeline(
+                pair, args.quantile, k, chunk_rows=args.chunk_rows, reverse=args.reverse_cm,
+                threads=args.threads, _scan=scan)
+        elif strategy == "hardneg1":
+            assignment = hard_negative_batches(pair, k, seed=seed, threads=args.threads, _scan=scan)
+        elif strategy == "random":
+            assignment = random_batches(pair.n, k, seed)
+        else:
+            assignment = sequential_batches(load_permutation(args.perm), k)
+        assignments.append(assignment)
+    reports = [gap_report(pair, assignment, args.tau, strategy=strategy,
+                          quantile=args.quantile if strategy == "gcbs" else None,
+                          threads=args.threads, _scan=scan)
+               for assignment, (strategy, _) in zip(assignments, strategies)] if report else []
+    return order, assignments, reports
 
 
 def _write_all(writes) -> None:
@@ -169,39 +194,24 @@ def cmd_permute(args) -> int:
     targets = [(os.path.realpath(Path(path).parent), Path(path).name) for path in paths]
     if len(set(targets)) < len(targets):
         raise ParameterError(f"--out-perm and --out-batches name the same file: {args.out_perm}")
-    pair = _load_normalized(args)
-    scan = _Scan(*_global_terms(args, args.report))
-    order, assignment = _pipeline(pair, args, scan)
-    report = None
-    if args.report:  # encoded before any file is written, so a failing report writes none
-        report = gap_report(pair, assignment, args.tau, strategy="gcbs",
-                            quantile=args.quantile, threads=args.threads, _scan=scan).to_json()
+    order, (assignment,), reports = _epoch(args, [("gcbs", None)], args.report)
+    # encoded before any file is written, so a failing report writes none
+    reports = [report.to_json() for report in reports]
     writes = []
     if args.out_perm:
         writes.append((args.out_perm, lambda path: save_permutation(order, path)))
     if args.out_batches:
         writes.append((args.out_batches, lambda path: Path(path).write_text(format_batches(assignment))))
     _write_all(writes)
-    if report is not None:
+    for report in reports:
         print(report)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    pair = _load_normalized(args)
-    scan = _Scan(*_global_terms(args))
-    k, strategy, quantile = args.batch_size, args.strategy, None
-    if args.perm:
-        assignment, strategy = sequential_batches(load_permutation(args.perm), k), "file"
-    elif strategy == "gcbs":
-        assignment, quantile = _pipeline(pair, args, scan)[1], args.quantile
-    elif strategy == "random":
-        assignment = random_batches(pair.n, k, args.seed)
-    else:  # the argmax reads the raw products, so it is listed ahead of the global terms
-        scan = _Scan((_nearest_part, ()), *_global_terms(args))
-        assignment = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads, _scan=scan)
-    print(gap_report(pair, assignment, args.tau, strategy=strategy,
-                     quantile=quantile, threads=args.threads, _scan=scan).to_json())
+    strategy = "file" if args.perm else args.strategy
+    *_, (report,) = _epoch(args, [(strategy, args.seed)])
+    print(report.to_json())
     return 0
 
 
@@ -209,20 +219,9 @@ def cmd_compare(args) -> int:
     """Emit [pipeline, mined-negative, random...] reports plus random-seed stats."""
     if args.seeds < 1:
         raise ParameterError(f"need at least one random seed, got {args.seeds}")
-    pair = _load_normalized(args)
-    # the cutoff's tile scan also reads the mined baseline's argmax, from the raw products
-    scan = _Scan((_nearest_part, ()), *_global_terms(args))
-    k = args.batch_size
-    _check_mined_batch_size(pair.n, k)  # an odd k fails before the pipeline's work
-    _, pipeline = _pipeline(pair, args, scan)
-    mined = hard_negative_batches(pair, k, seed=args.seed, threads=args.threads, _scan=scan)
-    runs = [(pipeline, "gcbs", args.quantile), (mined, "hardneg1", None)]
-    runs += [(random_batches(pair.n, k, seed), "random", None)
-             for seed in range(args.seed, args.seed + args.seeds)]
-    # each report reads the global terms the scan kept from the cutoff's tiles
-    reports = [gap_report(pair, assignment, args.tau, strategy=strategy, quantile=quantile,
-                          threads=args.threads, _scan=scan)
-               for assignment, strategy, quantile in runs]
+    seeds = range(args.seed, args.seed + args.seeds)
+    *_, reports = _epoch(args, [("gcbs", None), ("hardneg1", args.seed),
+                                *(("random", seed) for seed in seeds)])
     summary = {}
     for field in ("train_loss", "gap"):
         values = np.array([getattr(r, field) for r in reports if r.strategy == "random"])

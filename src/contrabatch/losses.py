@@ -72,13 +72,13 @@ def _logsumexp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m + np.log(z.sum(axis=-1)), m
 
 
-@dataclass(frozen=True)
 class _GlobalStats:
     """Per-sample logit summaries over the full candidate set."""
 
-    lse: np.ndarray
-    row_max: np.ndarray
-    positive: np.ndarray
+    __slots__ = ("lse", "row_max", "positive")
+
+    def __init__(self, lse: np.ndarray, row_max: np.ndarray, positive: np.ndarray):
+        self.lse, self.row_max, self.positive = lse, row_max, positive
 
 
 def _joined(parts) -> tuple[np.ndarray, ...]:
@@ -106,25 +106,23 @@ def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1,
     return _GlobalStats(*_joined((_scan or _Scan()).read(pair, (_global_part, (tau,)), threads)))
 
 
-@dataclass(frozen=True)
 class _SlotStats:
     """Per-slot logit summaries over each slot's in-batch candidate set.
 
     For partition assignments slots coincide with samples.  Oversampled
     assignments contribute one slot per recorded batch entry; their
     candidate sets are de-duplicated so no inner product is double-counted
-    inside one batch.
+    inside one batch.  ``sample`` is the original row index of each slot.
     """
 
-    sample: np.ndarray  # original row index of each slot
-    lse: np.ndarray
-    positive: np.ndarray
-    cand_min: np.ndarray
-    cand_max: np.ndarray
-    cand_count: np.ndarray
+    __slots__ = ("sample", "lse", "positive", "cand_min", "cand_max", "cand_count")
+
+    def __init__(self, sample: np.ndarray, lse: np.ndarray, positive: np.ndarray,
+                 cand_min: np.ndarray, cand_max: np.ndarray, cand_count: np.ndarray):
+        self.sample, self.lse, self.positive = sample, lse, positive
+        self.cand_min, self.cand_max, self.cand_count = cand_min, cand_max, cand_count
 
 
-@dataclass(eq=False)
 class _Run:
     """Batches of one shape, stacked in batch order, and their products.
 
@@ -134,13 +132,15 @@ class _Run:
     before Python 3.12 its lock spans all runs and queues the workers.)
     """
 
-    pair: EmbeddingPair
-    positions: np.ndarray  # (g,) the batches' ordinals in the assignment
-    batches: np.ndarray  # (g, m) their rows
-    candidates: np.ndarray  # (g, c)
-    slot_index: np.ndarray  # (g, m) each row's slot, counted over the epoch
-    _slots: np.ndarray | None = None
-    _cross: np.ndarray | None = None
+    def __init__(self, pair: EmbeddingPair, positions: np.ndarray, batches: np.ndarray,
+                 candidates: np.ndarray, slot_index: np.ndarray):
+        self.pair = pair
+        self.positions = positions  # (g,) the batches' ordinals in the assignment
+        self.batches = batches  # (g, m) their rows
+        self.candidates = candidates  # (g, c)
+        self.slot_index = slot_index  # (g, m) each row's slot, counted over the epoch
+        self._slots: np.ndarray | None = None
+        self._cross: np.ndarray | None = None
 
     def slots(self) -> np.ndarray:
         """(g, m, c): <x_i, y_j> for each slot i over its batch's candidates j."""

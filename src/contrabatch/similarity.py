@@ -19,8 +19,15 @@ graph stage peaks within 2.5x its CSR, the CSR included (1.3-2.2x measured
 with tracemalloc at N = 4096-16384, q = 0.5-0.99), and the ordering holds
 at most 1.5x beyond it (0.01-0.22x measured).  The tails are dropped once
 the graph is built.  The exception is the full sort of a low quantile,
-which holds a whole chunk of products (``chunk_rows`` x N);
-``_MAX_DIRECTED_ENTRIES`` caps the graph an epoch may predict.
+which holds a whole chunk of products (``chunk_rows`` x N).
+
+Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice.  Before the
+cutoff, ``batching._stages`` predicts (1 - q)·N² directed entries and
+refuses an epoch above the cap.  A median of per-chunk quantiles can sit
+below the global quantile, so ``build_sparse_graph`` also counts the
+entries above the cutoff as it takes them, the kept tails first and then
+each rescanned tile, and keeps no more once the count passes the cap; it
+then raises CapacityError, before any key is built.
 
 Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
 ``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
@@ -88,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import chunk_spans, ordered_map
-from .errors import DataError, GraphError, ParameterError
+from .errors import CapacityError, DataError, GraphError, ParameterError
 from .io import EmbeddingPair
 
 # Tallest row tile multiplied against all of Y.  BLAS results can change in
@@ -124,10 +131,11 @@ _BLOCK_BYTES = 1 << 20
 # With N not a multiple of 8 the height can change products in the last bit.
 _TILE_BYTES = 16 << 20
 
-# Most directed entries an epoch's graph may hold, predicted as (1 - q)·N²
-# before the cutoff (``batching._stages``).  Each entry and its transpose take
-# 16 CSR bytes, so the cap holds the CSR to 1 GiB and the graph stage, at
-# c × the CSR (module docstring), to about 2.5 GiB on any host.
+# Most directed entries an epoch's graph may hold: predicted as (1 - q)·N²
+# before the cutoff (``batching._stages``), and counted, the diagonal's
+# included, while the graph is built.  Each entry and its transpose take 16
+# CSR bytes, so the cap holds the CSR to 1 GiB and the graph stage, at c ×
+# the CSR (module docstring), to about 2.5 GiB on any host.
 _MAX_DIRECTED_ENTRIES = 1 << 26
 
 
@@ -170,7 +178,6 @@ def interpolated_quantile(values: np.ndarray, q: float) -> float:
     return _read_quantile(flat, flat.size, q)
 
 
-@dataclass(frozen=True, eq=False)
 class _Tail:
     """Entries >= ``bound`` of one row tile: flat offsets into the tile, values.
 
@@ -181,9 +188,10 @@ class _Tail:
     the selection is rank-exact.
     """
 
-    bound: float
-    offsets: np.ndarray
-    values: np.ndarray
+    __slots__ = ("bound", "offsets", "values")
+
+    def __init__(self, bound: float, offsets: np.ndarray, values: np.ndarray):
+        self.bound, self.offsets, self.values = bound, offsets, values
 
 
 @dataclass(frozen=True)
@@ -559,7 +567,8 @@ def build_sparse_graph(
     ordering, which needs symmetric adjacency.  A tile whose tail the
     epoch's ``_scan`` kept (same span, bound at or below the cutoff) is
     filtered instead of multiplied, with the same result; every other tile
-    is multiplied and walked by the scan.
+    is multiplied and walked by the scan.  Raises CapacityError when more
+    than ``_MAX_DIRECTED_ENTRIES`` products beat the cutoff.
     """
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
@@ -567,27 +576,44 @@ def build_sparse_graph(
     cut = threshold.value
     scan = _scan or _Scan()
     tiles = _tiles((0, n), n)
+    taken, lock = 0, threading.Lock()
 
-    def rescan(span: tuple[int, int], z: np.ndarray) -> np.ndarray:
-        return np.concatenate(scan.walk(n, span, z, lambda rows, block: (
-            np.flatnonzero(block > cut) + (rows[0] - span[0]) * n).astype(np.int32)))
+    def take(offsets: np.ndarray) -> np.ndarray | None:
+        """Count a tile's ``offsets``; None once the count passes the cap."""
+        nonlocal taken
+        with lock:
+            taken += offsets.size
+            return offsets if taken <= _MAX_DIRECTED_ENTRIES else None
+
+    def rescan(span: tuple[int, int], z: np.ndarray) -> np.ndarray | None:
+        return take(np.concatenate(scan.walk(n, span, z, lambda rows, block: (
+            np.flatnonzero(block > cut) + (rows[0] - span[0]) * n).astype(np.int32))))
 
     # each tile's int32 offsets above the cutoff, filtered from its kept tail or rescanned
-    by_span = {span: tail.offsets[tail.values > cut]
+    by_span = {span: take(tail.offsets[tail.values > cut])
                for span, tail in scan.tails.items() if _on_grid(span, n) and tail.bound <= cut}
     todo = [span for span in tiles if span not in by_span]
     by_span.update(zip(todo, _map_products(pair, todo, rescan, threads)))
-    # the keys row·n + col, in row order, with room for the transposed ones
-    keys = np.empty(2 * sum(offsets.size for offsets in by_span.values()), dtype=np.int64)
+    if taken > _MAX_DIRECTED_ENTRIES:
+        raise CapacityError(
+            f"{taken} products of N = {n} rows exceed the cutoff at quantile "
+            f"{threshold.quantile_q}, above the cap of {_MAX_DIRECTED_ENTRIES} directed entries; "
+            "raise the quantile or the chunk rows, or use fewer rows")
+    # the keys row·n + col, in row order, with room for the transposed ones: one call a
+    # tile, in int64, as span[0]·n can pass 2³¹
+    keys = np.empty(2 * taken, dtype=np.int64)
     count = 0
     for span in tiles:
         offsets = by_span.pop(span)
-        run = keys[count : count + offsets.size]
-        np.add(offsets, np.int64(span[0] * n), out=run)  # int64: span[0]·n can pass 2³¹
+        np.add(offsets, np.int64(span[0] * n), out=keys[count : count + offsets.size])
+        count += offsets.size
+    size = 0
+    for a, b in chunk_spans(count, max(1, _BLOCK_BYTES // 8)):  # a run is read before it is written
+        run = keys[a:b]
         run = run[run % (n + 1) != 0]  # the diagonal's keys are i·(n + 1)
-        keys[count : count + run.size] = run
-        count += run.size
-    return SparseSimilarityGraph._from_keys(n, keys, count, count)._seal()
+        keys[size : size + run.size] = run
+        size += run.size
+    return SparseSimilarityGraph._from_keys(n, keys, size, size)._seal()
 
 
 def expected_retained_fraction(graph: SparseSimilarityGraph) -> float:

@@ -50,6 +50,21 @@ def two_cluster_pair() -> EmbeddingPair:
     return EmbeddingPair(m, m.copy())
 
 
+def half_clustered_pair() -> EmbeddingPair:
+    """512 Gaussian rows of width 8, not normalized, except that rows 0-255 form
+    one tight cluster on both sides: x = e₁ + 0.01·noise, y = x + 0.01·noise.
+
+    At q = 0.99 a median of 128-row chunk quantiles falls below the cluster's
+    products: about 65,000 directed entries pass it, against the 2,621 that
+    (1 - q)·N² predicts, and about 2,500 pass the exact quantile.
+    """
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((512, 8)), rng.standard_normal((512, 8))
+    x[:256] = np.eye(8)[0] + 0.01 * rng.standard_normal((256, 8))
+    y[:256] = x[:256] + 0.01 * rng.standard_normal((256, 8))
+    return EmbeddingPair(x, y)
+
+
 def count_products(monkeypatch, outs: list | None = None) -> list:
     """Record the span of every X·Yᵀ tile multiplied from now on and, given
     ``outs``, the ``out`` array each product was written to (None: fresh)."""

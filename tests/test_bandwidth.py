@@ -19,6 +19,7 @@ from contrabatch import (
     matrix_bandwidth,
 )
 from conftest import random_pair
+from test_graph_reference import PAIRS, cutoff_and_scan
 
 
 def brute_bandwidth(n, edges, order):
@@ -40,6 +41,77 @@ def random_connected_graph(n, seed):
     extra = rng.integers(0, n, size=(rng.integers(0, n + 1), 2))
     edges |= {tuple(sorted((int(a), int(b)))) for a, b in extra if a != b}
     return SparseSimilarityGraph.from_edges(n, sorted(edges)), sorted(edges)
+
+
+def reference_cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool) -> list[int]:
+    """Cuthill-McKee in plain Python: the isolated vertices first, then from
+    each lowest (degree, index) unvisited root one BFS level at a time, each
+    level's new vertices sorted by (degree, index)."""
+    neighbours = [graph.neighbors(v).tolist() for v in range(graph.n)]
+
+    def rank(v: int) -> tuple[int, int]:
+        return len(neighbours[v]), v
+
+    order = [v for v in range(graph.n) if not neighbours[v]]
+    seen = set(order)
+    for root in sorted(range(graph.n), key=rank):
+        if root in seen:
+            continue
+        level = [root]
+        while level:
+            seen.update(level)
+            order += level
+            level = sorted({w for v in level for w in neighbours[v]} - seen, key=rank)
+    return order[::-1] if reverse else order
+
+
+def small_components_graph(seed: int) -> SparseSimilarityGraph:
+    """A seeded random graph of up to 80 vertices with isolated vertices and
+    many small components: either a sparse G(n, m), or relabeled groups of
+    one to six vertices, each a random tree with a few chords."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 81))
+    edges = set()
+    if seed % 2:
+        for a, b in rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2)):
+            edges.add((min(a, b), max(a, b)))
+    else:
+        labels, start = rng.permutation(n), 0
+        while start < n:
+            group = labels[start : start + int(rng.integers(1, 7))].tolist()
+            start += len(group)
+            edges |= {(group[int(rng.integers(0, i))], v) for i, v in enumerate(group) if i}
+            for _ in range(int(rng.integers(0, 3))):
+                a, b = rng.choice(group, size=2)
+                edges.add((a, b))
+    return SparseSimilarityGraph.from_edges(n, [(a, b) for a, b in edges if a != b])
+
+
+class TestReferenceOrdering:
+    """``cuthill_mckee`` equals its plain definition exactly: the gate for a
+    rewrite of the ordering."""
+
+    def test_random_graphs_with_small_components(self):
+        shapes = []
+        for seed in range(400):
+            graph = small_components_graph(seed)
+            for reverse in (False, True):
+                assert cuthill_mckee(graph, reverse=reverse).tolist() == reference_cuthill_mckee(
+                    graph, reverse), (seed, reverse)
+            degrees = graph.degrees
+            shapes.append((int((degrees == 0).sum()), int((degrees == 1).sum())))
+        # the shapes the per-component work meets: isolated vertices and degree-1 ends
+        assert sum(isolated > 0 and ends > 2 for isolated, ends in shapes) > 200
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("chunk", ["whole", "on-grid", "off-grid"])
+    @pytest.mark.parametrize("kind", PAIRS)
+    def test_built_graphs(self, monkeypatch, kind, chunk, q):
+        pair, threshold, scan = cutoff_and_scan(monkeypatch, kind, chunk, q)
+        graph = build_sparse_graph(pair, threshold, _scan=scan)
+        for reverse in (False, True):
+            assert cuthill_mckee(graph, reverse=reverse).tolist() == reference_cuthill_mckee(
+                graph, reverse)
 
 
 class TestOrdering:

@@ -27,6 +27,7 @@ from contrabatch.cli import main
 from conftest import (
     clustered_pair,
     count_products,
+    half_clustered_pair,
     orthogonal_ties,
     random_pair,
     src_env,
@@ -254,6 +255,36 @@ class TestPermute:
         with pytest.raises(CapacityError, match=r"N = 12000 rows at quantile 0\.5 .* 67108864"):
             bandwidth_pipeline(pair, 0.5, 64)
         assert calls == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_edge_cap_holds_on_the_entries_the_graph_finds(self, tmp_path, threads):
+        # (1 - q)·N² predicts 2,621 entries, far below the cap; a median of 128-row chunk
+        # quantiles lets about 65,000 pass, and the graph counts them before it holds them
+        x, y = write_pair(tmp_path, half_clustered_pair())
+        code = ("from contrabatch import similarity; similarity._MAX_DIRECTED_ENTRIES = 10000; "
+                "from contrabatch.cli import entrypoint; entrypoint()")
+
+        def permute(chunk_rows: str, out: str):
+            return subprocess.run(
+                [sys.executable, "-c", code, "permute", "--x", x, "--y", y, "--batch-size", "64",
+                 "--quantile", "0.99", "--chunk-rows", chunk_rows, "--threads", threads,
+                 "--out-perm", out],
+                capture_output=True, text=True, env=src_env(OPENBLAS_NUM_THREADS="1"),
+                cwd=tmp_path, timeout=120,
+            )
+
+        child = permute("128", "P")
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: ")
+        assert " products of N = 512 rows exceed the cutoff at quantile 0.99, " in child.stderr
+        assert "above the cap of 10000 " in child.stderr
+        assert child.stderr.count("\n") == 1
+        assert "Traceback" not in child.stderr
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.emb1", "y.emb1"]
+        exact = permute("512", "P")  # the exact cutoff: about 2,500 entries
+        assert (exact.returncode, exact.stderr) == (0, "")
+        assert (tmp_path / "P").exists()
 
     def test_degenerate_row_exits_one(self, tmp_path, capsys):
         m = np.ones((4, 3))

@@ -126,7 +126,7 @@ def test_stacked_scans_equal_the_per_batch_reference(monkeypatch, case, tau, thr
     assignment = assign(pair)
     got = losses._slot_stats(pair, assignment, tau, threads)
     want = reference_slot_stats(pair, assignment, tau)
-    for name in _SlotStats.__dataclass_fields__:
+    for name in _SlotStats.__slots__:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name, strict=True)

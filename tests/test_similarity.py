@@ -1,6 +1,7 @@
 """Quantile cutoff estimation and sparse graph construction."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from contrabatch import bandwidth, batching, losses, similarity
 from contrabatch import (
+    CapacityError,
     DataError,
     EmbeddingPair,
     GraphError,
@@ -25,7 +27,13 @@ from contrabatch import (
     save_embeddings,
 )
 from contrabatch.cli import main
-from conftest import clustered_pair, count_products, orthogonal_ties, random_pair
+from conftest import (
+    clustered_pair,
+    count_products,
+    half_clustered_pair,
+    orthogonal_ties,
+    random_pair,
+)
 
 
 def sort_oracle_quantile(matrix: np.ndarray, q: float) -> float:
@@ -201,6 +209,47 @@ class TestGraphConstruction:
         kept = [(i, j) for (i, j), value in entries.items() if value > cut and i != j]
         assert graph == SparseSimilarityGraph.from_edges(n, kept)
         assert graph.directed_entry_count == len(kept) == 4
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["tails", "rescan"])
+    def test_edge_cap_counts_the_entries_above_a_chunk_median(self, monkeypatch, reuse):
+        # the median of 128-row chunk quantiles lets about 25x the predicted entries pass;
+        # the graph counts them, from kept tails and rescanned tiles, before any key is built
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        pair = half_clustered_pair().normalized()
+        scan = similarity._Scan()
+        threshold = estimate_quantile_threshold(pair, 0.99, 128, _scan=scan)
+        assert threshold.estimator == "chunk_median"
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "_MAX_DIRECTED_ENTRIES", 10000)
+            built = []
+            patch.setattr(SparseSimilarityGraph, "_from_keys", lambda *args: built.append(args))
+            calls = count_products(patch)
+            with pytest.raises(CapacityError, match=r"^\d+ products of N = 512 rows exceed the "
+                                                    r"cutoff at quantile 0\.99, above the cap "
+                                                    r"of 10000 directed entries;"):
+                build_sparse_graph(pair, threshold, _scan=scan if reuse else None)
+            assert built == []
+            assert len(calls) == (2 if reuse else 4)  # the cluster's two tails lie above the cutoff
+        exact = build_sparse_graph(pair, estimate_quantile_threshold(pair, 0.99, 512))
+        assert exact.directed_entry_count < 10000 < build_sparse_graph(
+            pair, threshold).directed_entry_count
+
+    def test_edge_cap_count_is_exact_across_workers(self, monkeypatch):
+        # more workers than cores add their tiles to one count, which must stay exact
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 8)
+        monkeypatch.setattr(similarity, "_MAX_DIRECTED_ENTRIES", 0)  # count every tile
+        pair = random_pair(256, 8, seed=5)
+        want = sum(int((similarity._products(pair, span) > 0.0).sum())
+                   for span in similarity._tiles((0, pair.n), pair.n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with pytest.raises(CapacityError, match=f"^{want} products of N = 256 rows "):
+                    build_sparse_graph(pair, SimilarityThreshold(0.5, 0.0, 256, "exact"),
+                                       threads=4)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("edge", [(0, 5), (-1, 2)])
     def test_from_edges_rejects_an_index_outside_the_nodes(self, edge):

@@ -1,0 +1,178 @@
+"""Mutation check of the test suite: named text substitutions in ``src``, each
+with the tests that must fail once it is applied.
+
+Usage: python3 tools/mutants.py [NAME ...]
+
+Each mutant (all of them by default) is applied to a fresh copy of this
+tree's ``src``, ``tests`` and ``pyproject.toml`` in a temporary directory,
+and its tests run there with pytest, one BLAS thread, stopping at the first
+failure.  A mutant whose tests all pass survived.  The unmutated copy must
+pass every named test first (else the script exits 2).  The script prints
+one line per mutant and exits 1 if any survived; a survivor calls for a new
+test or a recorded finding.  A whole run takes about two minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    path: str  # the mutated file, under src/contrabatch
+    subs: tuple  # (old, new) text pairs, applied in order; each old occurs once
+    tests: tuple  # pytest node ids, one of which must fail
+    why: str
+
+
+MUTANTS = {
+    "parts-before-select": Mutant(
+        "similarity.py",
+        (("""            if select is not None:
+                picked.append(select(rows, block))
+            for fn, args, out in outs:
+                out.append(fn(rows, block, *args))
+""", """            for fn, args, out in outs:
+                out.append(fn(rows, block, *args))
+            if select is not None:
+                picked.append(select(rows, block))
+"""),),
+        ("tests/test_one_walk.py", "tests/test_cli.py::TestOneSweep"),
+        "a walk feeds the parts, which scale blocks in place, before its select reads them"),
+    "no-part-on-a-select-walk": Mutant(
+        "similarity.py",
+        (("if _on_grid(span, n) and span not in kept]",
+          "if _on_grid(span, n) and span not in kept and select is None]"),),
+        ("tests/test_cli.py::TestOneSweep", "tests/test_one_walk.py"),
+        "the estimator's and the graph's walks keep no part, so a report multiplies again"),
+    "diagonal-mod-n": Mutant(
+        "similarity.py",
+        (("run = run[run % (n + 1) != 0]", "run = run[run % n != 0]"),),
+        ("tests/test_graph_reference.py",),
+        "the graph drops the keys of column 0 instead of the diagonal's"),
+    "transposed-keys-dropped": Mutant(
+        "similarity.py",
+        (("np.add(cols, rows, out=keys[count + a : count + b])",
+          "keys[count + a : count + b] = keys[a:b]"),),
+        ("tests/test_graph_reference.py",),
+        "the graph keeps one direction of each entry: not symmetric"),
+    "tail-filter-ge": Mutant(
+        "similarity.py",
+        (("take(tail.offsets[tail.values > cut])", "take(tail.offsets[tail.values >= cut])"),),
+        ("tests/test_graph_reference.py",),
+        "a kept tail's entries equal to the cutoff become edges"),
+    "rescan-ge": Mutant(
+        "similarity.py",
+        (("np.flatnonzero(block > cut)", "np.flatnonzero(block >= cut)"),),
+        ("tests/test_graph_reference.py",),
+        "a rescanned tile's entries equal to the cutoff become edges"),
+    "keys-without-the-tile-start": Mutant(
+        "similarity.py",
+        (("np.add(offsets, np.int64(span[0] * n), out=", "np.add(offsets, np.int64(0), out="),),
+        ("tests/test_graph_reference.py",),
+        "every tile's keys miss span[0]·n, as if each tile began at row 0"),
+    "rescan-without-the-block-start": Mutant(
+        "similarity.py",
+        (("np.flatnonzero(block > cut) + (rows[0] - span[0]) * n)",
+          "np.flatnonzero(block > cut))"),),
+        ("tests/test_similarity.py", "tests/test_one_walk.py"),
+        "a rescan takes block offsets for tile offsets, past a tile's first row block"),
+    "levels-by-index": Mutant(
+        "bandwidth.py",
+        (("frontier = frontier[np.lexsort((frontier, degrees[frontier]))]",
+          "frontier = np.sort(frontier)"),),
+        ("tests/test_bandwidth.py::TestReferenceOrdering",),
+        "a BFS level is sorted by index only, not by (degree, index)"),
+    "root-by-index": Mutant(
+        "bandwidth.py",
+        (("""        while visited[by_degree[cursor]]:
+            cursor += 1
+        root = int(by_degree[cursor])
+""", """        root = int(np.flatnonzero(~visited)[0])
+"""),),
+        ("tests/test_bandwidth.py::TestReferenceOrdering",),
+        "each component's root is its lowest unvisited index, not the lowest (degree, index)"),
+    "isolated-last": Mutant(
+        "bandwidth.py",
+        (("""    filled = cursor = int(np.count_nonzero(degrees == 0))
+    order[:filled] = by_degree[:filled]
+    visited[order[:filled]] = True
+    while filled < n:
+""", """    isolated = cursor = int(np.count_nonzero(degrees == 0))
+    order[n - isolated :] = by_degree[:isolated]
+    visited[by_degree[:isolated]] = True
+    filled = 0
+    while filled < n - isolated:
+"""),),
+        ("tests/test_bandwidth.py::TestReferenceOrdering",),
+        "the isolated vertices are placed last instead of first"),
+    "edge-cap-uncounted": Mutant(
+        "similarity.py",
+        (("return offsets if taken <= _MAX_DIRECTED_ENTRIES else None", "return offsets"),
+         ("if taken > _MAX_DIRECTED_ENTRIES:", "if False:")),
+        ("tests/test_similarity.py::TestGraphConstruction",
+         "tests/test_cli.py::TestPermute::test_edge_cap_holds_on_the_entries_the_graph_finds"),
+        "the graph holds every entry above a chunk-median cutoff, whatever the cap"),
+}
+
+
+def mutated(mutant: Mutant) -> str:
+    """The text of ``mutant.path`` with its substitutions applied; ValueError
+    unless each old text occurs exactly once when its turn comes."""
+    text = (ROOT / "src" / "contrabatch" / mutant.path).read_text()
+    for old, new in mutant.subs:
+        if text.count(old) != 1 or old == new:
+            raise ValueError(f"{mutant.path}: {old!r} must occur exactly once and change")
+        text = text.replace(old, new)
+    return text
+
+
+def survives(mutant: Mutant) -> bool:
+    """Whether every test of ``mutant`` passes on a copy of the tree that holds it."""
+    text = mutated(mutant)
+    with tempfile.TemporaryDirectory(prefix="contrabatch-mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        target = tree / "src" / "contrabatch" / mutant.path
+        compile(text, str(target), "exec")  # a mutant must be valid Python
+        target.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+                   PYTHONDONTWRITEBYTECODE="1")
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=tree, env=env, capture_output=True, timeout=1800)
+        return child.returncode == 0
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list(MUTANTS)
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    tests = tuple(dict.fromkeys(test for name in names for test in MUTANTS[name].tests))
+    if not survives(Mutant("__init__.py", (), tests, "unmutated")):
+        print("the unmutated tree fails these tests, so no mutant can be judged", file=sys.stderr)
+        return 2
+    survivors = []
+    for name in names:
+        alive = survives(MUTANTS[name])
+        print(f"{'SURVIVED' if alive else 'killed  '} {name}: {MUTANTS[name].why}", flush=True)
+        survivors += [name] * alive
+    print(f"{len(names) - len(survivors)} of {len(names)} killed; survivors: "
+          f"{', '.join(survivors) or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
