@@ -314,8 +314,9 @@ def _per_batch(runs: list[_Run], fn) -> list[float]:
 
 
 def _batch_minima(z: np.ndarray) -> np.ndarray:
-    """Per batch of ``z`` (g, c, c), the smallest min(z_ij, z_ji) over i != j."""
-    z = np.minimum(z, z.transpose(0, 2, 1))
+    """Per batch of ``z`` (g, c, c), the smallest min(z_ij, z_ji) over i != j:
+    the smallest off-diagonal z_ij, so no transposed pass is needed."""
+    z = z.copy()
     diagonal = np.arange(z.shape[1])
     z[:, diagonal, diagonal] = np.inf
     return z.reshape(len(z), -1).min(axis=1)

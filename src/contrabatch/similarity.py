@@ -18,8 +18,9 @@ where the CSR is the graph's ``indptr`` and ``indices`` and c = 2.5: the
 graph stage peaks within 2.5x its CSR, the CSR included (1.3-2.2x measured
 with tracemalloc at N = 4096-16384, q = 0.5-0.99), and the ordering holds
 at most 1.5x beyond it (0.01-0.22x measured).  The tails are dropped once
-the graph is built.  The exception is the full sort of a low quantile,
-which holds a whole chunk of products (``chunk_rows`` x N).
+the graph is built.  The exception is the full sort, which holds a whole
+chunk of products (``chunk_rows`` x N): it runs only below q = 15/16, or
+for a chunk with a tail over 1/8 of its tile.
 
 Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice.  Before the
 cutoff, ``batching._stages`` predicts (1 - q)·N² directed entries and
@@ -38,15 +39,21 @@ it sets the cutoff value, while the tile sets the memory.
 
 A high quantile reads two order statistics near the top, so tiles are not
 sorted (expected-time selection, Floyd & Rivest 1975).  Each tile takes a
-deterministic strided sample of its products, picks from it a lower bound
-``lb`` with about twice the needed tail share above it, and keeps its
-entries >= ``lb`` as (offset, value) pairs: its tail.  A chunk whose tails
-hold at least the needed count of values >= L, the largest ``lb`` among
-its tiles, sorts only those values and reads the two ranks from them.
-Order statistics are rank-exact, so the value equals a full sort's.
-Otherwise (the sample misjudged the tail, a tail would exceed 1/8 of its
-tile, or q is too low for a tail to pay) the chunk's products are sorted in
-full, in place.
+deterministic strided sample of its products, in which e entries are
+expected above the chunk's quantile, and picks from it a lower bound ``lb``
+with e + Z·√e sampled entries above it (Z = ``_TAIL_Z`` standard
+deviations of that count).  It keeps its entries >= ``lb`` as (offset,
+value) pairs: its tail.  A chunk sorts the values its tails kept; let v be
+the needed-th largest.  Each tile holds all its entries >= its ``lb``, so
+once no ``lb`` is above v the two ranks are read from the sorted values.
+Order statistics are rank-exact, so the value equals a full sort's.  A
+tile whose ``lb`` is above v (the sample misjudged it, as when rows arrive
+sorted by cluster) is multiplied again and walked at v, its tail replaced
+by its entries >= v; the misjudged tiles of every chunk are rescanned in
+one map, and their chunks then read the ranks.  The chunk's products are
+sorted in full, in place, only when q is too low for a tail to pay (below
+15/16), when a tail, first or rescanned, would exceed 1/8 of its tile, or
+when the tails kept fewer values than the ranks need.
 
 Graph.  An undirected, unweighted graph keeps the node pairs whose inner
 product exceeds the cutoff in either direction.  A grid tile whose kept tail
@@ -68,11 +75,11 @@ block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a block
 is still in cache for each pass after its first.  A block only splits
 element-wise work and per-row maxima, argmaxima and sums, whose bits do not
 depend on how many rows share a call, so the block height changes no output.
-Each scan (the estimator's tile jobs, ``_Scan.read``, the graph's rescans)
-is one call of ``_map_products``, which multiplies into one buffer per worker
-thread, reused tile after tile and freed when the scan returns: a function
-given a buffered product keeps no view of it.  Only it and the full sort
-call ``_products``.
+Each scan (the estimator's tile jobs and its rescans, ``_Scan.read``, the
+graph's rescans) is one call of ``_map_products``, which multiplies into one
+buffer per worker thread, reused tile after tile and freed when the scan
+returns: a function given a buffered product keeps no view of it.  Only it
+and the full sort call ``_products``.
 
 The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
@@ -82,8 +89,8 @@ when the first stage multiplies it, after that stage took what it needs from
 each block (the estimator its tail, the graph its entries above the cutoff).
 ``_Scan.read`` returns the kept blocks and multiplies only the grid tiles no
 stage has walked.  So ``permute --report`` and ``compare`` multiply a tile
-at most once beyond the estimator, whose full sort and off-grid tiles feed no
-part.  A call without ``_scan=`` walks a fresh scan.
+at most once beyond the estimator, whose rescans, full sort and off-grid
+tiles feed no part.  A call without ``_scan=`` walks a fresh scan.
 """
 
 from __future__ import annotations
@@ -107,14 +114,15 @@ ROW_CHUNK = 2048
 # (a median of per-chunk quantiles), so changing it changes outputs.
 CHUNK_ROWS = 4096
 
-# Tail selection per tile: sample about _SAMPLE_SIZE products, set the bound
-# where the sample holds _TAIL_MARGIN times the needed tail share (and at
-# least _MIN_SAMPLE_TAIL sampled entries), and keep a tail only while it is
-# at most _MAX_TAIL_SHARE of the tile; a larger one is dropped and its chunk
-# sorted in place.  Kept pairs cost 12 bytes each (``_Tail``), so the cap
-# holds all tails to 3/16 of the bytes of the full product.
+# Tail selection per tile: sample about _SAMPLE_SIZE products, where e of
+# them are expected in the needed tail share; set the bound where the sample
+# holds e + _TAIL_Z·√e (the count's Poisson error, _TAIL_Z standard
+# deviations over) and at least _MIN_SAMPLE_TAIL entries; keep a tail only
+# while it is at most _MAX_TAIL_SHARE of the tile, else it is dropped and its
+# chunk sorted in place.  Kept pairs cost 12 bytes each (``_Tail``), so the
+# cap holds all tails to 3/16 of the bytes of the full product.
 _SAMPLE_SIZE = 1 << 16
-_TAIL_MARGIN = 2.0
+_TAIL_Z = 5.0
 _MIN_SAMPLE_TAIL = 64
 _MAX_TAIL_SHARE = 1 / 8
 
@@ -181,7 +189,7 @@ def interpolated_quantile(values: np.ndarray, q: float) -> float:
 class _Tail:
     """Entries >= ``bound`` of one row tile: flat offsets into the tile, values.
 
-    ``bound`` is inf when the tile kept nothing.  Offsets are int32, so an
+    ``bound`` is inf when the tail was dropped.  Offsets are int32, so an
     entry costs 12 bytes: a tile holds at most ``_TILE_BYTES / 8`` = 2²¹
     products, or N when ``_tile_rows`` returns 1, and ``io.MAX_ELEMENTS``
     bounds N·d at 2³¹, so every offset fits.  Values stay float64, because
@@ -322,21 +330,28 @@ def _sample_stride(entries: int, width: int) -> int:
     return stride
 
 
-def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, share: float,
-               scan: _Scan) -> _Tail:
-    """Keep the entries of tile product ``z`` at or above a sampled bound.
-
-    After the sample, ``scan`` walks the tile once: each block's tail is
-    copied out before the scan's parts may overwrite the block.
-    """
+def _sampled_bound(pair: EmbeddingPair, z: np.ndarray, share: float) -> float:
+    """A lower bound for the top ``share`` of tile product ``z``, read from a
+    strided sample: its largest e + _TAIL_Z·√e values, e = share × sample size."""
     flat = z.reshape(-1)
     sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
-    keep = min(sample.size, max(_MIN_SAMPLE_TAIL, math.ceil(_TAIL_MARGIN * share * sample.size)))
+    expected = share * sample.size
+    keep = math.ceil(expected + _TAIL_Z * math.sqrt(expected))
+    keep = min(sample.size, max(_MIN_SAMPLE_TAIL, keep))
     kth = sample.size - keep
     sample.partition(kth)
-    bound = float(sample[kth])
-    del sample  # read: the walk holds only the tail
-    limit = _MAX_TAIL_SHARE * flat.size
+    return float(sample[kth])
+
+
+def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, bound: float,
+               scan: _Scan) -> _Tail:
+    """Keep the entries of tile product ``z`` at or above ``bound``.
+
+    ``scan`` walks the tile once: each block's tail is copied out before the
+    scan's parts may overwrite the block.  A tail over _MAX_TAIL_SHARE of the
+    tile is dropped: its bound is inf.
+    """
+    limit = _MAX_TAIL_SHARE * z.size
     count = 0
 
     def select(rows: tuple[int, int], block: np.ndarray):
@@ -391,24 +406,37 @@ def estimate_quantile_threshold(
     shares = {}  # tile -> the tail share its chunk needs
     for chunk in chunks:
         size, need = tail_need(chunk)
-        if _TAIL_MARGIN * need <= _MAX_TAIL_SHARE * size:
+        if 2 * need <= _MAX_TAIL_SHARE * size:  # q >= 15/16: twice the share fits a tail
             shares.update(dict.fromkeys(_tiles(chunk, n), need / size))
     # the tiles' buffers are freed here, before any full sort
-    by_span = scan.tails = dict(zip(shares, _map_products(
-        pair, list(shares), lambda span, z: _scan_tail(pair, span, z, shares[span], scan), threads)))
+    tails = scan.tails = dict(zip(shares, _map_products(pair, list(shares), lambda span, z: _scan_tail(
+        pair, span, z, _sampled_bound(pair, z, shares[span]), scan), threads)))
 
-    def chunk_quantile(chunk: tuple[int, int]) -> float:
+    def chunk_quantile(chunk: tuple[int, int]) -> tuple[float | None, float | None]:
+        """(the chunk's quantile, v), v the need-th largest value its tiles kept
+        (None after a full sort); the quantile is None while a bound is above v."""
         size, need = tail_need(chunk)
-        parts = [by_span.get(tile) for tile in _tiles(chunk, n)]
-        if all(part is not None for part in parts):
-            bound = max(part.bound for part in parts)
-            top = np.concatenate([part.values[part.values >= bound] for part in parts])
+        parts = [tails.get(tile) for tile in _tiles(chunk, n)]
+        if all(part is not None and part.bound < math.inf for part in parts):
+            top = np.concatenate([part.values for part in parts])
             if top.size >= need:
                 top.sort()
-                return _read_quantile(top, size, q)
-        return _full_sort_quantile(pair, chunk, q)
+                v = float(top[top.size - need])
+                # each tile holds its entries >= its bound: all those >= v once no bound is above v
+                if v >= max(part.bound for part in parts):
+                    return _read_quantile(top, size, q), v
+                return None, v
+        return _full_sort_quantile(pair, chunk, q), None
 
-    per_chunk = ordered_map(chunk_quantile, chunks, threads)
+    first = ordered_map(chunk_quantile, chunks, threads)
+    # tiles whose bound sits above their chunk's v, rescanned at v in one map
+    redo = {tile: v for chunk, (value, v) in zip(chunks, first) if value is None
+            for tile in _tiles(chunk, n) if tails[tile].bound > v}
+    tails.update(zip(redo, _map_products(
+        pair, list(redo), lambda span, z: _scan_tail(pair, span, z, redo[span], scan), threads)))
+    again = iter(ordered_map(chunk_quantile, [chunk for chunk, (value, _) in zip(chunks, first)
+                                              if value is None], threads))
+    per_chunk = [next(again)[0] if value is None else value for value, _ in first]
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"
     return SimilarityThreshold(
         quantile_q=q,

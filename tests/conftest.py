@@ -38,6 +38,23 @@ def clustered_pair(n: int, d: int, clusters: int, noise: float, seed: int):
     return EmbeddingPair(normalize_rows(x), normalize_rows(y)), labels
 
 
+def cluster_sorted_pair(n: int, seed: int, d: int = 64) -> EmbeddingPair:
+    """Normalized rows drawn as perfbench's clustered generator draws them (n/256
+    centres, x = centre + 0.5·noise, y = x + 0.2·noise, 2% of the rows exact
+    copies of others), then sorted by centre, as embeddings saved class by class
+    arrive.  A tile then holds few clusters, so its sampled tail bound can sit
+    above its chunk's quantile."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((n // 256, d))
+    labels = rng.integers(len(centres), size=n)
+    x = centres[labels] + 0.5 * rng.standard_normal((n, d))
+    copies, sources = np.split(rng.choice(n, size=2 * (n // 50), replace=False), 2)
+    y = x + 0.2 * rng.standard_normal((n, d))
+    x[copies], y[copies] = x[sources], y[sources]
+    order = np.argsort(labels, kind="stable")
+    return EmbeddingPair(x[order], y[order]).normalized()
+
+
 def orthogonal_ties() -> EmbeddingPair:
     """32 rows: 4 orthogonal unit vectors repeated 8x, X == Y; products are 0 or 1."""
     m = np.tile(np.eye(4), (8, 1))

@@ -16,6 +16,7 @@ from contrabatch import (
     bandwidth_pipeline,
     gap_report,
     gap_upper_bounds,
+    hard_negative_batches,
     lse_component_bounds,
     ntxent_global,
     ntxent_train,
@@ -280,6 +281,39 @@ class TestBottleneckObjective:
         asg = sequential_batches(np.arange(3), 1)
         with pytest.raises(ObjectiveUndefined):
             qbap_objective(pair, asg)
+
+
+def pairwise_minima(z: np.ndarray) -> np.ndarray:
+    """Per batch of ``z`` (g, c, c), the smallest min(z_ij, z_ji) over i != j, as
+    the formula reads: the reference for ``losses._batch_minima``."""
+    z = np.minimum(z, z.transpose(0, 2, 1))
+    diagonal = np.arange(z.shape[1])
+    z[:, diagonal, diagonal] = np.inf
+    return z.reshape(len(z), -1).min(axis=1)
+
+
+class TestBatchMinima:
+    """The smallest off-diagonal entry is the smallest symmetric pair minimum."""
+
+    @pytest.mark.parametrize("k", [2, 3, 64, 100])
+    def test_random_runs_equal_the_pairwise_formula_bit_for_bit(self, k):
+        pair = random_pair(250, 8, seed=k)
+        mined = hard_negative_batches(pair, k - k % 2, seed=1)  # oversampled: 2N slots
+        for assignment in (random_batches(250, k, seed=1), mined):
+            for run in losses._batch_runs(pair, assignment):
+                z = run.cross()
+                assert losses._batch_minima(z).tobytes() == pairwise_minima(z).tobytes()
+
+    def test_nan_propagates_and_minus_infinity_wins(self):
+        z = np.random.default_rng(7).standard_normal((4, 5, 5))
+        z[0, 1, 3] = np.nan  # off the diagonal: the batch's minimum is NaN
+        z[1, 2, 2] = np.nan  # on it: ignored
+        z[2, 4, 0] = -np.inf
+        z[3, 1, 1] = -np.inf  # on the diagonal: ignored
+        got, want = losses._batch_minima(z), pairwise_minima(z)
+        assert np.isnan(got[0]) and np.isnan(want[0])
+        assert got[1:].tobytes() == want[1:].tobytes()
+        assert got[2] == -np.inf and np.isfinite(got[3])
 
 
 class TestTotalObjective:

@@ -1,6 +1,7 @@
 """Quantile cutoff estimation and sparse graph construction."""
 
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -28,6 +29,7 @@ from contrabatch import (
 )
 from contrabatch.cli import main
 from conftest import (
+    cluster_sorted_pair,
     clustered_pair,
     count_products,
     half_clustered_pair,
@@ -304,6 +306,14 @@ def one_hot_tile() -> EmbeddingPair:
     return EmbeddingPair(x, y).normalized()
 
 
+def assert_tails_hold_their_entries(pair: EmbeddingPair, scan) -> None:
+    """Each tail kept in ``scan`` holds exactly its tile's entries >= its bound."""
+    for span, tail in scan.tails.items():
+        flat = (pair.x[span[0] : span[1]] @ pair.y.T).reshape(-1)
+        hits = np.flatnonzero(flat >= tail.bound)
+        assert np.array_equal(tail.offsets, hits) and np.array_equal(tail.values, flat[hits]), span
+
+
 def chunk_oracle(pair: EmbeddingPair, q: float, chunk_rows: int) -> float:
     """Median over chunks of interpolated_quantile of each chunk's full product."""
     values = [
@@ -337,25 +347,45 @@ class TestTailSelection:
         # above q = 15/16 tails pay; below it every chunk is sorted whole
         assert bool(scan.tails) == (q == 0.999)
 
-    def test_count_check_failure_falls_back_to_full_sort(self, monkeypatch):
-        # a margin below 1 puts every sampled bound above the needed rank
-        monkeypatch.setattr(similarity, "_TAIL_MARGIN", 0.25)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_misjudged_bound_rescans_the_tile_not_the_chunk(self, monkeypatch, threads):
+        # with Z = 0 each 128-row tile keeps its own share of the tail, so the
+        # tile with the higher bound holds fewer of the chunk's top entries: it
+        # is multiplied again and walked at v, and no chunk is sorted
+        monkeypatch.setattr(similarity, "_TAIL_Z", 0.0)
         monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", 1)
-        calls = []
-        full_sort = similarity._full_sort_quantile
-
-        def counted(pair, chunk, q):
-            calls.append(chunk)
-            return full_sort(pair, chunk, q)
-
-        monkeypatch.setattr(similarity, "_full_sort_quantile", counted)
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        sorts = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
         pair = random_pair(256, 16, seed=33)
+        calls = count_products(monkeypatch)
         scan = similarity._Scan()
-        t = estimate_quantile_threshold(pair, 0.999, 128, _scan=scan)
-        assert calls == [(0, 128), (128, 256)]
-        assert t.value == chunk_oracle(pair, 0.999, 128)
-        hand_made = SimilarityThreshold(0.999, t.value, 128, t.estimator)
-        assert build_sparse_graph(pair, t, _scan=scan) == build_sparse_graph(pair, hand_made)
+        t = estimate_quantile_threshold(pair, 0.999, 256, threads=threads, _scan=scan)
+        assert sorts == []
+        assert calls == [(0, 128), (128, 256), (0, 128)]  # the tiles, then the rescanned one
+        assert t.value == chunk_oracle(pair, 0.999, 256)
+        calls.clear()
+        graph = build_sparse_graph(pair, t, threads=threads, _scan=scan)
+        assert calls == []  # every tail, the rescanned one too, has a bound at or below the cutoff
+        assert graph == build_sparse_graph(pair, SimilarityThreshold(0.999, t.value, 256, t.estimator))
+        assert_tails_hold_their_entries(pair, scan)
+
+    def test_rescanned_tail_over_its_share_sorts_the_chunk(self, monkeypatch):
+        # at q = 0.95 the first tile holds the chunk's top 5% nearly alone: at
+        # the chunk's v its tail passes 1/8 of the tile and is dropped
+        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        sorts = []
+        full_sort = similarity._full_sort_quantile
+        monkeypatch.setattr(similarity, "_full_sort_quantile",
+                            lambda *args: sorts.append(args[1]) or full_sort(*args))
+        pair = one_hot_tile()
+        calls = count_products(monkeypatch)
+        scan = similarity._Scan()
+        t = estimate_quantile_threshold(pair, 0.95, 384, _scan=scan)
+        assert sorts == [(0, 384)]
+        assert calls == [(0, 128), (128, 256), (256, 384), (0, 128), (0, 128), (128, 256), (256, 384)]
+        assert scan.tails[(0, 128)].bound == math.inf
+        assert t.value == chunk_oracle(pair, 0.95, 384)
 
     def test_default_margin_takes_the_tail_path(self, monkeypatch):
         calls = []
@@ -365,6 +395,34 @@ class TestTailSelection:
         t = estimate_quantile_threshold(pair, 0.999, 128)
         assert calls == []
         assert t.value == chunk_oracle(pair, 0.999, 128)
+
+
+class TestClusterSortedRows:
+    """Rows sorted by cluster, as embeddings saved class by class arrive: a tile
+    of few clusters samples a bound above its chunk's quantile.  The tile is
+    rescanned at v; the chunk is not multiplied into one block and sorted."""
+
+    @pytest.mark.parametrize("seed", range(6))  # before the rescan, 4 of them sorted in full
+    def test_exact_cutoff_in_the_tile_budget(self, monkeypatch, seed):
+        sorts = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        pair = cluster_sorted_pair(2048, seed)
+        want = chunk_oracle(pair, 0.999, 2048)
+        for threads in (1, 2):
+            scan = similarity._Scan()
+            tracemalloc.start()
+            try:
+                t, peak = traced_peak(lambda: estimate_quantile_threshold(
+                    pair, 0.999, 2048, threads=threads, _scan=scan))
+            finally:
+                tracemalloc.stop()
+            kept = sum(tail.offsets.nbytes + tail.values.nbytes for tail in scan.tails.values())
+            assert sorts == []
+            assert t.value == want
+            assert peak <= threads * 1.25 * similarity._TILE_BYTES + kept
+            hand_made = SimilarityThreshold(0.999, t.value, 2048, t.estimator)
+            assert build_sparse_graph(pair, t, threads=threads, _scan=scan) == build_sparse_graph(
+                pair, hand_made)
 
 
 @pytest.mark.parametrize("cls, names", [
@@ -664,12 +722,17 @@ class TestMemory:
         assert self.peak(epoch) < 1.25 * self.TILE_BYTES
 
     def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):
-        # every tail fails its count check: the chunk is sorted after the
-        # scan, whose tile buffer must be gone by then
-        monkeypatch.setattr(similarity, "_TAIL_MARGIN", 0.25)
-        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", 1)
+        # a quarter of each sample in the tail: every tail passes 1/8 of its tile
+        # and is dropped, so the chunk is sorted after the scan, whose tile
+        # buffer must be gone by then
+        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", similarity._SAMPLE_SIZE // 4)
+        sorts = []
+        full_sort = similarity._full_sort_quantile
+        monkeypatch.setattr(similarity, "_full_sort_quantile",
+                            lambda *args: sorts.append(args[1]) or full_sort(*args))
         pair = random_pair(2048, 64, seed=52)
         assert self.peak(lambda: estimate_quantile_threshold(pair, 0.999, 2048)) < 1.25 * self.TILE_BYTES
+        assert sorts == [(0, 2048)]
 
     def test_ordering_holds_no_tail_and_a_fraction_of_the_csr(self, monkeypatch):
         pair = random_pair(8192, 64, seed=60)

@@ -4,7 +4,8 @@ of what it produced (exit code, stdout, stderr, permutation file, batch file).
 Usage: python3 tools/manifest.py [--smallest K] [--out FILE]
 
 The cases run the CLI of the tree this script sits in (its ``src``), each
-in a fresh child with one BLAS thread.  The matrix has 160 cases:
+in a fresh child with one BLAS thread.  The matrix has 168 cases.  160 of
+them cross:
 
 * five commands: ``permute --report --out-perm --out-batches``, ``analyze``
   with ``--strategy`` gcbs, random and hardneg1, and ``compare --seeds 3``;
@@ -13,6 +14,11 @@ in a fresh child with one BLAS thread.  The matrix has 160 cases:
   exact copies of others;
 * ``--quantile`` 0.9 and 0.999, ``--chunk-rows`` default and 700,
   ``--threads`` 1 and 2.
+
+The other 8 run ``permute`` and ``compare`` at ``--quantile`` 0.99 and 0.999
+and ``--threads`` 1 and 2 on a clustered N = 4096 whose rows are sorted by
+centre, as embeddings saved class by class arrive: there a tile's sampled
+tail bound sits above its chunk's quantile, and the tile is rescanned.
 
 Cases are listed smallest input first; ``--smallest K`` runs the first K.
 To check that a change moves no output bit, run this script in the parent
@@ -47,11 +53,15 @@ INPUTS = {  # name -> (kind, N), smallest first
     "gaussian-1030": ("gaussian", 1030),
     "gaussian-2048": ("gaussian", 2048),
     "clustered-2048": ("clustered", 2048),
+    "cluster-sorted-4096": ("cluster-sorted", 4096),
     "gaussian-4100": ("gaussian", 4100),
 }
 QUANTILES = ("0.9", "0.999")
 CHUNK_ROWS = (None, "700")
 THREADS = ("1", "2")
+# (commands, quantiles, chunk rows, threads) of each input
+MATRIX = (tuple(COMMANDS), QUANTILES, CHUNK_ROWS, THREADS)
+SORTED_MATRIX = (("permute", "compare"), ("0.99", "0.999"), (None,), THREADS)
 DIM = 32
 BATCH_SIZE = "64"
 
@@ -59,12 +69,13 @@ BATCH_SIZE = "64"
 def cases() -> list[tuple[str, str, list[str]]]:
     """(name, input name, CLI arguments after the pair) of every case, smallest input first."""
     out = []
-    for data, command, q, chunk, threads in itertools.product(
-            INPUTS, COMMANDS, QUANTILES, CHUNK_ROWS, THREADS):
-        argv = [*COMMANDS[command], "--batch-size", BATCH_SIZE, "--quantile", q,
-                "--threads", threads, *(["--chunk-rows", chunk] if chunk else [])]
-        name = f"{data}/{command}/q{q}/chunk-{chunk or 'default'}/threads-{threads}"
-        out.append((name, data, argv))
+    for data in INPUTS:
+        axes = SORTED_MATRIX if INPUTS[data][0] == "cluster-sorted" else MATRIX
+        for command, q, chunk, threads in itertools.product(*axes):
+            argv = [*COMMANDS[command], "--batch-size", BATCH_SIZE, "--quantile", q,
+                    "--threads", threads, *(["--chunk-rows", chunk] if chunk else [])]
+            name = f"{data}/{command}/q{q}/chunk-{chunk or 'default'}/threads-{threads}"
+            out.append((name, data, argv))
     return out
 
 
@@ -74,10 +85,14 @@ def pair(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     if kind == "gaussian":
         return rng.standard_normal((n, DIM)), rng.standard_normal((n, DIM))
     centres = rng.standard_normal((n // 256, DIM))
-    x = centres[rng.integers(len(centres), size=n)] + 0.5 * rng.standard_normal((n, DIM))
+    labels = rng.integers(len(centres), size=n)
+    x = centres[labels] + 0.5 * rng.standard_normal((n, DIM))
     y = x + 0.2 * rng.standard_normal((n, DIM))
     copies, sources = np.split(rng.choice(n, size=2 * (n // 50), replace=False), 2)
     x[copies], y[copies] = x[sources], y[sources]
+    if kind == "cluster-sorted":
+        order = np.argsort(labels, kind="stable")
+        return x[order], y[order]
     return x, y
 
 

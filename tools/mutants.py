@@ -84,6 +84,31 @@ MUTANTS = {
           "np.flatnonzero(block > cut))"),),
         ("tests/test_similarity.py", "tests/test_one_walk.py"),
         "a rescan takes block offsets for tile offsets, past a tile's first row block"),
+    "tail-select-gt": Mutant(
+        "similarity.py",
+        (("hits = np.flatnonzero(block >= bound)", "hits = np.flatnonzero(block > bound)"),),
+        ("tests/test_similarity.py::TestTailSelection",),
+        "a tail, the one a rescan keeps at v too, loses its entries equal to its bound"),
+    "rescanned-tail-keeps-its-old-bound": Mutant(
+        "similarity.py",
+        (("    tails.update(zip(redo, _map_products(\n",
+          "    tails.update((span, _Tail(tails[span].bound, tail.offsets, tail.values))\n"
+          "                 for span, tail in zip(redo, _map_products(\n"),),
+        ("tests/test_similarity.py::TestTailSelection",
+         "tests/test_similarity.py::TestClusterSortedRows"),
+        "a rescanned tile holds its entries >= v, but its tail still names the old bound"),
+    "rescan-at-the-tiles-own-bound": Mutant(
+        "similarity.py",
+        (("_scan_tail(pair, span, z, redo[span], scan)",
+          "_scan_tail(pair, span, z, tails[span].bound, scan)"),),
+        ("tests/test_similarity.py::TestTailSelection",
+         "tests/test_similarity.py::TestClusterSortedRows"),
+        "a misjudged tile is walked again at its own bound instead of its chunk's v"),
+    "nearest-diagonal-unmasked": Mutant(
+        "batching.py",
+        (("    z[at] = -np.inf\n", ""),),
+        ("tests/test_nearest_reference.py",),
+        "the mined argmax may pick a row's own column"),
     "levels-by-index": Mutant(
         "bandwidth.py",
         (("frontier = frontier[np.lexsort((frontier, degrees[frontier]))]",
