@@ -5,14 +5,30 @@ every product, here and in the loss and baseline scans, is a row tile from
 ``_tiles`` multiplied by one call, ``_products``.  BLAS results can differ in
 the last bit with block height, so one tile grid keeps every stage's
 products bit-identical.  The tile height is a function of N alone
-(``_tile_rows``): the tallest power of two, at most ``ROW_CHUNK``, whose
-products fit a per-worker budget of ``_TILE_BYTES``.
+(``_tile_rows``): the tallest power of two, at most ``_MAX_TILE_ROWS`` (256),
+whose products fit a per-worker budget of ``_TILE_BYTES`` (16 MiB).  The
+multiply's cost per product depends on the rows per BLAS call, not on the
+tile's bytes: OpenBLAS packs all of Yᵀ on every call (Goto & van de Geijn,
+"Anatomy of high-performance matrix multiplication", ACM TOMS 2008), so the
+cost is flat from about 256 rows up.  Cost per product against 256 rows,
+whole X·Yᵀ, d = 64, OpenBLAS 0.3.31 (Haswell kernels, one thread), warm
+buffers, heights interleaved, best of 15, two runs (256 rows: 2.50-2.77 ns
+per product at N = 4096):
+
+    rows per call     1024       512     256     128        64
+    N = 4096        0.98-1.03  0.98-1.01   1   1.05-1.16  1.11-1.19
+    N = 8192        1.12-1.13  1.01-1.06   1   1.05-1.06  1.17-1.29
+
+So a taller tile buys nothing but bytes, and a fresh buffer has that many
+more pages to fault; a shorter one costs 5-16% more.  The budget binds from
+N = 8192 up (256 rows there, 128 at N = 16384), the cap below it (256 rows,
+8 MiB at N = 4096).
 
 Memory budget.  An epoch (``batching._stages``) at a high quantile peaks
 within
 
-    inputs + workers x ``_TILE_BYTES`` + 12 bytes x kept tail entries
-           + c x CSR bytes,
+    inputs + workers x min(``_TILE_BYTES``, 256 x N x 8 bytes)
+           + 12 bytes x kept tail entries + c x CSR bytes,
 
 where the CSR is the graph's ``indptr`` and ``indices`` and c = 2.5: the
 graph stage peaks within 2.5x its CSR, the CSR included (1.3-2.2x measured
@@ -39,8 +55,9 @@ it sets the cutoff value, while the tile sets the memory.
 
 A high quantile reads two order statistics near the top, so tiles are not
 sorted (expected-time selection, Floyd & Rivest 1975).  Each tile takes a
-deterministic strided sample of its products, in which e entries are
-expected above the chunk's quantile, and picks from it a lower bound ``lb``
+deterministic strided sample of its products (every 32nd, but at least 2¹⁵
+products: ``_sample_stride``), in which e entries are expected above the
+chunk's quantile, and picks from it a lower bound ``lb``
 with e + Z·√e sampled entries above it (Z = ``_TAIL_Z`` standard
 deviations of that count).  It keeps its entries >= ``lb`` as (offset,
 value) pairs: its tail.  A chunk sorts the values its tails kept; let v be
@@ -114,14 +131,18 @@ ROW_CHUNK = 2048
 # (a median of per-chunk quantiles), so changing it changes outputs.
 CHUNK_ROWS = 4096
 
-# Tail selection per tile: sample about _SAMPLE_SIZE products, where e of
-# them are expected in the needed tail share; set the bound where the sample
-# holds e + _TAIL_Z·√e (the count's Poisson error, _TAIL_Z standard
-# deviations over) and at least _MIN_SAMPLE_TAIL entries; keep a tail only
+# Tail selection per tile: sample every _SAMPLE_STRIDE-th product, but at
+# least _MIN_SAMPLE of them (all, when the tile has fewer), so a tile of the
+# 2²¹ products _TILE_BYTES holds samples 2¹⁶ and a 256-row tile at N = 4096
+# 2¹⁵, at the same stride.  e of the samples are expected in the needed tail
+# share; set the bound where the sample holds e + _TAIL_Z·√e (the count's
+# Poisson error, _TAIL_Z standard deviations over) and at least
+# _MIN_SAMPLE_TAIL entries; keep a tail only
 # while it is at most _MAX_TAIL_SHARE of the tile, else it is dropped and its
 # chunk sorted in place.  Kept pairs cost 12 bytes each (``_Tail``), so the
 # cap holds all tails to 3/16 of the bytes of the full product.
-_SAMPLE_SIZE = 1 << 16
+_SAMPLE_STRIDE = 32
+_MIN_SAMPLE = 1 << 15
 _TAIL_Z = 5.0
 _MIN_SAMPLE_TAIL = 64
 _MAX_TAIL_SHARE = 1 / 8
@@ -130,14 +151,15 @@ _MAX_TAIL_SHARE = 1 / 8
 # a core's cache across the passes over it.  Outputs do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
-# Bytes of one tile product, per worker thread: a tile is the tallest power
-# of two rows, at most ROW_CHUNK, whose products fit (``_tile_rows``).
-# A fresh buffer is page-faulted in, so a smaller one also saves time: in
-# ``permute --report`` (one OpenBLAS 0.3.31 thread, Haswell kernels) 16 MiB
-# was the fastest budget at N = 4096 and within 5% of the fastest (32-64
-# MiB) at N = 8192 and 16384, and 4 MiB was 8-20% slower.
-# With N not a multiple of 8 the height can change products in the last bit.
+# Bytes of one tile product, per worker thread, and the most rows of one
+# tile: a tile is the tallest power of two rows, at most ROW_CHUNK and
+# _MAX_TILE_ROWS, whose products fit (``_tile_rows``).  The multiply's cost
+# per product is flat from about 256 rows up, as OpenBLAS packs all of Yᵀ on
+# every call (module docstring), so a taller tile only adds bytes to fault
+# in; the budget binds from N = 8192 up.  With N not a multiple of 8 the
+# height can change products in the last bit.
 _TILE_BYTES = 16 << 20
+_MAX_TILE_ROWS = 256
 
 # Most directed entries an epoch's graph may hold: predicted as (1 - q)·N²
 # before the cutoff (``batching._stages``), and counted, the diagonal's
@@ -238,9 +260,10 @@ def _products(pair: EmbeddingPair, span: tuple[int, int], out: np.ndarray | None
 
 def _tile_rows(n: int) -> int:
     """Tile height for an N-row pair: the tallest power of two, at most
-    ``ROW_CHUNK``, whose tile of ``height x n`` float64 products fits in
-    ``_TILE_BYTES``; 1 when none does.  A power of two divides ``CHUNK_ROWS``."""
-    rows = min(ROW_CHUNK, max(1, _TILE_BYTES // (8 * n)))
+    ``ROW_CHUNK`` and ``_MAX_TILE_ROWS``, whose tile of ``height x n`` float64
+    products fits in ``_TILE_BYTES``; 1 when none does.  A power of two
+    divides ``CHUNK_ROWS``."""
+    rows = min(ROW_CHUNK, _MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))
     return 1 << (rows.bit_length() - 1)
 
 
@@ -322,9 +345,10 @@ class _Scan:
 
 
 def _sample_stride(entries: int, width: int) -> int:
-    """Stride for about _SAMPLE_SIZE samples, coprime to the row width so the
-    sample walks through every column instead of repeating a few."""
-    stride = max(1, entries // _SAMPLE_SIZE)
+    """Stride of a tile's sample: _SAMPLE_STRIDE, or less for at least
+    _MIN_SAMPLE samples, then raised until it is coprime to the row width, so
+    the sample walks through every column instead of repeating a few."""
+    stride = min(_SAMPLE_STRIDE, max(1, entries // _MIN_SAMPLE))
     while math.gcd(stride, width) != 1:
         stride += 1
     return stride

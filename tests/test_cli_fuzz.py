@@ -1,4 +1,5 @@
-"""Fuzzed CLI runs on degenerate embedding files, temperatures and numeric extremes.
+"""Fuzzed CLI runs on degenerate embedding files, temperatures and numeric
+extremes, and on random subsets of each command's flags.
 
 Whatever the input, a run ends in exit 0, 1 or 2, lets no exception but
 SystemExit escape, on exit 0 prints JSON without NaN or infinity, and on
@@ -10,11 +11,13 @@ import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,3 +127,103 @@ def test_degenerate_inputs_exit_cleanly(kind, fmt, both_sides, n, d, seed, comma
         finite_json(stdout)
     else:
         assert not written
+
+
+# Values each flag may take in a flag-subset run: (valid values, values the
+# command rejects).  "@name" stands for a file of the run's temporary
+# directory; None marks a switch.
+FLAG_VALUES = {
+    "--x": (["@x"], ["@missing"]),
+    "--y": (["@y", "@x"], ["@missing"]),
+    "--batch-size": (["2", "4", "1", "3"], ["0", "-2", "1e3", "13"]),
+    "--tau": (["0.05", "0.5"], ["0", "inf"]),
+    "--threads": (["1", "2"], []),
+    "--quantile": (["0.5", "0.9", "0.999"], ["1", "nan"]),
+    "--chunk-rows": (["1", "2"], ["0", "100"]),
+    "--reverse-cm": ([None], []),
+    "--no-reverse-cm": ([None], []),
+    "--seed": (["0", "5"], ["-1"]),
+    "--seeds": (["1", "2"], ["0", "-1"]),
+    "--strategy": (["gcbs", "random", "hardneg1"], ["other"]),
+    "--perm": (["@perm"], ["@short_perm", "@missing"]),
+    "--out-perm": (["@out/perm"], []),
+    "--out-batches": (["@out/batches"], ["@out/perm", ""]),
+    "--report": ([None], []),
+    "--sizes": (["8", "8,12"], ["1", "x"]),
+    "--dim": (["2"], ["0"]),
+}
+PAIR_FLAGS = ["--tau", "--threads"]
+PIPELINE_FLAGS = ["--quantile", "--chunk-rows", "--reverse-cm", "--no-reverse-cm"]
+# each command's required flags, then the optional ones it declares
+COMMAND_FLAGS = {
+    "permute": (["--x", "--y", "--batch-size"],
+                PAIR_FLAGS + PIPELINE_FLAGS + ["--out-perm", "--out-batches", "--report"]),
+    "analyze": (["--x", "--y", "--batch-size"],
+                PAIR_FLAGS + PIPELINE_FLAGS + ["--seed", "--strategy", "--perm"]),
+    "compare": (["--x", "--y", "--batch-size"],
+                PAIR_FLAGS + PIPELINE_FLAGS + ["--seed", "--seeds"]),
+    "bench": (["--sizes"], PIPELINE_FLAGS + ["--seed", "--threads", "--dim"]),
+    "oracle": (["--x", "--y", "--batch-size"], PAIR_FLAGS),
+}
+
+
+def flag_subset(rng: random.Random) -> list:
+    """argv of one command: its required flags (each dropped one time in eight),
+    a random half of its optional ones, now and then a flag it does not
+    declare, in random order, each with a valid value nine times in ten."""
+    command = rng.choice(sorted(COMMAND_FLAGS))
+    required, optional = COMMAND_FLAGS[command]
+    names = [name for name in required if rng.random() >= 1 / 8]
+    names += [name for name in optional if rng.random() < 1 / 2]
+    if rng.random() < 1 / 10:
+        names.append(rng.choice(sorted(set(FLAG_VALUES) - set(required + optional))))
+    rng.shuffle(names)
+    argv = [command]
+    for name in names:
+        valid, invalid = FLAG_VALUES[name]
+        value = rng.choice(invalid if invalid and rng.random() < 1 / 10 else valid)
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+def resolved(argv, tmp):
+    """``argv`` with each "@name" replaced by the path of that file under ``tmp``."""
+    return [str(tmp / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
+def outputs(tmp):
+    """name -> bytes of every file the run wrote"""
+    return {path.name: path.read_bytes() for path in sorted((tmp / "out").iterdir())}
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_random_flag_subsets_exit_cleanly(seed):
+    rng = random.Random(seed)
+    argv = flag_subset(rng)
+    n, d = rng.randint(4, 12), rng.randint(1, 4)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
+        (tmp / "out").mkdir()
+        for i, name in enumerate(["x", "y"]):
+            (tmp / name).write_bytes(matrix_bytes("gaussian", n, d, seed + i, "emb1"))
+        order = np.random.default_rng(seed).permutation(n)
+        (tmp / "perm").write_text("".join(f"{i}\n" for i in order))
+        (tmp / "short_perm").write_text("".join(f"{i}\n" for i in range(n - 1)))
+        code, stdout = run_cli(resolved(argv, tmp))
+        written = outputs(tmp)
+        at = argv.index("--threads") + 1 if "--threads" in argv else None
+        if code == 0 and argv[0] != "bench" and at and argv[at] == "2":
+            for path in (tmp / "out").iterdir():
+                path.unlink()
+            single = argv[:at] + ["1"] + argv[at + 1:]
+            assert run_cli(resolved(single, tmp)) == (code, stdout), argv
+            assert outputs(tmp) == written, argv
+    assert code in (0, 1, 2), argv
+    if code != 0:
+        assert written == {}, argv
+    elif argv[0] == "bench":
+        assert stdout.startswith("n,stage,seconds\n"), argv
+    elif argv[0] != "permute" or "--report" in argv:
+        finite_json(stdout)
+    else:
+        assert stdout == "", argv

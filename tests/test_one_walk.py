@@ -86,7 +86,7 @@ def public_outputs(tmp: Path, x: str, y: str, q: float, k: int, tau: float,
 def cases(draw):
     n = draw(st.integers(2, 300))
     row_chunk = draw(st.sampled_from([8, 16, 64, 2048]))
-    tile = min(row_chunk, n)
+    tile = min(row_chunk, similarity._MAX_TILE_ROWS, n)
     if draw(st.booleans()):  # on the tile grid: the default, or a multiple of the tile height
         chunk_rows = draw(st.one_of(st.none(), st.integers(1, -(-n // tile)).map(
             lambda m: min(n, m * tile))))

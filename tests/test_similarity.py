@@ -495,7 +495,7 @@ class TestTailReuse:
         # stands in only for a tile with exactly its own span
         pair = random_pair(300, 12, seed=4)
         calls = count_products(monkeypatch)
-        for chunk_rows, multiplied in ((300, []), (100, [(0, 300)])):
+        for chunk_rows, multiplied in ((300, []), (100, similarity._tiles((0, 300), 300))):
             t, scan = scanned_estimate(pair, 0.999, chunk_rows)
             assert scan.tails
             calls.clear()
@@ -521,24 +521,47 @@ class TestOneTileGrid:
         assert sorted(calls) == tiles
 
 
+def budget_tile_rows(n: int) -> int:
+    """The tile height the 16 MiB budget and 2048 rows set, without the 256-row cap."""
+    rows = min(2048, max(1, (16 << 20) // (8 * n)))
+    return 1 << (rows.bit_length() - 1)
+
+
+def budget_sample_stride(entries: int, width: int) -> int:
+    """The stride for about 2¹⁶ samples of ``entries`` products, coprime to ``width``."""
+    stride = max(1, entries // (1 << 16))
+    while math.gcd(stride, width) != 1:
+        stride += 1
+    return stride
+
+
 class TestTileGrid:
     """The tile height is a function of N alone: the tallest power of two,
-    at most ``ROW_CHUNK``, whose products fit ``_TILE_BYTES``."""
+    at most ``ROW_CHUNK`` and 256, whose products fit ``_TILE_BYTES``."""
 
     @pytest.mark.parametrize("n, rows", [
-        (1, 2048), (1024, 2048), (1025, 1024), (1536, 1024), (4096, 512), (4100, 256),
-        (2**21 + 1, 1),
+        (1, 256), (1024, 256), (1025, 256), (1536, 256), (4096, 256), (4100, 256),
+        (8192, 256), (8193, 128), (16384, 128), (2**21 + 1, 1),
     ])
     def test_height_fits_the_budget_and_divides_the_chunk(self, n, rows):
         assert similarity._tile_rows(n) == rows
-        assert rows & (rows - 1) == 0 and rows <= similarity.ROW_CHUNK
+        assert rows & (rows - 1) == 0 and rows <= min(similarity.ROW_CHUNK, 256)
         assert rows == 1 or rows * n * 8 <= similarity._TILE_BYTES
-        assert rows == similarity.ROW_CHUNK or 2 * rows * n * 8 > similarity._TILE_BYTES
+        assert rows == 256 or 2 * rows * n * 8 > similarity._TILE_BYTES
         assert similarity.CHUNK_ROWS % rows == 0
         spans = np.array(similarity._tiles((0, n), n))
         assert spans[0, 0] == 0 and spans[-1, 1] == n
         assert (spans[1:, 0] == spans[:-1, 1]).all() and (spans[:, 1] > spans[:, 0]).all()
         assert similarity._on_grid(tuple(spans[-1]), n)
+
+    def test_large_n_keeps_the_budget_height_and_sample_stride(self):
+        # from N = 8192 up the budget binds before the 256-row cap, so the
+        # tiles, and a full 2²¹-product tile's sample, are the budget's alone
+        widths = [*range(8192, 1 << 17),
+                  *np.unique(np.geomspace(1 << 17, 1 << 31, 4000).astype(int)).tolist()]
+        for n in widths:
+            assert similarity._tile_rows(n) == budget_tile_rows(n), n
+            assert similarity._sample_stride(1 << 21, n) == budget_sample_stride(1 << 21, n), n
 
     def test_estimate_multiplies_the_same_spans_at_any_thread_count(self, monkeypatch):
         monkeypatch.setattr(similarity, "_TILE_BYTES", 64 << 10)  # 8-row tiles
@@ -645,8 +668,9 @@ class TestTileBudget:
         save_embeddings(pair.x, files[0])
         save_embeddings(pair.y, files[1])
         want = self.outputs(files, tmp_path, capsys)
-        for budget in (1 << 40, 1 << 20):  # 2048-row tiles; 64 or 32 rows
+        for budget, cap in ((1 << 40, 2048), (1 << 20, 256)):  # 2048-row tiles; 64 or 32 rows
             monkeypatch.setattr(similarity, "_TILE_BYTES", budget)
+            monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", cap)
             assert self.outputs(files, tmp_path, capsys) == want
 
     @pytest.mark.parametrize("q", [0.99, 0.999])
@@ -721,11 +745,28 @@ class TestMemory:
 
         assert self.peak(epoch) < 1.25 * self.TILE_BYTES
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_estimate_holds_a_256_row_tile_per_worker(self, threads):
+        # below N = 8192 the 256-row cap sets the tile, not the 16 MiB budget:
+        # 8 MiB a worker at N = 4096, where the budget alone allows 512 rows
+        n = 4096
+        pair = random_pair(n, 16, seed=62)
+        scan = similarity._Scan()
+        tracemalloc.start()
+        try:
+            _, peak = traced_peak(lambda: estimate_quantile_threshold(
+                pair, 0.999, n, threads=threads, _scan=scan))
+        finally:
+            tracemalloc.stop()
+        kept = sum(tail.offsets.nbytes + tail.values.nbytes for tail in scan.tails.values())
+        assert kept > 0
+        assert peak <= threads * 1.25 * 256 * n * 8 + kept
+
     def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):
         # a quarter of each sample in the tail: every tail passes 1/8 of its tile
         # and is dropped, so the chunk is sorted after the scan, whose tile
         # buffer must be gone by then
-        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", similarity._SAMPLE_SIZE // 4)
+        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", similarity._MIN_SAMPLE // 4)
         sorts = []
         full_sort = similarity._full_sort_quantile
         monkeypatch.setattr(similarity, "_full_sort_quantile",

@@ -104,6 +104,12 @@ MUTANTS = {
         ("tests/test_similarity.py::TestTailSelection",
          "tests/test_similarity.py::TestClusterSortedRows"),
         "a misjudged tile is walked again at its own bound instead of its chunk's v"),
+    "no-tile-row-cap": Mutant(
+        "similarity.py",
+        (("rows = min(ROW_CHUNK, _MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))",
+          "rows = min(ROW_CHUNK, max(1, _TILE_BYTES // (8 * n)))"),),
+        ("tests/test_similarity.py::TestMemory::test_estimate_holds_a_256_row_tile_per_worker",),
+        "below N = 8192 a tile fills the 16 MiB budget: 512 rows, twice the bytes, at N = 4096"),
     "nearest-diagonal-unmasked": Mutant(
         "batching.py",
         (("    z[at] = -np.inf\n", ""),),
