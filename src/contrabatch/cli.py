@@ -7,12 +7,18 @@ output paths are given.  Exit codes: 0 success, 1 I/O or format problems,
 running out of memory.  Every command is
 deterministic for fixed inputs, flags, and seed (bench timings excepted:
 the measured seconds vary, the row structure does not).
+
+At interpreter exit the objects still alive are frozen (``gc.freeze``), so
+the exit-time collections skip what import left behind; ``main`` itself
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
+import gc
 import os
 import sys
 import time
@@ -37,6 +43,9 @@ from .similarity import CHUNK_ROWS, _Scan
 
 _PARAM_EXIT = 2
 _IO_EXIT = 1
+# atexit runs before the interpreter's exit-time collections, so those skip every frozen
+# object; every output is closed before main returns, so no byte moves
+atexit.register(gc.freeze)
 
 # Most worker threads a run may ask for: a map starts one per tile, and a
 # large N has thousands of tiles.

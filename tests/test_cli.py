@@ -1,6 +1,7 @@
 """Command-line surface: flags, outputs, exit codes, determinism."""
 
 import contextlib
+import gc
 import json
 import math
 import os
@@ -517,6 +518,57 @@ def test_epoch_commands_leave_numpy_ma_and_the_oracle_unloaded(tmp_path, argv, u
     )
     assert child.returncode == 0, child.stderr
     assert child.stderr == "[]\n"
+
+
+def run_with_exit_probe(probe: str, argv, cwd):
+    """Run ``main(argv)`` in a child that registers ``probe`` (an expression
+    printed to stderr) with atexit before it imports the CLI: atexit runs its
+    handlers last in, first out, so the probe sees the state after the CLI's."""
+    code = ("import atexit, gc, sys; "
+            f"atexit.register(lambda: print({probe}, file=sys.stderr)); "
+            "from contrabatch.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=src_env(), cwd=cwd, timeout=120)
+
+
+class TestExitFreeze:
+    def test_a_child_freezes_at_exit_and_writes_every_byte(self, tmp_path, capsys):
+        x, y = write_pair(tmp_path, random_pair(64, 8, seed=5))
+        epoch = ["permute", "--x", x, "--y", y, "--batch-size", "8", "--quantile", "0.99",
+                 "--report"]
+        child = run_with_exit_probe("gc.get_freeze_count() > 0", epoch + [
+            "--out-perm", "perm.txt", "--out-batches", "batches.txt"], tmp_path)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == "True\n"
+        assert isinstance(json.loads(child.stdout), dict)
+        inline = tmp_path / "inline"
+        inline.mkdir()
+        assert main(epoch + ["--out-perm", str(inline / "perm.txt"),
+                             "--out-batches", str(inline / "batches.txt")]) == 0
+        assert child.stdout == capsys.readouterr().out
+        for name in ("perm.txt", "batches.txt"):
+            assert (tmp_path / name).read_bytes() == (inline / name).read_bytes()
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        x, y = write_pair(tmp_path, random_pair(32, 8, seed=6))
+        enabled = gc.isenabled()
+        for command in (["permute", "--report"], ["compare", "--seeds", "2"]):
+            assert main([*command, "--x", x, "--y", y, "--batch-size", "8",
+                         "--quantile", "0.9"]) == 0
+            assert gc.get_freeze_count() == 0
+            assert gc.isenabled() == enabled
+        capsys.readouterr()
+
+    def test_version_imports_what_a_bare_permute_does(self, tmp_path):
+        # setup_s times a --version child as the stand-in for an epoch child's start
+        x, y = write_pair(tmp_path, random_pair(32, 8, seed=7))
+        probe = "sorted(m for m in sys.modules if m.startswith('contrabatch'))"
+        version = run_with_exit_probe(probe, ["--version"], tmp_path)
+        permute = run_with_exit_probe(probe, ["permute", "--x", x, "--y", y, "--batch-size", "8",
+                                              "--out-perm", "perm.txt"], tmp_path)
+        assert version.returncode == permute.returncode == 0, version.stderr + permute.stderr
+        assert "'contrabatch.cli'" in version.stderr
+        assert version.stderr == permute.stderr
 
 
 class TestBench:

@@ -151,6 +151,16 @@ MUTANTS = {
         ("tests/test_similarity.py::TestGraphConstruction",
          "tests/test_cli.py::TestPermute::test_edge_cap_holds_on_the_entries_the_graph_finds"),
         "the graph holds every entry above a chunk-median cutoff, whatever the cap"),
+    "freeze-in-process": Mutant(
+        "cli.py",
+        (("atexit.register(gc.freeze)", "gc.freeze()"),),
+        ("tests/test_cli.py::TestExitFreeze::test_main_leaves_the_collector_as_it_was",),
+        "importing the CLI freezes the heap, so a long-running caller never collects it"),
+    "no-exit-freeze": Mutant(
+        "cli.py",
+        (("atexit.register(gc.freeze)\n", ""),),
+        ("tests/test_cli.py::TestExitFreeze::test_a_child_freezes_at_exit_and_writes_every_byte",),
+        "a child's exit-time collections walk every object import left behind"),
 }
 
 
