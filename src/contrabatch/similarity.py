@@ -1,8 +1,8 @@
 """Quantile cutoff estimation and sparse similarity-graph construction.
 
 This module owns the tiling of the N x N cross inner-product matrix X·Yᵀ:
-every product, here and in the loss and baseline scans, is a row tile from
-``_tiles`` multiplied by one call, ``_products``.  BLAS results can differ in
+every product that reaches an output, here and in the loss and baseline
+scans, is a row tile from ``_tiles`` multiplied by one call, ``_products``.  BLAS results can differ in
 the last bit with block height, so one tile grid keeps every stage's
 products bit-identical.  The tile height is a function of N alone
 (``_tile_rows``): the tallest power of two, at most ``_MAX_TILE_ROWS`` (256),
@@ -54,23 +54,26 @@ empirical quantile of all N^2 entries.  The chunk is a logical unit only:
 it sets the cutoff value, while the tile sets the memory.
 
 A high quantile reads two order statistics near the top, so tiles are not
-sorted (expected-time selection, Floyd & Rivest 1975).  Each tile takes a
-deterministic strided sample of its products (every 32nd, but at least 2¹⁵
-products: ``_sample_stride``), in which e entries are expected above the
-chunk's quantile, and picks from it a lower bound ``lb``
-with e + Z·√e sampled entries above it (Z = ``_TAIL_Z`` standard
-deviations of that count).  It keeps its entries >= ``lb`` as (offset,
-value) pairs: its tail.  A chunk sorts the values its tails kept; let v be
-the needed-th largest.  Each tile holds all its entries >= its ``lb``, so
-once no ``lb`` is above v the two ranks are read from the sorted values.
-Order statistics are rank-exact, so the value equals a full sort's.  A
-tile whose ``lb`` is above v (the sample misjudged it, as when rows arrive
-sorted by cluster) is multiplied again and walked at v, its tail replaced
-by its entries >= v; the misjudged tiles of every chunk are rescanned in
-one map, and their chunks then read the ranks.  The chunk's products are
-sorted in full, in place, only when q is too low for a tail to pay (below
-15/16), when a tail, first or rescanned, would exceed 1/8 of its tile, or
-when the tails kept fewer values than the ranks need.
+sorted (expected-time selection, Floyd & Rivest 1975).  Each chunk draws
+one deterministic sample of its products (``_chunk_bounds``): its rows and
+Y's columns, each at a stride of about 1/``_SAMPLE_SIDE``, multiplied as one
+small product that sets bounds and nothing else.  In it e entries are
+expected above the chunk's quantile.  The chunk's lower bound ``lb`` leaves
+e + Z·σ sampled entries above it (Z = ``_TAIL_Z``), where σ is the count's
+standard error with the design effect of sampling whole rows and columns
+(Kish, *Survey Sampling*, 1965): products of one row are correlated, as
+when rows arrive sorted by cluster.  Every tile of the chunk keeps its
+entries >= ``lb`` as (offset, value) pairs: its tail.  The tiles share
+``lb``, so their tails hold every entry of the chunk >= ``lb``; once they
+hold the needed count, the chunk sorts their values and reads the two
+ranks.  Order statistics are rank-exact, so the value equals a full sort's.
+A chunk whose tails hold fewer (its sample misjudged it) has every tile
+multiplied again and walked at a second bound, with e + 2Z·σ sampled
+entries above it; the short chunks are walked again in one map.  The
+chunk's products are sorted in full, in place, only when q is too low for a
+tail to pay (below 15/16), when a tail would exceed 1/8 of its tile, or
+when the tails at the second bound still hold fewer values than the ranks
+need.
 
 Graph.  An undirected, unweighted graph keeps the node pairs whose inner
 product exceeds the cutoff in either direction.  A grid tile whose kept tail
@@ -92,8 +95,8 @@ block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a block
 is still in cache for each pass after its first.  A block only splits
 element-wise work and per-row maxima, argmaxima and sums, whose bits do not
 depend on how many rows share a call, so the block height changes no output.
-Each scan (the estimator's tile jobs and its rescans, ``_Scan.read``, the
-graph's rescans) is one call of ``_map_products``, which multiplies into one
+Each scan (each of the estimator's walks, ``_Scan.read``, the graph's
+rescans) is one call of ``_map_products``, which multiplies into one
 buffer per worker thread, reused tile after tile and freed when the scan
 returns: a function given a buffered product keeps no view of it.  Only it
 and the full sort call ``_products``.
@@ -106,8 +109,8 @@ when the first stage multiplies it, after that stage took what it needs from
 each block (the estimator its tail, the graph its entries above the cutoff).
 ``_Scan.read`` returns the kept blocks and multiplies only the grid tiles no
 stage has walked.  So ``permute --report`` and ``compare`` multiply a tile
-at most once beyond the estimator, whose rescans, full sort and off-grid
-tiles feed no part.  A call without ``_scan=`` walks a fresh scan.
+at most once beyond the estimator, whose second walks, full sort and
+off-grid tiles feed no part.  A call without ``_scan=`` walks a fresh scan.
 """
 
 from __future__ import annotations
@@ -122,29 +125,21 @@ from ._parallel import chunk_spans, ordered_map
 from .errors import CapacityError, DataError, GraphError, ParameterError
 from .io import EmbeddingPair
 
-# Tallest row tile multiplied against all of Y.  BLAS results can change in
-# the last bit with block height, so changing this value can change output
-# bits.
-ROW_CHUNK = 2048
-
 # Default height of the estimator's logical chunk.  It sets the cutoff value
 # (a median of per-chunk quantiles), so changing it changes outputs.
 CHUNK_ROWS = 4096
 
-# Tail selection per tile: sample every _SAMPLE_STRIDE-th product, but at
-# least _MIN_SAMPLE of them (all, when the tile has fewer), so a tile of the
-# 2²¹ products _TILE_BYTES holds samples 2¹⁶ and a 256-row tile at N = 4096
-# 2¹⁵, at the same stride.  e of the samples are expected in the needed tail
-# share; set the bound where the sample holds e + _TAIL_Z·√e (the count's
-# Poisson error, _TAIL_Z standard deviations over) and at least
-# _MIN_SAMPLE_TAIL entries; keep a tail only
-# while it is at most _MAX_TAIL_SHARE of the tile, else it is dropped and its
-# chunk sorted in place.  Kept pairs cost 12 bytes each (``_Tail``), so the
-# cap holds all tails to 3/16 of the bytes of the full product.
-_SAMPLE_STRIDE = 32
-_MIN_SAMPLE = 1 << 15
+# Tail selection per chunk (``_chunk_bounds``): sample the chunk's rows and
+# Y's columns at strides of about 1/_SAMPLE_SIDE, whatever the tile's shape,
+# and set two bounds, _TAIL_Z and 2·_TAIL_Z standard errors of the sampled
+# count past the needed share.  A 256-side sample costs 1.2-1.7 ms at
+# N = 1536 and 4096 (d = 64, one BLAS thread), a 512-side one 5.5-8 ms.  Keep
+# a tail only while it is at most _MAX_TAIL_SHARE of the tile, else it is
+# dropped and its chunk sorted in place.  Kept pairs cost 12 bytes each
+# (``_Tail``), so the cap holds all tails to 3/16 of the bytes of the full
+# product.
+_SAMPLE_SIDE = 256
 _TAIL_Z = 5.0
-_MIN_SAMPLE_TAIL = 64
 _MAX_TAIL_SHARE = 1 / 8
 
 # Bytes per row block of the tile walk: small enough that a block stays in
@@ -152,12 +147,12 @@ _MAX_TAIL_SHARE = 1 / 8
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of one tile product, per worker thread, and the most rows of one
-# tile: a tile is the tallest power of two rows, at most ROW_CHUNK and
-# _MAX_TILE_ROWS, whose products fit (``_tile_rows``).  The multiply's cost
-# per product is flat from about 256 rows up, as OpenBLAS packs all of Yᵀ on
-# every call (module docstring), so a taller tile only adds bytes to fault
-# in; the budget binds from N = 8192 up.  With N not a multiple of 8 the
-# height can change products in the last bit.
+# tile: a tile is the tallest power of two rows, at most _MAX_TILE_ROWS, whose
+# products fit (``_tile_rows``).  The multiply's cost per product is flat
+# from about 256 rows up, as OpenBLAS packs all of Yᵀ on every call (module
+# docstring), so a taller tile only adds bytes to fault in; the budget binds
+# from N = 8192 up.  With N not a multiple of 8 the height can change
+# products in the last bit.
 _TILE_BYTES = 16 << 20
 _MAX_TILE_ROWS = 256
 
@@ -253,17 +248,18 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _products(pair: EmbeddingPair, span: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
-    """The tile x[start:stop] · Yᵀ: every similarity product is computed here."""
+    """The tile x[start:stop] · Yᵀ: every product that reaches an output is
+    computed here."""
     start, stop = span
     return np.matmul(pair.x[start:stop], pair.y.T, out=out)
 
 
 def _tile_rows(n: int) -> int:
     """Tile height for an N-row pair: the tallest power of two, at most
-    ``ROW_CHUNK`` and ``_MAX_TILE_ROWS``, whose tile of ``height x n`` float64
-    products fits in ``_TILE_BYTES``; 1 when none does.  A power of two
-    divides ``CHUNK_ROWS``."""
-    rows = min(ROW_CHUNK, _MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))
+    ``_MAX_TILE_ROWS``, whose tile of ``height x n`` float64 products fits in
+    ``_TILE_BYTES``; 1 when none does.  A power of two divides
+    ``CHUNK_ROWS``."""
+    rows = min(_MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))
     return 1 << (rows.bit_length() - 1)
 
 
@@ -344,27 +340,40 @@ class _Scan:
         return [block for span in tiles for block in self.parts[part][span]]
 
 
-def _sample_stride(entries: int, width: int) -> int:
-    """Stride of a tile's sample: _SAMPLE_STRIDE, or less for at least
-    _MIN_SAMPLE samples, then raised until it is coprime to the row width, so
-    the sample walks through every column instead of repeating a few."""
-    stride = min(_SAMPLE_STRIDE, max(1, entries // _MIN_SAMPLE))
-    while math.gcd(stride, width) != 1:
-        stride += 1
-    return stride
+def _chunk_bounds(pair: EmbeddingPair, chunk: tuple[int, int], share: float) -> tuple[float, float]:
+    """Two lower bounds, the second lower, for the top ``share`` of the
+    products of ``chunk``, read from one sample of them: the chunk's rows and
+    Y's columns, each at a stride of about 1/_SAMPLE_SIDE.
 
-
-def _sampled_bound(pair: EmbeddingPair, z: np.ndarray, share: float) -> float:
-    """A lower bound for the top ``share`` of tile product ``z``, read from a
-    strided sample: its largest e + _TAIL_Z·√e values, e = share × sample size."""
-    flat = z.reshape(-1)
-    sample = flat[:: _sample_stride(flat.size, pair.n)].copy()
-    expected = share * sample.size
-    keep = math.ceil(expected + _TAIL_Z * math.sqrt(expected))
-    keep = min(sample.size, max(_MIN_SAMPLE_TAIL, keep))
-    kth = sample.size - keep
-    sample.partition(kth)
-    return float(sample[kth])
+    With e = share × sample size and c the sampled entries >= the sample's
+    e-th largest, the bounds leave e + _TAIL_Z·σ and e + 2·_TAIL_Z·σ sampled
+    entries at or above them, σ² = max(e, R·var(c per row) + C·var(c per
+    column) - e) over R rows and C columns: products of one row, or of one
+    column, are correlated, so the count varies more than a Poisson count
+    (Kish's design effect).  The sample sets bounds only, never an output
+    value, so it is not a tile product.  Its diagonal products are -inf:
+    aligned strides would over-weight them, and they are the largest when
+    y ≈ x; that can only lower the bounds.
+    """
+    start, stop = chunk
+    rows = np.arange(start, stop, max(1, (stop - start) // _SAMPLE_SIDE))
+    cols = np.arange(0, pair.n, max(1, pair.n // _SAMPLE_SIDE))
+    sample = pair.x[rows] @ pair.y[cols].T
+    _, on_row, on_col = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
+    sample[on_row, on_col] = -np.inf
+    size = sample.size
+    expected = share * size
+    kth = size - max(1, math.ceil(expected))
+    part = np.partition(sample.reshape(-1), kth)
+    hit_rows, hit_cols = np.divmod(np.flatnonzero(sample >= part[kth]), len(cols))
+    variance = (len(rows) * np.bincount(hit_rows, minlength=len(rows)).var()
+                + len(cols) * np.bincount(hit_cols, minlength=len(cols)).var() - expected)
+    sigma = math.sqrt(max(expected, variance))
+    first, second = (size - min(size, math.ceil(expected + z * sigma)) for z in (_TAIL_Z, 2 * _TAIL_Z))
+    # one kth per partition call: NumPy's partition at two kth costs as much as a sort
+    part[: kth + 1].partition(second)
+    part[second : kth + 1].partition(first - second)
+    return float(part[first]), float(part[second])
 
 
 def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, bound: float,
@@ -427,40 +436,34 @@ def estimate_quantile_threshold(
         size = (chunk[1] - chunk[0]) * n
         return size, size - _ranks(size, q)[0]
 
-    shares = {}  # tile -> the tail share its chunk needs
+    todo = {}  # chunk -> its two tail bounds, while its tiles are to be walked
     for chunk in chunks:
         size, need = tail_need(chunk)
         if 2 * need <= _MAX_TAIL_SHARE * size:  # q >= 15/16: twice the share fits a tail
-            shares.update(dict.fromkeys(_tiles(chunk, n), need / size))
-    # the tiles' buffers are freed here, before any full sort
-    tails = scan.tails = dict(zip(shares, _map_products(pair, list(shares), lambda span, z: _scan_tail(
-        pair, span, z, _sampled_bound(pair, z, shares[span]), scan), threads)))
+            todo[chunk] = _chunk_bounds(pair, chunk, need / size)
+    tails = scan.tails = {}
+    for level in (0, 1):  # a chunk whose tails hold too few is walked again at its second bound
+        at = {tile: todo[chunk][level] for chunk in todo for tile in _tiles(chunk, n)}
+        # one map over the tiles of every such chunk; its buffers are freed before any full sort
+        tails.update(zip(at, _map_products(pair, list(at), lambda span, z: _scan_tail(
+            pair, span, z, at[span], scan), threads)))
+        todo = {chunk: todo[chunk] for chunk in todo
+                if all(tails[tile].bound < math.inf for tile in _tiles(chunk, n))
+                and sum(tails[tile].values.size for tile in _tiles(chunk, n)) < tail_need(chunk)[1]}
 
-    def chunk_quantile(chunk: tuple[int, int]) -> tuple[float | None, float | None]:
-        """(the chunk's quantile, v), v the need-th largest value its tiles kept
-        (None after a full sort); the quantile is None while a bound is above v."""
+    def chunk_quantile(chunk: tuple[int, int]) -> float:
+        """The chunk's quantile, read from its tails, else by a full sort."""
         size, need = tail_need(chunk)
         parts = [tails.get(tile) for tile in _tiles(chunk, n)]
         if all(part is not None and part.bound < math.inf for part in parts):
             top = np.concatenate([part.values for part in parts])
+            # each tile holds all its entries >= the chunk's one bound
             if top.size >= need:
                 top.sort()
-                v = float(top[top.size - need])
-                # each tile holds its entries >= its bound: all those >= v once no bound is above v
-                if v >= max(part.bound for part in parts):
-                    return _read_quantile(top, size, q), v
-                return None, v
-        return _full_sort_quantile(pair, chunk, q), None
+                return _read_quantile(top, size, q)
+        return _full_sort_quantile(pair, chunk, q)
 
-    first = ordered_map(chunk_quantile, chunks, threads)
-    # tiles whose bound sits above their chunk's v, rescanned at v in one map
-    redo = {tile: v for chunk, (value, v) in zip(chunks, first) if value is None
-            for tile in _tiles(chunk, n) if tails[tile].bound > v}
-    tails.update(zip(redo, _map_products(
-        pair, list(redo), lambda span, z: _scan_tail(pair, span, z, redo[span], scan), threads)))
-    again = iter(ordered_map(chunk_quantile, [chunk for chunk, (value, _) in zip(chunks, first)
-                                              if value is None], threads))
-    per_chunk = [next(again)[0] if value is None else value for value, _ in first]
+    per_chunk = ordered_map(chunk_quantile, chunks, threads)
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"
     return SimilarityThreshold(
         quantile_q=q,

@@ -42,8 +42,8 @@ def cluster_sorted_pair(n: int, seed: int, d: int = 64) -> EmbeddingPair:
     """Normalized rows drawn as perfbench's clustered generator draws them (n/256
     centres, x = centre + 0.5·noise, y = x + 0.2·noise, 2% of the rows exact
     copies of others), then sorted by centre, as embeddings saved class by class
-    arrive.  A tile then holds few clusters, so its sampled tail bound can sit
-    above its chunk's quantile."""
+    arrive.  A tile then holds few clusters, and the products of one row are
+    correlated, which a bound sampled from the chunk must allow for."""
     rng = np.random.default_rng(seed)
     centres = rng.standard_normal((n // 256, d))
     labels = rng.integers(len(centres), size=n)

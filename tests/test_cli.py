@@ -814,13 +814,13 @@ class TestOneSweep:
         return x, y, calls, capsys.readouterr().out
 
     def test_permute_report_multiplies_each_tile_once(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                          ["--quantile", "0.999", "--threads", "2"])[2]
         assert sorted(calls) == self.TILES  # estimate only: the graph and report reuse it
 
     def test_compare_multiplies_each_tile_once(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         x, y, calls, out = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                                     ["--quantile", "0.999"], command="compare")
         assert sorted(calls) == self.TILES  # the estimate: the mined baseline reads its argmax
@@ -829,7 +829,7 @@ class TestOneSweep:
     def scanned(self, monkeypatch, pair):
         """The scan of ``pair``'s cutoff, keeping neighbours and global stats
         as compare's does."""
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         scan = similarity._Scan((batching._nearest_part, ()), (losses._global_part, (0.05,)))
         similarity.estimate_quantile_threshold(pair, 0.999, 512, _scan=scan)
         return scan
@@ -857,13 +857,13 @@ class TestOneSweep:
 
     def test_full_sort_report_reads_the_graph_tiles(self, tmp_path, capsys, monkeypatch):
         # q = 0.9 keeps no tails: the sort and the graph multiply, the report reads the graph's
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                          ["--quantile", "0.9"])[2]
         assert sorted(calls) == sorted(self.TILES * 2)
 
     def test_off_grid_chunks_report_reads_the_graph_tiles(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         calls = self.run(tmp_path, capsys, monkeypatch, random_pair(512, 16, seed=41),
                          ["--quantile", "0.999", "--chunk-rows", "100"])[2]
         chunk_tiles = [(s, min(s + 100, 512)) for s in range(0, 512, 100)]
@@ -875,13 +875,13 @@ class TestOneSweep:
     ], ids=["analyze-gcbs", "analyze-random", "analyze-hardneg1", "permute"])
     def test_each_command_multiplies_each_tile_once(self, tmp_path, capsys, monkeypatch,
                                                     command):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         x, y = write_pair(tmp_path, random_pair(512, 16, seed=41))
         calls = count_products(monkeypatch)
         assert main(command + ["--x", x, "--y", y, "--batch-size", "16"]) == 0
         assert sorted(calls) == self.TILES  # hardneg1 keeps the global terms with its argmax
 
-    @pytest.mark.parametrize("pair, flags, row_chunk, edgeless", [
+    @pytest.mark.parametrize("pair, flags, tile_rows, edgeless", [
         (random_pair(512, 16, seed=41), ["--quantile", "0.9"], 128, False),
         (duplicated_cluster_pair(), ["--quantile", "0.999"], 128, True),  # the cutoff is the top
         (random_pair(512, 16, seed=41), ["--quantile", "0.999", "--chunk-rows", "100"], 128,
@@ -893,9 +893,9 @@ class TestOneSweep:
     ], ids=["full-sort", "dropped-tail", "off-grid-chunks", "n-2050", "threads-2",
             "tau-0.05", "tau-0.5"])
     def test_report_bytes_on_every_path(self, tmp_path, capsys, monkeypatch, pair, flags,
-                                        row_chunk, edgeless):
-        if row_chunk is not None:
-            monkeypatch.setattr(similarity, "ROW_CHUNK", row_chunk)
+                                        tile_rows, edgeless):
+        if tile_rows is not None:
+            monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", tile_rows)
         opts = dict(zip(flags[::2], flags[1::2]))
         chunk_rows = int(opts["--chunk-rows"]) if "--chunk-rows" in opts else None
         warned = (pytest.warns(UserWarning, match="no inner product exceeds") if edgeless
@@ -910,7 +910,7 @@ class TestOneSweep:
 
     def test_duplicated_pair_drops_a_tail(self, tmp_path, monkeypatch):
         # the premise of the dropped-tail case above
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         pair = load_pair(*write_pair(tmp_path, duplicated_cluster_pair())).normalized()
         scan = similarity._Scan()
         similarity.estimate_quantile_threshold(pair, 0.999, 512, _scan=scan)

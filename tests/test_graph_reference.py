@@ -42,7 +42,7 @@ def cutoff_and_scan(monkeypatch, kind: str, chunk: str, q: float):
     """The pair, its cutoff and the scan that estimated it, on 16-row tiles;
     ``chunk`` is one chunk of every row, one tile per chunk, or chunks that
     start off the tile grid."""
-    monkeypatch.setattr(similarity, "ROW_CHUNK", 16)
+    monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 16)
     pair = PAIRS[kind]()
     chunk_rows = {"whole": pair.n, "on-grid": 16, "off-grid": 19}[chunk]
     scan = similarity._Scan()

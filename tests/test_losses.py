@@ -107,7 +107,7 @@ class TestGlobalStatsFromTheCutoffTiles:
     TILES = [(0, 128), (128, 256), (256, 384), (384, 512)]
 
     def scanned(self, monkeypatch, tau):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         pair = random_pair(512, 16, seed=48)
         scan = similarity._Scan((losses._global_part, (tau,)))
         similarity.estimate_quantile_threshold(pair, 0.999, 512, threads=2, _scan=scan)
@@ -131,7 +131,7 @@ class TestGlobalStatsFromTheCutoffTiles:
     def test_many_workers_record_every_tile(self, monkeypatch):
         # 32 tiles on 8 workers, switching threads as often as the
         # interpreter allows: a lost part would show as a multiply
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 16)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 16)
         pair = random_pair(512, 16, seed=50)
         scan = similarity._Scan((losses._global_part, (0.05,)))
         interval = sys.getswitchinterval()

@@ -43,7 +43,7 @@ def reference(pair: EmbeddingPair) -> list[int]:
 @pytest.fixture(autouse=True)
 def small_tiles(monkeypatch):
     # several tiles, each split into row blocks, so block and tile offsets both count
-    monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+    monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
     monkeypatch.setattr(similarity, "_BLOCK_BYTES", 16 * 8 * 203)
 
 

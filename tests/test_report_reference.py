@@ -18,7 +18,7 @@ from contrabatch import (
     hard_negative_batches,
     random_batches,
 )
-from contrabatch import losses, similarity
+from contrabatch import losses
 from contrabatch.losses import GapReport, _SlotStats
 from conftest import clustered_pair, random_pair
 
@@ -121,7 +121,7 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_stacked_scans_equal_the_per_batch_reference(monkeypatch, case, tau, threads):
     if threads == 2:  # many runs on the pool
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 256)
+        monkeypatch.setattr(losses, "_MAX_RUN_ROWS", 256)
     pair, assign = CASES[case]()
     assignment = assign(pair)
     got = losses._slot_stats(pair, assignment, tau, threads)

@@ -216,7 +216,7 @@ class TestGraphConstruction:
     def test_edge_cap_counts_the_entries_above_a_chunk_median(self, monkeypatch, reuse):
         # the median of 128-row chunk quantiles lets about 25x the predicted entries pass;
         # the graph counts them, from kept tails and rescanned tiles, before any key is built
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         pair = half_clustered_pair().normalized()
         scan = similarity._Scan()
         threshold = estimate_quantile_threshold(pair, 0.99, 128, _scan=scan)
@@ -238,7 +238,7 @@ class TestGraphConstruction:
 
     def test_edge_cap_count_is_exact_across_workers(self, monkeypatch):
         # more workers than cores add their tiles to one count, which must stay exact
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 8)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 8)
         monkeypatch.setattr(similarity, "_MAX_DIRECTED_ENTRIES", 0)  # count every tile
         pair = random_pair(256, 8, seed=5)
         want = sum(int((similarity._products(pair, span) > 0.0).sum())
@@ -294,15 +294,15 @@ def clustered_with_duplicates() -> EmbeddingPair:
     return EmbeddingPair(x, y)
 
 
-def one_hot_tile() -> EmbeddingPair:
-    """384 rows in 128-row tiles: the first tile's rows match a third of the
-    columns closely, so its own tail bound sits above the chunk's quantile."""
+def one_hot_tile(n: int = 384, tile: int = 128) -> EmbeddingPair:
+    """N rows whose first tile matches a third of the columns closely, so that
+    tile holds most of the chunk's top products."""
     rng = np.random.default_rng(22)
-    x = rng.standard_normal((384, 16))
-    y = rng.standard_normal((384, 16))
+    x = rng.standard_normal((n, 16))
+    y = rng.standard_normal((n, 16))
     centre = rng.standard_normal(16)
-    x[:128] = centre + 0.05 * rng.standard_normal((128, 16))
-    y[:128] = centre + 0.05 * rng.standard_normal((128, 16))
+    x[:tile] = centre + 0.05 * rng.standard_normal((tile, 16))
+    y[: n // 3] = centre + 0.05 * rng.standard_normal((n // 3, 16))
     return EmbeddingPair(x, y).normalized()
 
 
@@ -337,7 +337,7 @@ class TestTailSelection:
     @pytest.mark.parametrize("case", sorted(TAIL_CASES))
     def test_estimate_equals_full_sort_of_each_chunk(self, monkeypatch, case, q):
         make, chunk_rows, tile_rows = TAIL_CASES[case]
-        monkeypatch.setattr(similarity, "ROW_CHUNK", tile_rows)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", tile_rows)
         pair = make()
         want = chunk_oracle(pair, q, chunk_rows)
         for threads in (1, 2):
@@ -348,13 +348,13 @@ class TestTailSelection:
         assert bool(scan.tails) == (q == 0.999)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_misjudged_bound_rescans_the_tile_not_the_chunk(self, monkeypatch, threads):
-        # with Z = 0 each 128-row tile keeps its own share of the tail, so the
-        # tile with the higher bound holds fewer of the chunk's top entries: it
-        # is multiplied again and walked at v, and no chunk is sorted
-        monkeypatch.setattr(similarity, "_TAIL_Z", 0.0)
-        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", 1)
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+    def test_misjudged_chunk_walks_its_tiles_again_not_sorted(self, monkeypatch, threads):
+        # a first bound above every product keeps nothing: each tile of the chunk
+        # is multiplied again and walked at the second bound, and no chunk is sorted
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
+        bounds = similarity._chunk_bounds
+        monkeypatch.setattr(similarity, "_chunk_bounds",
+                            lambda *args: (2.0, bounds(*args)[1]))  # rows are unit-norm
         sorts = []
         monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
         pair = random_pair(256, 16, seed=33)
@@ -362,18 +362,19 @@ class TestTailSelection:
         scan = similarity._Scan()
         t = estimate_quantile_threshold(pair, 0.999, 256, threads=threads, _scan=scan)
         assert sorts == []
-        assert calls == [(0, 128), (128, 256), (0, 128)]  # the tiles, then the rescanned one
+        assert sorted(calls) == [(0, 128), (0, 128), (128, 256), (128, 256)]
         assert t.value == chunk_oracle(pair, 0.999, 256)
         calls.clear()
         graph = build_sparse_graph(pair, t, threads=threads, _scan=scan)
-        assert calls == []  # every tail, the rescanned one too, has a bound at or below the cutoff
+        assert calls == []  # every tail has the second bound, at or below the cutoff
         assert graph == build_sparse_graph(pair, SimilarityThreshold(0.999, t.value, 256, t.estimator))
         assert_tails_hold_their_entries(pair, scan)
 
-    def test_rescanned_tail_over_its_share_sorts_the_chunk(self, monkeypatch):
+    def test_tail_over_its_share_sorts_the_chunk(self, monkeypatch):
         # at q = 0.95 the first tile holds the chunk's top 5% nearly alone: at
-        # the chunk's v its tail passes 1/8 of the tile and is dropped
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        # the chunk's bound its tail passes 1/8 of the tile and is dropped, so
+        # the chunk is sorted after one walk
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         sorts = []
         full_sort = similarity._full_sort_quantile
         monkeypatch.setattr(similarity, "_full_sort_quantile",
@@ -383,9 +384,24 @@ class TestTailSelection:
         scan = similarity._Scan()
         t = estimate_quantile_threshold(pair, 0.95, 384, _scan=scan)
         assert sorts == [(0, 384)]
-        assert calls == [(0, 128), (128, 256), (256, 384), (0, 128), (0, 128), (128, 256), (256, 384)]
+        tiles = [(0, 128), (128, 256), (256, 384)]
+        assert calls == tiles + tiles  # the tiles, then the full sort's
         assert scan.tails[(0, 128)].bound == math.inf
         assert t.value == chunk_oracle(pair, 0.95, 384)
+
+    def test_diagonal_of_an_aligned_sample_keeps_the_tail_path(self, monkeypatch):
+        # X = Y: each x_i·y_i = 1 is the largest product, and the chunk's rows
+        # and Y's columns are sampled at the same stride of 8, so the sample
+        # holds 256 diagonal products; they must not set the bound
+        sorts = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        x = random_pair(2048, 16, seed=34).x
+        pair = EmbeddingPair(x, x.copy())
+        calls = count_products(monkeypatch)
+        t = estimate_quantile_threshold(pair, 0.999, 2048)
+        assert sorts == []
+        assert calls == similarity._tiles((0, 2048), 2048)  # one walk
+        assert t.value == chunk_oracle(pair, 0.999, 2048)
 
     def test_default_margin_takes_the_tail_path(self, monkeypatch):
         calls = []
@@ -399,30 +415,47 @@ class TestTailSelection:
 
 class TestClusterSortedRows:
     """Rows sorted by cluster, as embeddings saved class by class arrive: a tile
-    of few clusters samples a bound above its chunk's quantile.  The tile is
-    rescanned at v; the chunk is not multiplied into one block and sorted."""
+    holds few clusters, so a bound sampled from one tile alone misjudges its
+    chunk.  The chunk's one bound takes every tile in a single walk, and the
+    chunk is not multiplied into one block and sorted."""
 
-    @pytest.mark.parametrize("seed", range(6))  # before the rescan, 4 of them sorted in full
+    @pytest.mark.parametrize("seed", range(6))
     def test_exact_cutoff_in_the_tile_budget(self, monkeypatch, seed):
         sorts = []
         monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        calls = count_products(monkeypatch)
+        for n in (2048, 4096):
+            pair = cluster_sorted_pair(n, seed)
+            for q in (0.99, 0.999):
+                want = chunk_oracle(pair, q, n)
+                for threads in (1, 2):
+                    scan = similarity._Scan()
+                    calls.clear()
+                    tracemalloc.start()
+                    try:
+                        t, peak = traced_peak(lambda: estimate_quantile_threshold(
+                            pair, q, n, threads=threads, _scan=scan))
+                    finally:
+                        tracemalloc.stop()
+                    kept = sum(tail.offsets.nbytes + tail.values.nbytes
+                               for tail in scan.tails.values())
+                    assert sorts == []
+                    assert sorted(calls) == similarity._tiles((0, n), n), (n, q)  # one walk
+                    assert t.value == want
+                    assert peak <= threads * 1.25 * similarity._TILE_BYTES + kept
+                    assert build_sparse_graph(pair, t, threads=threads, _scan=scan) == \
+                        build_sparse_graph(pair, SimilarityThreshold(q, t.value, n, t.estimator))
+
+
+    @pytest.mark.parametrize("seed", [18, 53, 185])
+    def test_margin_covers_rows_of_one_cluster(self, monkeypatch, seed):
+        # products of one row, or one column, are correlated: on these inputs a
+        # margin of Poisson error alone, 5·√e, sets a bound that keeps too few
+        calls = count_products(monkeypatch)
         pair = cluster_sorted_pair(2048, seed)
-        want = chunk_oracle(pair, 0.999, 2048)
-        for threads in (1, 2):
-            scan = similarity._Scan()
-            tracemalloc.start()
-            try:
-                t, peak = traced_peak(lambda: estimate_quantile_threshold(
-                    pair, 0.999, 2048, threads=threads, _scan=scan))
-            finally:
-                tracemalloc.stop()
-            kept = sum(tail.offsets.nbytes + tail.values.nbytes for tail in scan.tails.values())
-            assert sorts == []
-            assert t.value == want
-            assert peak <= threads * 1.25 * similarity._TILE_BYTES + kept
-            hand_made = SimilarityThreshold(0.999, t.value, 2048, t.estimator)
-            assert build_sparse_graph(pair, t, threads=threads, _scan=scan) == build_sparse_graph(
-                pair, hand_made)
+        t = estimate_quantile_threshold(pair, 0.99, 2048)
+        assert calls == similarity._tiles((0, 2048), 2048)
+        assert t.value == chunk_oracle(pair, 0.99, 2048)
 
 
 @pytest.mark.parametrize("cls, names", [
@@ -449,7 +482,7 @@ class TestTailReuse:
         return reused
 
     def test_exact_estimate_graph_needs_no_multiply(self, monkeypatch):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 128)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
         pair = random_pair(512, 16, seed=41)
         t, scan = scanned_estimate(pair, 0.999, 512)
         calls = count_products(monkeypatch)
@@ -463,7 +496,7 @@ class TestTailReuse:
     def test_chunk_median_rescans_tiles_above_the_cutoff(self, monkeypatch):
         # rows 0..127 form tight clusters, so chunk 0's tail bound sits far
         # above the median of the four chunk quantiles
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((512, 16))
         y = rng.standard_normal((512, 16))
@@ -481,7 +514,7 @@ class TestTailReuse:
         self.assert_same_graph(pair, t, scan)
 
     def test_graph_without_the_scan_multiplies_every_tile(self, monkeypatch):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 32)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 32)
         pair = random_pair(128, 8, seed=43)
         t, scan = scanned_estimate(pair, 0.999, 128)
         calls = count_products(monkeypatch)
@@ -511,7 +544,7 @@ class TestOneTileGrid:
         m = pair.x @ pair.y.T
         np.fill_diagonal(m, -np.inf)
         want_nn = np.argmax(m, axis=1)
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
         calls = count_products(monkeypatch)
         tiles = [(0, 64), (64, 128), (128, 150)]
         assert ntxent_global(pair, 0.1, threads=2) == pytest.approx(want_loss, abs=1e-12)
@@ -522,22 +555,14 @@ class TestOneTileGrid:
 
 
 def budget_tile_rows(n: int) -> int:
-    """The tile height the 16 MiB budget and 2048 rows set, without the 256-row cap."""
-    rows = min(2048, max(1, (16 << 20) // (8 * n)))
+    """The tile height the 16 MiB budget sets, without the 256-row cap."""
+    rows = max(1, (16 << 20) // (8 * n))
     return 1 << (rows.bit_length() - 1)
-
-
-def budget_sample_stride(entries: int, width: int) -> int:
-    """The stride for about 2¹⁶ samples of ``entries`` products, coprime to ``width``."""
-    stride = max(1, entries // (1 << 16))
-    while math.gcd(stride, width) != 1:
-        stride += 1
-    return stride
 
 
 class TestTileGrid:
     """The tile height is a function of N alone: the tallest power of two,
-    at most ``ROW_CHUNK`` and 256, whose products fit ``_TILE_BYTES``."""
+    at most 256, whose products fit ``_TILE_BYTES``."""
 
     @pytest.mark.parametrize("n, rows", [
         (1, 256), (1024, 256), (1025, 256), (1536, 256), (4096, 256), (4100, 256),
@@ -545,7 +570,7 @@ class TestTileGrid:
     ])
     def test_height_fits_the_budget_and_divides_the_chunk(self, n, rows):
         assert similarity._tile_rows(n) == rows
-        assert rows & (rows - 1) == 0 and rows <= min(similarity.ROW_CHUNK, 256)
+        assert rows & (rows - 1) == 0 and rows <= 256
         assert rows == 1 or rows * n * 8 <= similarity._TILE_BYTES
         assert rows == 256 or 2 * rows * n * 8 > similarity._TILE_BYTES
         assert similarity.CHUNK_ROWS % rows == 0
@@ -554,14 +579,13 @@ class TestTileGrid:
         assert (spans[1:, 0] == spans[:-1, 1]).all() and (spans[:, 1] > spans[:, 0]).all()
         assert similarity._on_grid(tuple(spans[-1]), n)
 
-    def test_large_n_keeps_the_budget_height_and_sample_stride(self):
+    def test_large_n_keeps_the_budget_height(self):
         # from N = 8192 up the budget binds before the 256-row cap, so the
-        # tiles, and a full 2²¹-product tile's sample, are the budget's alone
+        # tiles are the budget's alone
         widths = [*range(8192, 1 << 17),
                   *np.unique(np.geomspace(1 << 17, 1 << 31, 4000).astype(int)).tolist()]
         for n in widths:
             assert similarity._tile_rows(n) == budget_tile_rows(n), n
-            assert similarity._sample_stride(1 << 21, n) == budget_sample_stride(1 << 21, n), n
 
     def test_estimate_multiplies_the_same_spans_at_any_thread_count(self, monkeypatch):
         monkeypatch.setattr(similarity, "_TILE_BYTES", 64 << 10)  # 8-row tiles
@@ -597,7 +621,7 @@ class TestTileBuffers:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_buffer_per_worker_and_scan(self, monkeypatch, threads):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
         pair = random_pair(512, 16, seed=53)
         outs = []
         count_products(monkeypatch, outs)
@@ -618,7 +642,7 @@ class TestTileBuffers:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_buffered_outputs_equal_fresh_products(self, monkeypatch, threads):
-        monkeypatch.setattr(similarity, "ROW_CHUNK", 64)
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
         pair = random_pair(512, 16, seed=54)
         buffered = scan_outputs(pair, threads)
         products = similarity._products  # every tile fresh; q = 0.999 runs no full sort into ``out``
@@ -763,16 +787,15 @@ class TestMemory:
         assert peak <= threads * 1.25 * 256 * n * 8 + kept
 
     def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):
-        # a quarter of each sample in the tail: every tail passes 1/8 of its tile
-        # and is dropped, so the chunk is sorted after the scan, whose tile
-        # buffer must be gone by then
-        monkeypatch.setattr(similarity, "_MIN_SAMPLE_TAIL", similarity._MIN_SAMPLE // 4)
+        # at q = 0.95 the first tile's tail passes 1/8 of the tile and is
+        # dropped, so the chunk is sorted after the scan, whose tile buffer
+        # must be gone by then
         sorts = []
         full_sort = similarity._full_sort_quantile
         monkeypatch.setattr(similarity, "_full_sort_quantile",
                             lambda *args: sorts.append(args[1]) or full_sort(*args))
-        pair = random_pair(2048, 64, seed=52)
-        assert self.peak(lambda: estimate_quantile_threshold(pair, 0.999, 2048)) < 1.25 * self.TILE_BYTES
+        pair = one_hot_tile(2048, 256)
+        assert self.peak(lambda: estimate_quantile_threshold(pair, 0.95, 2048)) < 1.25 * self.TILE_BYTES
         assert sorts == [(0, 2048)]
 
     def test_ordering_holds_no_tail_and_a_fraction_of_the_csr(self, monkeypatch):

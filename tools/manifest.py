@@ -17,8 +17,9 @@ them cross:
 
 The other 8 run ``permute`` and ``compare`` at ``--quantile`` 0.99 and 0.999
 and ``--threads`` 1 and 2 on a clustered N = 4096 whose rows are sorted by
-centre, as embeddings saved class by class arrive: there a tile's sampled
-tail bound sits above its chunk's quantile, and the tile is rescanned.
+centre, as embeddings saved class by class arrive: there a tail bound
+sampled from one tile alone sat above its chunk's quantile, and a bound
+sampled from the whole chunk must cover how one cluster's rows correlate.
 
 Cases are listed smallest input first; ``--smallest K`` runs the first K.
 To check that a change moves no output bit, run this script in the parent

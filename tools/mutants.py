@@ -88,26 +88,27 @@ MUTANTS = {
         "similarity.py",
         (("hits = np.flatnonzero(block >= bound)", "hits = np.flatnonzero(block > bound)"),),
         ("tests/test_similarity.py::TestTailSelection",),
-        "a tail, the one a rescan keeps at v too, loses its entries equal to its bound"),
-    "rescanned-tail-keeps-its-old-bound": Mutant(
+        "a tail, first or second walk, loses its entries equal to its bound"),
+    "chunk-sample-keeps-the-diagonal": Mutant(
         "similarity.py",
-        (("    tails.update(zip(redo, _map_products(\n",
-          "    tails.update((span, _Tail(tails[span].bound, tail.offsets, tail.values))\n"
-          "                 for span, tail in zip(redo, _map_products(\n"),),
-        ("tests/test_similarity.py::TestTailSelection",
-         "tests/test_similarity.py::TestClusterSortedRows"),
-        "a rescanned tile holds its entries >= v, but its tail still names the old bound"),
-    "rescan-at-the-tiles-own-bound": Mutant(
+        (("    sample[on_row, on_col] = -np.inf\n", ""),),
+        ("tests/test_similarity.py::TestTailSelection",),
+        "with y ≈ x and aligned strides the sampled diagonal sets the bound above the cutoff"),
+    "poisson-margin": Mutant(
         "similarity.py",
-        (("_scan_tail(pair, span, z, redo[span], scan)",
-          "_scan_tail(pair, span, z, tails[span].bound, scan)"),),
-        ("tests/test_similarity.py::TestTailSelection",
-         "tests/test_similarity.py::TestClusterSortedRows"),
-        "a misjudged tile is walked again at its own bound instead of its chunk's v"),
+        (("sigma = math.sqrt(max(expected, variance))", "sigma = math.sqrt(expected)"),),
+        ("tests/test_similarity.py::TestClusterSortedRows",),
+        "the margin ignores that products of one row are correlated, so clustered chunks misjudge"),
+    "rescan-at-the-first-bound": Mutant(
+        "similarity.py",
+        (("at = {tile: todo[chunk][level] for chunk",
+          "at = {tile: todo[chunk][0] for chunk"),),
+        ("tests/test_similarity.py::TestTailSelection",),
+        "a chunk whose tails came up short is walked again at the same bound, then sorted"),
     "no-tile-row-cap": Mutant(
         "similarity.py",
-        (("rows = min(ROW_CHUNK, _MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))",
-          "rows = min(ROW_CHUNK, max(1, _TILE_BYTES // (8 * n)))"),),
+        (("rows = min(_MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))",
+          "rows = max(1, _TILE_BYTES // (8 * n))"),),
         ("tests/test_similarity.py::TestMemory::test_estimate_holds_a_256_row_tile_per_worker",),
         "below N = 8192 a tile fills the 16 MiB budget: 512 rows, twice the bytes, at N = 4096"),
     "nearest-diagonal-unmasked": Mutant(
