@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from . import similarity
 from .errors import CapacityError, ParameterError
 from .io import validate_permutation
 from .similarity import SparseSimilarityGraph, _sorted_unique
@@ -21,11 +22,6 @@ from .similarity import SparseSimilarityGraph, _sorted_unique
 # n! explodes past this; the exhaustive searches here and in oracle.py are
 # test oracles, not solvers.
 _MAX_EXHAUSTIVE_NODES = 10
-
-# Neighbor slots a BFS level gathers at once (1 MiB of int64 each): a level
-# is expanded in runs of its vertices, so its temporaries stay bounded at any
-# degree.  Orders do not depend on it.
-_GATHER_SLOTS = 1 << 17
 
 
 def _unvisited_neighbors(graph: SparseSimilarityGraph, level: np.ndarray,
@@ -56,11 +52,12 @@ def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndar
     graph._check()
     n = graph.n
     degrees = graph.degrees
-    # a level expands this many vertices at a time, at most _GATHER_SLOTS slots
-    step = max(1, _GATHER_SLOTS // max(1, int(degrees.max(initial=0))))
+    # a level expands this many vertices at a time, so it gathers at most
+    # similarity._BLOCK_BYTES of int64 neighbour slots at any degree
+    step = max(1, similarity._BLOCK_BYTES // 8 // max(1, int(degrees.max(initial=0))))
     # Fixed (degree, index) ranking; the first unvisited entry is always the
     # lowest-degree unvisited vertex, which seeds each component.
-    by_degree = np.lexsort((np.arange(n), degrees))
+    by_degree = np.argsort(degrees, kind="stable")
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     # isolated vertices rank first and each is a whole component: place them at once
@@ -78,7 +75,8 @@ def cuthill_mckee(graph: SparseSimilarityGraph, reverse: bool = True) -> np.ndar
         while level.size:
             frontier = np.concatenate([_unvisited_neighbors(graph, level[a : a + step], visited)
                                        for a in range(0, level.size, step)])
-            # the level sorted by degree, ties by ascending index
+            # the level sorted by degree, ties by ascending index (a level of several
+            # runs joins ascending runs, so the index is a key of its own)
             frontier = frontier[np.lexsort((frontier, degrees[frontier]))]
             order[filled : filled + frontier.size] = frontier
             filled += frontier.size

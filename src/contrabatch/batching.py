@@ -21,26 +21,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import chunk_spans
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .io import EmbeddingPair, validate_permutation
 from .bandwidth import cuthill_mckee
 from .similarity import (
-    _MAX_DIRECTED_ENTRIES,
     _Scan,
+    _check_graph_fits,
     build_sparse_graph,
     default_chunk_rows,
     estimate_quantile_threshold,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchAssignment:
     """Grouping of sample indices into training batches.
 
     ``batches`` holds the per-batch index lists in epoch order.  For
     partition assignments each index appears exactly once and ``perm`` is
     the underlying permutation; for oversampled assignments (mined
-    negatives) indices may repeat across batches and ``perm`` is None.
+    negatives) indices may repeat across batches and ``perm`` is None.  It
+    compares and hashes by identity, as arrays have no single truth value.
     """
 
     n: int
@@ -144,26 +145,15 @@ def hard_negative_batches(
     return BatchAssignment(n=n, k=k, batches=batches, perm=None, oversampled=True)
 
 
-def _check_graph_fits(n: int, q: float) -> None:
-    """Reject an epoch whose graph would hold more than ``_MAX_DIRECTED_ENTRIES``
-    directed entries, predicted as (1 - q)·N², before any product is taken."""
-    predicted = (1.0 - q) * n * n
-    if predicted > _MAX_DIRECTED_ENTRIES:
-        raise CapacityError(
-            f"a graph of N = {n} rows at quantile {q} would hold about {predicted:.3g} directed "
-            f"entries, above the cap of {_MAX_DIRECTED_ENTRIES} (2**26); raise the quantile "
-            "or use fewer rows")
-
-
 def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
             reverse: bool = True, threads: int = 1, _scan: _Scan | None = None):
     """The pipeline's one composition: yield the cutoff, the graph, then the order.
 
     ``chunk_rows`` defaults to ``default_chunk_rows``.  Raises CapacityError
     first when the graph is predicted to pass the edge cap, and the graph
-    raises it when the entries it counts do.  The graph filters the
-    tails the cutoff kept in ``_scan``, or in a fresh scan, and the tails
-    are dropped once it is built: no later stage reads them.  Warns, naming
+    raises it when the entries it counts do; both checks are
+    ``similarity``'s.  The graph takes the tails the cutoff kept in
+    ``_scan``, or in a fresh scan, out of it as it reads them.  Warns, naming
     the caller of :func:`bandwidth_pipeline`, when no inner product beats
     the cutoff (ties at it are dropped), because the order of an edgeless
     graph only follows the row index; every such run warns, not only the
@@ -177,7 +167,6 @@ def _stages(pair: EmbeddingPair, q: float, chunk_rows: int | None = None,
     threshold = estimate_quantile_threshold(pair, q, chunk_rows, threads=threads, _scan=scan)
     yield threshold
     graph = build_sparse_graph(pair, threshold, threads=threads, _scan=scan)
-    scan.tails = {}
     if graph.edge_count == 0:
         # as warn(stacklevel=3), but with no registry: warn keeps one in the module it
         # names, so a message repeated from one line would show once per process

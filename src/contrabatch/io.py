@@ -145,13 +145,14 @@ def _as_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingPair:
     """Row-aligned embeddings: row i of ``x`` and row i of ``y`` are positives.
 
     Immutable after construction; safe to share across threads.  It holds
     the two matrices only: what one scan of X·Yᵀ keeps for later calls
-    lives in the epoch's ``similarity._Scan``, not here.
+    lives in the epoch's ``similarity._Scan``, not here.  It compares and
+    hashes by identity, as arrays have no single truth value.
     """
 
     x: np.ndarray

@@ -46,16 +46,12 @@ from math import inf, isfinite, log
 
 import numpy as np
 
+from . import similarity
 from ._parallel import chunk_spans, ordered_map
 from .batching import BatchAssignment
 from .errors import ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
 from .similarity import _Scan, _sorted_unique
-
-
-# Most slot rows of one stacked report run.  ``np.matmul`` makes one BLAS
-# call per batch of a stack, so the cap sets a run's bytes, never its bits.
-_MAX_RUN_ROWS = 2048
 
 
 def _check_tau(tau: float) -> float:
@@ -185,8 +181,10 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Run]:
     """The assignment's batches in runs of one shape.
 
     Batches with the same row and candidate counts form a group, in batch
-    order, cut into runs of at most ``_MAX_RUN_ROWS`` slot rows (one batch at
-    least).  Runs depend on sizes only, never on the worker count.
+    order, cut into runs of at most ``similarity._BLOCK_BYTES`` of slot
+    products (one batch at least).  ``np.matmul`` makes one BLAS call per
+    batch of a stack, so a run's size sets its bytes, never its bits.  Runs
+    depend on sizes only, never on the worker count.
     """
     # BatchAssignment itself keeps every index inside 0..assignment.n-1
     if assignment.n != pair.n:
@@ -203,8 +201,9 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Run]:
     for position, (b, c) in enumerate(zip(batches, candidates)):
         groups.setdefault((b.size, c.size), []).append(position)
     runs = []
-    for (m, _), positions in groups.items():
-        for start, stop in chunk_spans(len(positions), max(1, _MAX_RUN_ROWS // max(m, 1))):
+    for (m, c), positions in groups.items():
+        per_run = max(1, similarity._BLOCK_BYTES // (8 * max(m * c, 1)))
+        for start, stop in chunk_spans(len(positions), per_run):
             chosen = np.array(positions[start:stop])
             rows = np.stack([batches[p] for p in chosen])
             cands = np.stack([candidates[p] for p in chosen]) if assignment.oversampled else rows

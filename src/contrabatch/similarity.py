@@ -25,26 +25,38 @@ N = 8192 up (256 rows there, 128 at N = 16384), the cap below it (256 rows,
 8 MiB at N = 4096).
 
 Memory budget.  An epoch (``batching._stages``) at a high quantile peaks
-within
+within its inputs plus the larger of its two stages:
 
-    inputs + workers x min(``_TILE_BYTES``, 256 x N x 8 bytes)
-           + 12 bytes x kept tail entries + c x CSR bytes,
+    cutoff: workers x min(``_TILE_BYTES``, 256 x N x 8 bytes)
+            + 12 bytes x kept tail entries,
+    graph:  c x CSR bytes,
 
 where the CSR is the graph's ``indptr`` and ``indices`` and c = 2.5: the
 graph stage peaks within 2.5x its CSR, the CSR included (1.3-2.2x measured
 with tracemalloc at N = 4096-16384, q = 0.5-0.99), and the ordering holds
-at most 1.5x beyond it (0.01-0.22x measured).  The tails are dropped once
-the graph is built.  The exception is the full sort, which holds a whole
-chunk of products (``chunk_rows`` x N): it runs only below q = 15/16, or
-for a chunk with a tail over 1/8 of its tile.
+at most 1.5x beyond it (0.01-0.22x measured).  A graph that rescans tiles
+holds a tile per worker, as the cutoff does.  The stages do not add up:
+the graph takes each tail out of the scan as it reads it, whether it
+reuses the tail or multiplies that tile again, so no tail is held with the
+graph's keys.  On a Gaussian pair (N = 4096, d = 64, q = 0.95, one
+worker) the epoch's traced peak fell from 28.1 MiB, tails and keys held
+together, to 19.3 MiB, the cutoff stage's.  Max RSS of a CLI child
+followed only in part: 150.2 to 123.4 MB at N = 8192, but 67.0 to 66.9 MB
+at N = 4096 and 307.6 to 307.7 MB at N = 65536 (q = 0.999, two workers),
+where the allocator keeps the freed tail pages for the graph.  The
+exception is the full sort, which holds a whole chunk of products
+(``chunk_rows`` x N): it runs only below q = 15/16, or for a chunk with a
+tail over 1/8 of its tile.
 
-Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice.  Before the
-cutoff, ``batching._stages`` predicts (1 - q)·N² directed entries and
-refuses an epoch above the cap.  A median of per-chunk quantiles can sit
-below the global quantile, so ``build_sparse_graph`` also counts the
-entries above the cutoff as it takes them, the kept tails first and then
-each rescanned tile, and keeps no more once the count passes the cap; it
-then raises CapacityError, before any key is built.
+Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice, and both checks
+live here, reading the cap when they run.  Before the cutoff,
+``_check_graph_fits`` (called by ``batching._stages``) predicts (1 - q)·N²
+directed entries and refuses an epoch above the cap.  A median of
+per-chunk quantiles can sit below the global quantile, so
+``build_sparse_graph`` also counts the entries above the cutoff as it
+takes them, the kept tails first and then each rescanned tile, and keeps
+no more once the count passes the cap; it then raises CapacityError,
+before any key is built.
 
 Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
 ``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
@@ -142,8 +154,13 @@ _SAMPLE_SIDE = 256
 _TAIL_Z = 5.0
 _MAX_TAIL_SHARE = 1 / 8
 
-# Bytes per row block of the tile walk: small enough that a block stays in
-# a core's cache across the passes over it.  Outputs do not depend on it.
+# Bytes of every bounded temporary: a row block of the tile walk
+# (``_row_blocks``), small enough to stay in a core's cache across the passes
+# over it; a run of the graph's keys (``build_sparse_graph``, ``_from_keys``);
+# the int64 neighbour slots a BFS level gathers at once
+# (``bandwidth.cuthill_mckee``); and the stacked slot products of one report
+# run (``losses._batch_runs``).  Each reads it through this module when it
+# runs, so one patch governs them all.  Outputs do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of one tile product, per worker thread, and the most rows of one
@@ -157,7 +174,7 @@ _TILE_BYTES = 16 << 20
 _MAX_TILE_ROWS = 256
 
 # Most directed entries an epoch's graph may hold: predicted as (1 - q)·N²
-# before the cutoff (``batching._stages``), and counted, the diagonal's
+# before the cutoff (``_check_graph_fits``), and counted, the diagonal's
 # included, while the graph is built.  Each entry and its transpose take 16
 # CSR bytes, so the cap holds the CSR to 1 GiB and the graph stage, at c ×
 # the CSR (module docstring), to about 2.5 GiB on any host.
@@ -307,7 +324,8 @@ class _Scan:
 
     Every multiplied tile is walked by :meth:`walk`, so each grid tile feeds
     each listed ``(fn, args)`` part once, whichever stage multiplied it; the
-    estimator's tails are kept by span.  Use it only on the pair it read.
+    estimator's tails are kept by span until the graph takes them.  Use it
+    only on the pair it read.
     """
 
     def __init__(self, *parts):
@@ -608,6 +626,17 @@ class SparseSimilarityGraph:
         return f"SparseSimilarityGraph(n={self.n}, edges={self.edge_count}, max_degree={self.max_degree})"
 
 
+def _check_graph_fits(n: int, q: float) -> None:
+    """Reject an epoch whose graph would hold more than ``_MAX_DIRECTED_ENTRIES``
+    directed entries, predicted as (1 - q)·N², before any product is taken."""
+    predicted = (1.0 - q) * n * n
+    if predicted > _MAX_DIRECTED_ENTRIES:
+        raise CapacityError(
+            f"a graph of N = {n} rows at quantile {q} would hold about {predicted:.3g} directed "
+            f"entries, above the cap of {_MAX_DIRECTED_ENTRIES} (2**26); raise the quantile "
+            "or use fewer rows")
+
+
 def build_sparse_graph(
     pair: EmbeddingPair,
     threshold: SimilarityThreshold,
@@ -622,8 +651,10 @@ def build_sparse_graph(
     ordering, which needs symmetric adjacency.  A tile whose tail the
     epoch's ``_scan`` kept (same span, bound at or below the cutoff) is
     filtered instead of multiplied, with the same result; every other tile
-    is multiplied and walked by the scan.  Raises CapacityError when more
-    than ``_MAX_DIRECTED_ENTRIES`` products beat the cutoff.
+    is multiplied and walked by the scan.  Every tail is taken out of the
+    scan as it is read, so the scan holds none on return.  Raises
+    CapacityError when more than ``_MAX_DIRECTED_ENTRIES`` products beat
+    the cutoff.
     """
     if not np.isfinite(threshold.value):
         raise ParameterError(f"threshold value must be finite, got {threshold.value}")
@@ -644,9 +675,11 @@ def build_sparse_graph(
         return take(np.concatenate(scan.walk(n, span, z, lambda rows, block: (
             np.flatnonzero(block > cut) + (rows[0] - span[0]) * n).astype(np.int32))))
 
-    # each tile's int32 offsets above the cutoff, filtered from its kept tail or rescanned
+    # each tile's int32 offsets above the cutoff, filtered from its kept tail or rescanned;
+    # each tail leaves the scan as it is read, so none is held past its tile
+    popped = (scan.tails.popitem() for _ in range(len(scan.tails)))
     by_span = {span: take(tail.offsets[tail.values > cut])
-               for span, tail in scan.tails.items() if _on_grid(span, n) and tail.bound <= cut}
+               for span, tail in popped if _on_grid(span, n) and tail.bound <= cut}
     todo = [span for span in tiles if span not in by_span]
     by_span.update(zip(todo, _map_products(pair, todo, rescan, threads)))
     if taken > _MAX_DIRECTED_ENTRIES:

@@ -11,12 +11,12 @@ from contrabatch import (
     ParameterError,
     PermutationError,
     SparseSimilarityGraph,
-    bandwidth,
     build_sparse_graph,
     cuthill_mckee,
     estimate_quantile_threshold,
     exhaustive_min_bandwidth,
     matrix_bandwidth,
+    similarity,
 )
 from conftest import random_pair
 from test_graph_reference import PAIRS, cutoff_and_scan
@@ -246,7 +246,7 @@ class TestOrdering:
         isolated = SparseSimilarityGraph(45, np.concatenate([g.indptr, np.full(5, g.indptr[-1])]),
                                          g.indices)
         want = [cuthill_mckee(graph, reverse=False) for graph in (g, isolated)]
-        monkeypatch.setattr(bandwidth, "_GATHER_SLOTS", 1)  # one vertex per run
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", 8)  # one int64 slot: one vertex per run
         got = [cuthill_mckee(graph, reverse=False) for graph in (g, isolated)]
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)

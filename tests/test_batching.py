@@ -7,7 +7,9 @@ import pytest
 
 from contrabatch import (
     EmbeddingPair,
+    GapReport,
     ParameterError,
+    SimilarityThreshold,
     bandwidth_pipeline,
     format_batches,
     hard_negative_batches,
@@ -203,6 +205,19 @@ class TestPipeline:
             pair = random_pair(n, 5, seed=seed + 1000)
             asg = random_batches(n, k, seed)
             assert ntxent_train(pair, asg, 0.2) <= ntxent_global(pair, 0.2) + 1e-12
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    # arrays have no single truth value, so value equality would raise
+    a, b = sequential_batches(np.arange(4), 2), sequential_batches(np.arange(4), 2)
+    pair = random_pair(4, 2, seed=1)
+    assert a == a and a != b and pair == pair and pair != pair.normalized()
+    assert len({a, b, pair}) == 3 and hash(a) == hash(a)
+    # records of scalars keep value equality
+    assert SimilarityThreshold(0.9, 0.5, 4, "exact") == SimilarityThreshold(0.9, 0.5, 4, "exact")
+    report = dict(n=4, k=2, tau=0.1, global_loss=1.0, train_loss=0.5, gap=0.5,
+                  ub_gap_translation=1.0, ub_gap_standard=2.0, qbap_value=None, qap_value=0.0)
+    assert GapReport(**report) == GapReport(**report)
 
 
 def test_format_batches_layout():

@@ -248,13 +248,24 @@ class TestPermute:
 
     @pytest.mark.parametrize("n, q", [(4096, 0.5), (16384, 0.9), (65536, 0.999)])
     def test_edge_cap_admits_the_measured_epochs(self, n, q):
-        batching._check_graph_fits(n, q)
+        similarity._check_graph_fits(n, q)
 
     def test_edge_cap_refuses_before_the_first_product(self, monkeypatch):
         calls = count_products(monkeypatch)
         pair = random_pair(12000, 2, seed=4)  # q = 0.5 predicts 7.2e7 directed entries
         with pytest.raises(CapacityError, match=r"N = 12000 rows at quantile 0\.5 .* 67108864"):
             bandwidth_pipeline(pair, 0.5, 64)
+        assert calls == []
+
+    def test_edge_cap_prediction_reads_the_one_cap(self, monkeypatch):
+        # one binding: patching similarity's cap moves the prediction too, so the epoch
+        # is refused before its first product, not by the graph's count after the tiles
+        monkeypatch.setattr(similarity, "_MAX_DIRECTED_ENTRIES", 1000)
+        calls = count_products(monkeypatch)
+        with pytest.raises(CapacityError, match=r"^a graph of N = 512 rows at quantile 0\.99 "
+                                                r"would hold about 2\.62e\+03 directed entries, "
+                                                r"above the cap of 1000 "):
+            bandwidth_pipeline(random_pair(512, 16, seed=41), 0.99, 64)
         assert calls == []
 
     @pytest.mark.parametrize("threads", ["1", "2"])

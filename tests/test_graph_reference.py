@@ -70,9 +70,9 @@ def test_the_cases_reach_both_paths(monkeypatch, kind, chunk):
     pair, threshold, scan = cutoff_and_scan(monkeypatch, kind, chunk, 0.999)
     cut = threshold.value
     grid = similarity._tiles((0, pair.n), pair.n)
+    kept = [tail for span, tail in scan.tails.items() if span in grid and tail.bound <= cut]
     calls = count_products(monkeypatch)
     build_sparse_graph(pair, threshold, _scan=scan)
-    kept = [tail for span, tail in scan.tails.items() if span in grid and tail.bound <= cut]
     assert len(calls) + len(kept) == len(grid) and kept
     assert calls or chunk == "whole"
     assert kind == "gaussian" or any((tail.values == cut).any() for tail in kept)

@@ -397,3 +397,38 @@ class TestGapReport:
         asg = random_batches(6, 2, seed=0)
         with pytest.raises(ParameterError):
             gap_report(pair, asg, 0.5)
+
+
+class TestRunBudget:
+    """A report run stacks at most ``similarity._BLOCK_BYTES`` of slot products,
+    one batch at least; the budget sets a run's bytes, never its bits."""
+
+    @pytest.mark.parametrize("k, per_run", [(64, 32), (256, 2)])
+    def test_runs_hold_at_most_the_block_budget(self, k, per_run):
+        pair = random_pair(4096, 8, seed=17)
+        for assignment in (random_batches(4096, k, seed=1), hard_negative_batches(pair, k, seed=1)):
+            runs = losses._batch_runs(pair, assignment)
+            for run in runs:
+                assert len(run.positions) == 1 or run.slots().nbytes <= similarity._BLOCK_BYTES
+            if not assignment.oversampled:
+                assert max(len(run.positions) for run in runs) == per_run
+
+    def test_a_batch_over_the_budget_is_a_run_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", 1)
+        pair = random_pair(300, 8, seed=18)
+        assignment = random_batches(300, 8, seed=2)
+        runs = losses._batch_runs(pair, assignment)
+        assert [len(run.positions) for run in runs] == [1] * len(assignment.batches)
+
+
+@pytest.mark.parametrize("n", [136, 200, 1000, 1030, 4100, 8193, 16389, 20000, 65536, 65541,
+                               100003])
+def test_row_sums_split_along_numpys_summation_tree(n):
+    """NumPy sums a contiguous float64 row pairwise, and above 128 entries splits
+    a row of n at n2 = n/2 - (n/2 mod 8): the two halves' sums add to the row's
+    sum bit for bit, so exp-sums may be split by column along that tree and keep
+    report bytes.  A plain n/2 split gives other bits at 136, 1030 and 4100 here."""
+    z = np.exp(np.random.default_rng(n).standard_normal((4, n)))
+    n2 = n // 2 - (n // 2) % 8
+    split = z[:, :n2].sum(axis=-1) + z[:, n2:].sum(axis=-1)
+    assert z.sum(axis=-1).tobytes() == split.tobytes()

@@ -24,7 +24,6 @@ from contrabatch import (
     load_pair,
     random_batches,
     save_embeddings,
-    losses,
     save_permutation,
     similarity,
 )
@@ -86,7 +85,7 @@ def public_outputs(tmp: Path, x: str, y: str, q: float, k: int, tau: float,
 @st.composite
 def cases(draw):
     n = draw(st.integers(2, 300))
-    tile_rows = draw(st.sampled_from([8, 16, 64, 256]))  # also the report's run cap
+    tile_rows = draw(st.sampled_from([8, 16, 64, 256]))
     tile = min(tile_rows, n)
     if draw(st.booleans()):  # on the tile grid: the default, or a multiple of the tile height
         chunk_rows = draw(st.one_of(st.none(), st.integers(1, -(-n // tile)).map(
@@ -101,7 +100,7 @@ def cases(draw):
         k=2 * draw(st.integers(1, n // 2)),
         tau=draw(st.sampled_from([0.05, 0.5])),
         threads=draw(st.sampled_from([1, 2])),
-        block_bytes=draw(st.sampled_from([64, 1000, 1 << 12, 1 << 20])),
+        block_bytes=draw(st.sampled_from([64, 1000, 1 << 12, 1 << 20])),  # also the report's runs
     )
 
 
@@ -111,7 +110,6 @@ def test_epoch_scan_gives_the_public_bytes_and_multiplies_each_tile_once_more(ca
     n, q, k, threads = case["n"], case["q"], case["k"], case["threads"]
     with tempfile.TemporaryDirectory() as tmp_dir, \
             mock.patch.object(similarity, "_MAX_TILE_ROWS", case["tile_rows"]), \
-            mock.patch.object(losses, "_MAX_RUN_ROWS", case["tile_rows"]), \
             mock.patch.object(similarity, "_BLOCK_BYTES", case["block_bytes"]):
         tmp = Path(tmp_dir)
         x, y = write_pair(tmp, n, case["kind"], case["seed"])

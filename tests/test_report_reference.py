@@ -18,7 +18,7 @@ from contrabatch import (
     hard_negative_batches,
     random_batches,
 )
-from contrabatch import losses
+from contrabatch import losses, similarity
 from contrabatch.losses import GapReport, _SlotStats
 from conftest import clustered_pair, random_pair
 
@@ -120,8 +120,8 @@ CASES = {
 @pytest.mark.parametrize("tau", [0.05, 1e-308])
 @pytest.mark.parametrize("case", CASES)
 def test_stacked_scans_equal_the_per_batch_reference(monkeypatch, case, tau, threads):
-    if threads == 2:  # many runs on the pool
-        monkeypatch.setattr(losses, "_MAX_RUN_ROWS", 256)
+    if threads == 2:  # many runs on the pool: two 64 x 64 batches a run
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", 1 << 16)
     pair, assign = CASES[case]()
     assignment = assign(pair)
     got = losses._slot_stats(pair, assignment, tau, threads)

@@ -364,11 +364,11 @@ class TestTailSelection:
         assert sorts == []
         assert sorted(calls) == [(0, 128), (0, 128), (128, 256), (128, 256)]
         assert t.value == chunk_oracle(pair, 0.999, 256)
+        assert_tails_hold_their_entries(pair, scan)  # before the graph takes them
         calls.clear()
         graph = build_sparse_graph(pair, t, threads=threads, _scan=scan)
         assert calls == []  # every tail has the second bound, at or below the cutoff
         assert graph == build_sparse_graph(pair, SimilarityThreshold(0.999, t.value, 256, t.estimator))
-        assert_tails_hold_their_entries(pair, scan)
 
     def test_tail_over_its_share_sorts_the_chunk(self, monkeypatch):
         # at q = 0.95 the first tile holds the chunk's top 5% nearly alone: at
@@ -489,6 +489,7 @@ class TestTailReuse:
         graph = self.assert_same_graph(pair, t, scan)
         assert graph.edge_count > 0
         assert calls == [(0, 128), (128, 256), (256, 384), (384, 512)]  # the rescan only
+        t, scan = scanned_estimate(pair, 0.999, 512)  # the graph took the first scan's tails
         calls.clear()
         build_sparse_graph(pair, t, threads=2, _scan=scan)
         assert calls == []
@@ -512,6 +513,16 @@ class TestTailReuse:
         build_sparse_graph(pair, t, _scan=scan)
         assert calls == above
         self.assert_same_graph(pair, t, scan)
+
+    @pytest.mark.parametrize("chunk_rows", [512, 100], ids=["grid", "off-grid"])
+    def test_graph_takes_every_tail_out_of_the_scan(self, monkeypatch, chunk_rows):
+        # reused or not (off-grid spans are multiplied again), no tail outlives the graph
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
+        pair = random_pair(512, 16, seed=41)
+        t, scan = scanned_estimate(pair, 0.999, chunk_rows)
+        assert scan.tails
+        assert build_sparse_graph(pair, t, _scan=scan) == build_sparse_graph(pair, t)
+        assert scan.tails == {}
 
     def test_graph_without_the_scan_multiplies_every_tile(self, monkeypatch):
         monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 32)
@@ -785,6 +796,27 @@ class TestMemory:
         kept = sum(tail.offsets.nbytes + tail.values.nbytes for tail in scan.tails.values())
         assert kept > 0
         assert peak <= threads * 1.25 * 256 * n * 8 + kept
+
+    def test_epoch_peaks_within_the_larger_stage(self):
+        # the graph takes each tail as it reads it, so its keys do not stack on the
+        # cutoff's tails: the epoch holds the larger stage, not their sum.  On this
+        # pair the tails hold 10.6 MiB and the bound is 25 MiB; the epoch peaked at
+        # 28.1 MiB when the graph read the tails without taking them, 19.3 MiB after
+        n = 4096
+        pair = random_pair(n, 64, seed=63)
+        scan = similarity._Scan()
+        stages = batching._stages(pair, 0.95, threads=1, _scan=scan)
+        tracemalloc.start()
+        try:
+            next(stages)
+            kept = sum(tail.offsets.nbytes + tail.values.nbytes for tail in scan.tails.values())
+            graph = next(stages)
+            next(stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept > 0
+        assert peak <= max(1.25 * 256 * n * 8 + kept, 2 * csr_bytes(graph))
 
     def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):
         # at q = 0.95 the first tile's tail passes 1/8 of the tile and is

@@ -152,6 +152,23 @@ MUTANTS = {
         ("tests/test_similarity.py::TestGraphConstruction",
          "tests/test_cli.py::TestPermute::test_edge_cap_holds_on_the_entries_the_graph_finds"),
         "the graph holds every entry above a chunk-median cutoff, whatever the cap"),
+    "graph-keeps-the-tails": Mutant(
+        "similarity.py",
+        (("popped = (scan.tails.popitem() for _ in range(len(scan.tails)))",
+          "popped = iter(scan.tails.items())"),),
+        ("tests/test_similarity.py::TestTailReuse::test_graph_takes_every_tail_out_of_the_scan",
+         "tests/test_similarity.py::TestMemory::test_epoch_peaks_within_the_larger_stage"),
+        "the graph reads the tails without taking them, so they stay through its keys"),
+    "prediction-with-a-fixed-cap": Mutant(
+        "similarity.py",
+        (("if predicted > _MAX_DIRECTED_ENTRIES:", "if predicted > 1 << 26:"),),
+        ("tests/test_cli.py::TestPermute::test_edge_cap_prediction_reads_the_one_cap",),
+        "the prediction binds its own cap, so a lower cap is found only after the tiles"),
+    "run-budget-ignores-batch-rows": Mutant(
+        "losses.py",
+        (("// (8 * max(m * c, 1))", "// (8 * c)"),),
+        ("tests/test_losses.py::TestRunBudget",),
+        "a report run is sized for one row a batch: m times the budget's bytes"),
     "freeze-in-process": Mutant(
         "cli.py",
         (("atexit.register(gc.freeze)", "gc.freeze()"),),
