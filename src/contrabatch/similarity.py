@@ -38,12 +38,8 @@ at most 1.5x beyond it (0.01-0.22x measured).  A graph that rescans tiles
 holds a tile per worker, as the cutoff does.  The stages do not add up:
 the graph takes each tail out of the scan as it reads it, whether it
 reuses the tail or multiplies that tile again, so no tail is held with the
-graph's keys.  On a Gaussian pair (N = 4096, d = 64, q = 0.95, one
-worker) the epoch's traced peak fell from 28.1 MiB, tails and keys held
-together, to 19.3 MiB, the cutoff stage's.  Max RSS of a CLI child
-followed only in part: 150.2 to 123.4 MB at N = 8192, but 67.0 to 66.9 MB
-at N = 4096 and 307.6 to 307.7 MB at N = 65536 (q = 0.999, two workers),
-where the allocator keeps the freed tail pages for the graph.  The
+graph's keys.  This bounds the traced peak; a process's max RSS need not
+follow it, as the allocator may keep the freed tail pages.  The
 exception is the full sort, which holds a whole chunk of products
 (``chunk_rows`` x N): it runs only below q = 15/16, or for a chunk with a
 tail over 1/8 of its tile.
@@ -156,11 +152,10 @@ _MAX_TAIL_SHARE = 1 / 8
 
 # Bytes of every bounded temporary: a row block of the tile walk
 # (``_row_blocks``), small enough to stay in a core's cache across the passes
-# over it; a run of the graph's keys (``build_sparse_graph``, ``_from_keys``);
-# the int64 neighbour slots a BFS level gathers at once
-# (``bandwidth.cuthill_mckee``); and the stacked slot products of one report
-# run (``losses._batch_runs``).  Each reads it through this module when it
-# runs, so one patch governs them all.  Outputs do not depend on it.
+# over it; a run of the graph's keys; a BFS level's int64 neighbour slots
+# (``bandwidth.cuthill_mckee``); one matmul stack of a report's slot products
+# (``losses._batch_runs``; a report holds all its stacks at once).  Each reads
+# it through this module when it runs.  Outputs do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of one tile product, per worker thread, and the most rows of one

@@ -474,11 +474,14 @@ def scanned_estimate(pair, q, chunk_rows):
 
 
 class TestTailReuse:
-    def assert_same_graph(self, pair, t, scan):
-        reused = build_sparse_graph(pair, t, _scan=scan)
+    def assert_rescan_agrees(self, pair, t, reused):
         rescanned = build_sparse_graph(pair, t)
         assert reused == rescanned
         assert reused.directed_entry_count == rescanned.directed_entry_count
+
+    def assert_same_graph(self, pair, t, scan):
+        reused = build_sparse_graph(pair, t, _scan=scan)
+        self.assert_rescan_agrees(pair, t, reused)
         return reused
 
     def test_exact_estimate_graph_needs_no_multiply(self, monkeypatch):
@@ -510,9 +513,9 @@ class TestTailReuse:
         above = sorted(s for s, tail in scan.tails.items() if tail.bound > t.value)
         assert above == [(0, 64), (64, 128)]
         calls = count_products(monkeypatch)
-        build_sparse_graph(pair, t, _scan=scan)
+        reused = build_sparse_graph(pair, t, _scan=scan)
         assert calls == above
-        self.assert_same_graph(pair, t, scan)
+        self.assert_rescan_agrees(pair, t, reused)
 
     @pytest.mark.parametrize("chunk_rows", [512, 100], ids=["grid", "off-grid"])
     def test_graph_takes_every_tail_out_of_the_scan(self, monkeypatch, chunk_rows):
@@ -543,9 +546,10 @@ class TestTailReuse:
             t, scan = scanned_estimate(pair, 0.999, chunk_rows)
             assert scan.tails
             calls.clear()
-            build_sparse_graph(pair, t, _scan=scan)
+            reused = build_sparse_graph(pair, t, _scan=scan)
             assert calls == multiplied
-            assert self.assert_same_graph(pair, t, scan).edge_count > 0
+            assert reused.edge_count > 0
+            self.assert_rescan_agrees(pair, t, reused)
 
 
 class TestOneTileGrid:
