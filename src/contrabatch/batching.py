@@ -42,6 +42,7 @@ class BatchAssignment:
     the underlying permutation; for oversampled assignments (mined
     negatives) indices may repeat across batches and ``perm`` is None.  It
     compares and hashes by identity, as arrays have no single truth value.
+    It holds one batch at least, and every batch one sample at least.
     """
 
     n: int
@@ -51,8 +52,12 @@ class BatchAssignment:
     oversampled: bool = False
 
     def __post_init__(self):
+        if not self.batches:
+            raise ParameterError("an assignment needs at least one batch")
         for b in self.batches:
-            if b.size and (int(b.min()) < 0 or int(b.max()) >= self.n):
+            if not b.size:
+                raise ParameterError("every batch needs at least one sample")
+            if int(b.min()) < 0 or int(b.max()) >= self.n:
                 raise ParameterError("batch references an index outside 0..N-1")
             b.setflags(write=False)
 

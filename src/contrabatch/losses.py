@@ -23,12 +23,15 @@ per sample, one over the in-batch candidates per slot.  The first reads
 row blocks through ``similarity._Scan.read``, so it multiplies no tile that
 an earlier stage of the epoch walked, and each report of an epoch given the
 epoch's scan reads the blocks it kept.  The second stacks
-the batches of one shape (rows and candidates per batch) and multiplies
-each stack with one ``np.matmul``, which still makes one BLAS call per
-batch, so every batch's products have the bits of its own
-``x[batch] @ y[candidates].T``.  A report reads the slot statistics and
-both objectives from that one read-only stack; for a partition the
-objectives' candidate products are the slot products themselves.
+the batches of one shape (rows and candidates per batch) into runs of at
+most ``similarity._BLOCK_BYTES`` of products and multiplies each run with
+one ``np.matmul``, which still makes one BLAS call per batch, so every
+batch's products have the bits of its own ``x[batch] @ y[candidates].T``.
+A report reads both objectives' per-batch values from a run's raw products,
+then its slot statistics from the same products scaled in place, before
+the next run is multiplied: the budget bounds the whole pass.  For a
+partition the objectives' candidate products are the slot products
+themselves; an oversampled run multiplies its candidates once more.
 
 Two scalar objectives summarize how hard a batch assignment is:
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from math import inf, isfinite, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,61 +127,29 @@ class _SlotStats:
         self.cand_min, self.cand_max, self.cand_count = cand_min, cand_max, cand_count
 
 
-class _Run:
-    """Batches of one shape, stacked in batch order, and their products.
+class _Stack(NamedTuple):
+    """Batches of one shape, in batch order: one run of the in-batch pass.
 
-    ``candidates`` is ``batches`` itself for a partition and each batch's
-    sorted distinct rows for an oversampled assignment.  Each product is
-    multiplied on first use and is read-only.  (Not ``cached_property``:
-    before Python 3.12 its lock spans all runs and queues the workers.)
+    ``candidates`` is ``rows`` itself for a partition and each batch's
+    sorted distinct rows for an oversampled assignment.
     """
 
-    def __init__(self, pair: EmbeddingPair, positions: np.ndarray, batches: np.ndarray,
-                 candidates: np.ndarray, slot_index: np.ndarray):
-        self.pair = pair
-        self.positions = positions  # (g,) the batches' ordinals in the assignment
-        self.batches = batches  # (g, m) their rows
-        self.candidates = candidates  # (g, c)
-        self.slot_index = slot_index  # (g, m) each row's slot, counted over the epoch
-        self._slots: np.ndarray | None = None
-        self._cross: np.ndarray | None = None
-
-    def slots(self) -> np.ndarray:
-        """(g, m, c): <x_i, y_j> for each slot i over its batch's candidates j."""
-        if self._slots is None:
-            self._slots = _stacked_products(self.pair, self.batches, self.candidates)
-        return self._slots
-
-    def cross(self) -> np.ndarray:
-        """(g, c, c): <x_i, y_j> over pairs of one batch's candidates."""
-        if self.candidates is self.batches:
-            return self.slots()
-        if self._cross is None:
-            self._cross = _stacked_products(self.pair, self.candidates, self.candidates)
-        return self._cross
-
-    def positive_columns(self) -> np.ndarray:
-        """(g, m): the column of each slot's own row among its candidates."""
-        g, m = self.batches.shape
-        if self.candidates is self.batches:
-            return np.broadcast_to(np.arange(m), (g, m))
-        shift = np.arange(g)[:, None] * self.pair.n  # one sorted sequence, batch after batch
-        found = np.searchsorted((self.candidates + shift).ravel(), (self.batches + shift).ravel())
-        return found.reshape(g, m) - np.arange(g)[:, None] * self.candidates.shape[1]
+    positions: np.ndarray  # (g,) the batches' ordinals in the assignment
+    rows: np.ndarray  # (g, m) their rows
+    candidates: np.ndarray  # (g, c)
+    slot_index: np.ndarray  # (g, m) each row's slot, counted over the epoch
 
 
 def _stacked_products(pair: EmbeddingPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """x[rows[b]] · y[cols[b]]ᵀ for every b, read-only.
+    """x[rows[b]] · y[cols[b]]ᵀ for every b.
 
     The operands are fresh contiguous stacks, so matmul makes for each b the
     call ``pair.x[rows[b]] @ pair.y[cols[b]].T`` makes, with its bits.
     """
-    z = np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))
-    z.setflags(write=False)
-    return z
+    return np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))
 
 
-def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Run]:
+def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Stack]:
     """The assignment's batches in runs of one shape.
 
     Batches with the same row and candidate counts form a group, in batch
@@ -202,42 +174,78 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Run]:
         groups.setdefault((b.size, c.size), []).append(position)
     runs = []
     for (m, c), positions in groups.items():
-        per_run = max(1, similarity._BLOCK_BYTES // (8 * max(m * c, 1)))
+        per_run = max(1, similarity._BLOCK_BYTES // (8 * m * c))
         for start, stop in chunk_spans(len(positions), per_run):
             chosen = np.array(positions[start:stop])
             rows = np.stack([batches[p] for p in chosen])
             cands = np.stack([candidates[p] for p in chosen]) if assignment.oversampled else rows
-            runs.append(_Run(pair, chosen, rows, cands, first_slot[chosen, None] + np.arange(m)))
+            runs.append(_Stack(chosen, rows, cands, first_slot[chosen, None] + np.arange(m)))
     return runs
 
 
-def _run_slot_stats(run: _Run, tau: float) -> tuple[np.ndarray, ...]:
-    """(lse, positive, cand_min, cand_max) of each slot of ``run``, (g, m) each."""
+def _positive_columns(run: _Stack, n: int) -> np.ndarray:
+    """(g, m): the column of each slot's own row among its candidates."""
+    g, m = run.rows.shape
+    if run.candidates is run.rows:
+        return np.broadcast_to(np.arange(m), (g, m))
+    shift = np.arange(g)[:, None] * n  # one sorted sequence, batch after batch
+    found = np.searchsorted((run.candidates + shift).ravel(), (run.rows + shift).ravel())
+    return found.reshape(g, m) - np.arange(g)[:, None] * run.candidates.shape[1]
+
+
+def _run_pass(pair: EmbeddingPair, run: _Stack, tau: float | None, objectives: bool) -> tuple:
+    """(slot stats, per-batch values) of one run; its products die with the call.
+
+    The slot stats are (lse, positive, cand_min, cand_max), (g, m) each, or
+    none when ``tau`` is None.  With ``objectives``, and two candidates or
+    more a batch, the per-batch values are (minima, totals), (g,) each: read
+    from the raw products, which the slot stats then scale in place.
+    """
+    partition = run.candidates is run.rows
+    z = _stacked_products(pair, run.rows, run.candidates) if tau is not None or partition else None
+    per_batch = ()
+    if objectives and run.candidates.shape[1] >= 2:
+        cross = z if partition else _stacked_products(pair, run.candidates, run.candidates)
+        per_batch = _batch_minima(cross), _batch_totals(cross)
+    if tau is None:
+        return (), per_batch
     with np.errstate(all="ignore"):  # as in _global_part
-        z = run.slots() / tau  # out of place: the objectives read the raw products
-        positive = np.take_along_axis(z, run.positive_columns()[..., None], axis=2)[..., 0]
+        z /= tau
+        positive = np.take_along_axis(z, _positive_columns(run, pair.n)[..., None], axis=2)[..., 0]
         cand_min = z.min(axis=2)
         lse, cand_max = _logsumexp_rows(z)
-    return lse, positive, cand_min, cand_max
+    return (lse, positive, cand_min, cand_max), per_batch
 
 
-def _slot_stats(pair: EmbeddingPair, assignment: BatchAssignment, tau: float, threads: int = 1,
-                runs: list[_Run] | None = None) -> _SlotStats:
-    """Slot stats in slot order, from ``runs`` (default: the assignment's own)."""
-    tau = _check_tau(tau)
-    runs = _batch_runs(pair, assignment) if runs is None else runs
-    parts = ordered_map(lambda run: _run_slot_stats(run, tau), runs, threads)
-    where = np.concatenate([run.slot_index.ravel() for run in runs])
+def _in_batch(pair: EmbeddingPair, assignment: BatchAssignment, tau: float | None,
+              threads: int = 1, objectives: bool = False) -> tuple:
+    """The in-batch pass: one :func:`_run_pass` per run, at ``threads``.
 
-    def in_slot_order(values) -> np.ndarray:
-        out = np.empty(where.size, dtype=values[0].dtype)
-        out[where] = np.concatenate([v.ravel() for v in values])
-        return out
+    Returns the slot stats in slot order, which is batch order (None when
+    ``tau`` is None), and each batch's minimum and total in batch order:
+    +inf and 0.0 for a batch of fewer than two candidates or without
+    ``objectives``, which change neither objective.
+    """
+    runs = _batch_runs(pair, assignment)
+    parts = ordered_map(lambda run: _run_pass(pair, run, tau, objectives), runs, threads)
+    batches = assignment.batches
+    minima, totals = np.full(len(batches), inf), np.zeros(len(batches))
+    stats = np.empty((4, sum(b.size for b in batches)))
+    count = np.empty(stats.shape[1], dtype=np.int64)
+    for run, (slot_values, per_batch) in zip(runs, parts):
+        if slot_values:
+            stats[:, run.slot_index] = slot_values
+            count[run.slot_index] = run.candidates.shape[1]
+        if per_batch:
+            minima[run.positions], totals[run.positions] = per_batch
+    slots = None if tau is None else _SlotStats(np.concatenate(batches), *stats, count)
+    return slots, minima, totals
 
-    sample = in_slot_order([run.batches for run in runs])
-    count = in_slot_order([np.full(run.batches.shape, run.candidates.shape[1]) for run in runs])
-    lse, positive, cand_min, cand_max = map(in_slot_order, zip(*parts))
-    return _SlotStats(sample, lse, positive, cand_min, cand_max, count)
+
+def _slot_stats(pair: EmbeddingPair, assignment: BatchAssignment, tau: float,
+                threads: int = 1) -> _SlotStats:
+    """Slot stats in slot order; no batch's objectives are read."""
+    return _in_batch(pair, assignment, _check_tau(tau), threads)[0]
 
 
 def _loss(stats: _GlobalStats | _SlotStats) -> float:
@@ -305,17 +313,6 @@ def gap_upper_bounds(
     return _gap_bounds(_global_stats(pair, tau), _slot_stats(pair, assignment, tau))
 
 
-def _per_batch(runs: list[_Run], fn) -> list[float]:
-    """``fn`` of the candidate products of each run, one value per batch with
-    two or more candidates, in batch order."""
-    runs = [run for run in runs if run.candidates.shape[1] >= 2]
-    if not runs:
-        return []
-    positions = np.concatenate([run.positions for run in runs])
-    values = np.concatenate([fn(run.cross()) for run in runs])
-    return values[np.argsort(positions)].tolist()
-
-
 def _batch_minima(z: np.ndarray) -> np.ndarray:
     """Per batch of ``z`` (g, c, c), the smallest min(z_ij, z_ji) over i != j:
     the smallest off-diagonal z_ij, so no transposed pass is needed."""
@@ -331,28 +328,32 @@ def _batch_totals(z: np.ndarray) -> np.ndarray:
 
 
 def qbap_objective(pair: EmbeddingPair, assignment: BatchAssignment, *,
-                   _runs: list[_Run] | None = None) -> float:
+                   _minima: np.ndarray | None = None) -> float:
     """Smallest symmetric cross similarity over co-batched negative pairs.
 
     Raises ObjectiveUndefined when no batch holds two distinct samples.
+    ``_minima`` are the per-batch values of :func:`_in_batch`, if read.
     """
-    runs = _batch_runs(pair, assignment) if _runs is None else _runs
-    worst = min([inf, *_per_batch(runs, _batch_minima)])  # the first of equal minima
+    if _minima is None:
+        _minima = _in_batch(pair, assignment, None, objectives=True)[1]
+    worst = min([inf, *_minima.tolist()])  # the first of equal minima
     if not isfinite(worst):
         raise ObjectiveUndefined("no batch contains a negative pair")
     return worst
 
 
 def qap_objective(pair: EmbeddingPair, assignment: BatchAssignment, *,
-                  _runs: list[_Run] | None = None) -> float:
+                  _totals: np.ndarray | None = None) -> float:
     """Total in-batch cross similarity, both directions, over negative pairs.
 
     Equals sum_i sum_{j in batch(i), j != i} (<x_i,y_j> + <x_j,y_i>); zero
-    when every batch is a singleton.
+    when every batch is a singleton.  ``_totals`` are the per-batch values
+    of :func:`_in_batch`, if read.
     """
-    runs = _batch_runs(pair, assignment) if _runs is None else _runs
+    if _totals is None:
+        _totals = _in_batch(pair, assignment, None, objectives=True)[2]
     total = 0.0
-    for value in _per_batch(runs, _batch_totals):  # summed in batch order
+    for value in _totals.tolist():  # summed in batch order
         total += 2.0 * value
     return total
 
@@ -417,12 +418,11 @@ def gap_report(
     reads what the epoch's ``_scan`` kept of it, if given.
     """
     g = _global_stats(pair, tau, threads, _scan)
-    runs = _batch_runs(pair, assignment)  # one stack of products for the stats and objectives
-    s = _slot_stats(pair, assignment, tau, threads, runs)
+    s, minima, totals = _in_batch(pair, assignment, _check_tau(tau), threads, objectives=True)
     global_loss, train_loss = _loss(g), _loss(s)
     ub_translation, ub_standard = _gap_bounds(g, s)
     try:
-        qbap = qbap_objective(pair, assignment, _runs=runs)
+        qbap = qbap_objective(pair, assignment, _minima=minima)
     except ObjectiveUndefined:
         qbap = None
     return GapReport(
@@ -435,7 +435,7 @@ def gap_report(
         ub_gap_translation=ub_translation,
         ub_gap_standard=ub_standard,
         qbap_value=qbap,
-        qap_value=qap_objective(pair, assignment, _runs=runs),
+        qap_value=qap_objective(pair, assignment, _totals=totals),
         strategy=strategy,
         quantile=quantile,
     )

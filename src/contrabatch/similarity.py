@@ -154,8 +154,9 @@ _MAX_TAIL_SHARE = 1 / 8
 # (``_row_blocks``), small enough to stay in a core's cache across the passes
 # over it; a run of the graph's keys; a BFS level's int64 neighbour slots
 # (``bandwidth.cuthill_mckee``); one matmul stack of a report's slot products
-# (``losses._batch_runs``; a report holds all its stacks at once).  Each reads
-# it through this module when it runs.  Outputs do not depend on it.
+# (``losses._batch_runs``; a report reads each stack and drops it before the
+# next, so this bounds its in-batch pass).  Each reads it through this module
+# when it runs.  Outputs do not depend on it.
 _BLOCK_BYTES = 1 << 20
 
 # Bytes of one tile product, per worker thread, and the most rows of one

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,6 +181,14 @@ class TestTrainLoss:
         with pytest.raises(ParameterError):
             BatchAssignment(n=4, k=2, batches=(np.array([0, 5]), np.array([1, 2, 3])))
 
+    @pytest.mark.parametrize("batches", [(np.arange(8), np.array([], dtype=np.int64)), ()],
+                             ids=["empty-batch", "no-batch"])
+    def test_an_empty_batch_or_no_batch_is_refused(self, batches):
+        from contrabatch import BatchAssignment
+
+        with pytest.raises(ParameterError):
+            BatchAssignment(n=8, k=4, batches=batches)
+
 
 class TestGapBounds:
     def test_full_batch_bound_nonnegative_and_gap_zero(self):
@@ -301,7 +310,7 @@ class TestBatchMinima:
         mined = hard_negative_batches(pair, k - k % 2, seed=1)  # oversampled: 2N slots
         for assignment in (random_batches(250, k, seed=1), mined):
             for run in losses._batch_runs(pair, assignment):
-                z = run.cross()
+                z = losses._stacked_products(pair, run.candidates, run.candidates)
                 assert losses._batch_minima(z).tobytes() == pairwise_minima(z).tobytes()
 
     def test_nan_propagates_and_minus_infinity_wins(self):
@@ -409,7 +418,8 @@ class TestRunBudget:
         for assignment in (random_batches(4096, k, seed=1), hard_negative_batches(pair, k, seed=1)):
             runs = losses._batch_runs(pair, assignment)
             for run in runs:
-                assert len(run.positions) == 1 or run.slots().nbytes <= similarity._BLOCK_BYTES
+                z = losses._stacked_products(pair, run.rows, run.candidates)
+                assert len(run.positions) == 1 or z.nbytes <= similarity._BLOCK_BYTES
             if not assignment.oversampled:
                 assert max(len(run.positions) for run in runs) == per_run
 
@@ -419,6 +429,60 @@ class TestRunBudget:
         assignment = random_batches(300, 8, seed=2)
         runs = losses._batch_runs(pair, assignment)
         assert [len(run.positions) for run in runs] == [1] * len(assignment.batches)
+
+    def test_the_in_batch_pass_peaks_within_five_blocks(self):
+        """Each run's products die with its pass, so the report's in-batch pass
+        holds one run at a time, not N·k products (2N·k mined)."""
+        pair = random_pair(4096, 64, seed=19)
+        assignment = hard_negative_batches(pair, 256, seed=1)
+        tracemalloc.start()
+        try:
+            losses._in_batch(pair, assignment, 0.05, 1, objectives=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * similarity._BLOCK_BYTES
+
+
+class TestProductCalls:
+    """Each run's slot products are multiplied once; an oversampled run's
+    candidates are multiplied once more, and only for the objectives."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """Record, per ``_stacked_products`` call, whether it multiplies a run's
+        candidates against themselves: an oversampled run's cross products."""
+        calls, products = [], losses._stacked_products
+
+        def counted(pair, rows, cols):
+            calls.append(rows is cols)
+            return products(pair, rows, cols)
+
+        monkeypatch.setattr(losses, "_stacked_products", counted)
+        return calls
+
+    def test_the_loss_and_bounds_make_no_cross_product(self, monkeypatch):
+        pair = random_pair(600, 8, seed=20)
+        mined = hard_negative_batches(pair, 10, seed=1)
+        runs = len(losses._batch_runs(pair, mined))
+        calls = self.spy(monkeypatch)
+        for call in (ntxent_train, gap_upper_bounds, lse_component_bounds):
+            calls.clear()
+            call(pair, mined, 0.05)
+            assert calls == [False] * runs, call.__name__
+
+    def test_a_report_multiplies_each_run_once_and_mined_candidates_once_more(self, monkeypatch):
+        pair = random_pair(600, 8, seed=21)
+        calls = self.spy(monkeypatch)
+        for assignment in (random_batches(600, 10, seed=1), hard_negative_batches(pair, 10, seed=1)):
+            runs = losses._batch_runs(pair, assignment)
+            calls.clear()
+            gap_report(pair, assignment, 0.05, threads=2)
+            if assignment.oversampled:
+                cross = sum(run.candidates.shape[1] >= 2 for run in runs)
+                assert cross and len(calls) == len(runs) + cross and sum(calls) == cross
+            else:  # a partition's slot products are its cross products
+                assert calls == [True] * len(runs)
 
 
 @pytest.mark.parametrize("n", [136, 200, 1000, 1030, 4100, 8193, 16389, 20000, 65536, 65541,

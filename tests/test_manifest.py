@@ -13,11 +13,12 @@ def load_tool():
     return module
 
 
-def test_matrix_has_168_cases_smallest_input_first():
+def test_matrix_has_172_cases_smallest_input_first():
     tool = load_tool()
     names = [name for name, _, _ in tool.cases()]
-    assert len(names) == len(set(names)) == 168
+    assert len(names) == len(set(names)) == 172
     assert sum(name.startswith("cluster-sorted-") for name in names) == 8
+    assert sum("/k256/" in name for name in names) == 4
     sizes = [tool.INPUTS[data][1] for _, data, _ in tool.cases()]
     assert sizes == sorted(sizes)
 

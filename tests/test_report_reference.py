@@ -157,10 +157,3 @@ def test_mined_cases_repeat_samples_within_a_batch():
         batches = hard_negative_batches(pair, k).batches
         assert any(np.unique(b).size < b.size for b in batches)
 
-
-def test_report_products_are_read_only():
-    pair = random_pair(300, 8, seed=66)
-    for assignment in (random_batches(300, 7, 0), hard_negative_batches(pair, 10)):
-        for run in losses._batch_runs(pair, assignment):
-            for z in (run.slots(), run.cross()):
-                assert not z.flags.writeable

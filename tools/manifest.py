@@ -4,7 +4,7 @@ of what it produced (exit code, stdout, stderr, permutation file, batch file).
 Usage: python3 tools/manifest.py [--smallest K] [--out FILE]
 
 The cases run the CLI of the tree this script sits in (its ``src``), each
-in a fresh child with one BLAS thread.  The matrix has 168 cases.  160 of
+in a fresh child with one BLAS thread.  The matrix has 172 cases.  160 of
 them cross:
 
 * five commands: ``permute --report --out-perm --out-batches``, ``analyze``
@@ -20,6 +20,10 @@ and ``--threads`` 1 and 2 on a clustered N = 4096 whose rows are sorted by
 centre, as embeddings saved class by class arrive: there a tail bound
 sampled from one tile alone sat above its chunk's quantile, and a bound
 sampled from the whole chunk must cover how one cluster's rows correlate.
+
+The last 4 run ``compare --seeds 3 --batch-size 256`` at the default
+``--quantile`` on the Gaussian and the clustered N = 2048, at ``--threads``
+1 and 2: at k = 256 a report's runs hold two batches each.
 
 Cases are listed smallest input first; ``--smallest K`` runs the first K.
 To check that a change moves no output bit, run this script in the parent
@@ -65,6 +69,7 @@ MATRIX = (tuple(COMMANDS), QUANTILES, CHUNK_ROWS, THREADS)
 SORTED_MATRIX = (("permute", "compare"), ("0.99", "0.999"), (None,), THREADS)
 DIM = 32
 BATCH_SIZE = "64"
+WIDE_BATCH_INPUTS = ("gaussian-2048", "clustered-2048")  # also run compare at k = 256
 
 
 def cases() -> list[tuple[str, str, list[str]]]:
@@ -77,6 +82,9 @@ def cases() -> list[tuple[str, str, list[str]]]:
                     "--threads", threads, *(["--chunk-rows", chunk] if chunk else [])]
             name = f"{data}/{command}/q{q}/chunk-{chunk or 'default'}/threads-{threads}"
             out.append((name, data, argv))
+        for threads in THREADS if data in WIDE_BATCH_INPUTS else ():
+            argv = [*COMMANDS["compare"], "--batch-size", "256", "--threads", threads]
+            out.append((f"{data}/compare/k256/threads-{threads}", data, argv))
     return out
 
 

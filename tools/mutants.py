@@ -166,9 +166,24 @@ MUTANTS = {
         "the prediction binds its own cap, so a lower cap is found only after the tiles"),
     "run-budget-ignores-batch-rows": Mutant(
         "losses.py",
-        (("// (8 * max(m * c, 1))", "// (8 * c)"),),
+        (("// (8 * m * c)", "// (8 * c)"),),
         ("tests/test_losses.py::TestRunBudget",),
         "a report run is sized for one row a batch: m times the budget's bytes"),
+    "report-keeps-its-products": Mutant(
+        "losses.py",
+        (("    return np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))\n",
+          "    z = np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))\n"
+          "    _stacked_products.__dict__.setdefault(\"kept\", []).append(z)\n"
+          "    return z\n"),),
+        ("tests/test_losses.py::TestRunBudget::test_the_in_batch_pass_peaks_within_five_blocks",),
+        "every run's products outlive its pass, so a report holds N·k of them (2N·k mined)"),
+    "objectives-read-scaled-products": Mutant(
+        "losses.py",
+        (("        z /= tau\n        positive = np.take_along_axis",
+          "        positive = np.take_along_axis"),
+         ("    per_batch = ()\n", "    if tau is not None:\n        z /= tau\n    per_batch = ()\n")),
+        ("tests/test_report_reference.py",),
+        "a partition's minima and totals are read from the products after they are scaled by 1/tau"),
     "freeze-in-process": Mutant(
         "cli.py",
         (("atexit.register(gc.freeze)", "gc.freeze()"),),
