@@ -24,7 +24,8 @@ row blocks through ``similarity._Scan.read``, so it multiplies no tile that
 an earlier stage of the epoch walked, and each report of an epoch given the
 epoch's scan reads the blocks it kept.  The second stacks
 the batches of one shape (rows and candidates per batch) into runs of at
-most ``similarity._BLOCK_BYTES`` of products and multiplies each run with
+most ``similarity._BLOCK_BYTES`` of products, or of the gathered operands
+where d outweighs the batch, and multiplies each run with
 one ``np.matmul``, which still makes one BLAS call per batch, so every
 batch's products have the bits of its own ``x[batch] @ y[candidates].T``.
 A report reads both objectives' per-batch values from a run's raw products,
@@ -154,9 +155,10 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Stack
 
     Batches with the same row and candidate counts form a group, in batch
     order, cut into runs of at most ``similarity._BLOCK_BYTES`` of slot
-    products (one batch at least).  ``np.matmul`` makes one BLAS call per
-    batch of a stack, so a run's size sets its bytes, never its bits.  Runs
-    depend on sizes only, never on the worker count.
+    products, or of gathered operands where d outweighs the batch (one batch
+    at least).  ``np.matmul`` makes one BLAS call per batch of a stack, so a
+    run's size sets its bytes, never its bits.  Runs depend on sizes only,
+    never on the worker count.
     """
     # BatchAssignment itself keeps every index inside 0..assignment.n-1
     if assignment.n != pair.n:
@@ -174,7 +176,7 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Stack
         groups.setdefault((b.size, c.size), []).append(position)
     runs = []
     for (m, c), positions in groups.items():
-        per_run = max(1, similarity._BLOCK_BYTES // (8 * m * c))
+        per_run = max(1, similarity._BLOCK_BYTES // (8 * max(m * c, (m + c) * pair.dim)))
         for start, stop in chunk_spans(len(positions), per_run):
             chosen = np.array(positions[start:stop])
             rows = np.stack([batches[p] for p in chosen])

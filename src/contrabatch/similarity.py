@@ -40,9 +40,10 @@ the graph takes each tail out of the scan as it reads it, whether it
 reuses the tail or multiplies that tile again, so no tail is held with the
 graph's keys.  This bounds the traced peak; a process's max RSS need not
 follow it, as the allocator may keep the freed tail pages.  The
-exception is the full sort, which holds a whole chunk of products
-(``chunk_rows`` x N): it runs only below q = 15/16, or for a chunk with a
-tail over 1/8 of its tile.
+exception is the fallback (``_full_sort_quantile``), which holds a whole
+chunk of products (``chunk_rows`` x N): it runs only below q = 15/16, or
+for a chunk with a tail over 1/8 of its tile, and it reads one chunk after
+another, so it holds one chunk whatever the worker count.
 
 Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice, and both checks
 live here, reading the cap when they run.  Before the cutoff,
@@ -52,7 +53,8 @@ per-chunk quantiles can sit below the global quantile, so
 ``build_sparse_graph`` also counts the entries above the cutoff as it
 takes them, the kept tails first and then each rescanned tile, and keeps
 no more once the count passes the cap; it then raises CapacityError,
-before any key is built.
+before any key is built.  The count includes the diagonal's entries,
+which are dropped only after they are counted.
 
 Cutoff.  Rows are grouped into logical chunks of ``chunk_rows`` rows (default
 ``default_chunk_rows``: min(N, 4096)).  Each chunk contributes the
@@ -72,16 +74,18 @@ standard error with the design effect of sampling whole rows and columns
 (Kish, *Survey Sampling*, 1965): products of one row are correlated, as
 when rows arrive sorted by cluster.  Every tile of the chunk keeps its
 entries >= ``lb`` as (offset, value) pairs: its tail.  The tiles share
-``lb``, so their tails hold every entry of the chunk >= ``lb``; once they
-hold the needed count, the chunk sorts their values and reads the two
-ranks.  Order statistics are rank-exact, so the value equals a full sort's.
-A chunk whose tails hold fewer (its sample misjudged it) has every tile
-multiplied again and walked at a second bound, with e + 2Z·σ sampled
-entries above it; the short chunks are walked again in one map.  The
-chunk's products are sorted in full, in place, only when q is too low for a
-tail to pay (below 15/16), when a tail would exceed 1/8 of its tile, or
-when the tails at the second bound still hold fewer values than the ranks
-need.
+``lb``, so their tails hold every entry of the chunk >= ``lb``.  Each chunk
+is decided right after the walk that completes its tiles: once its tails
+hold the needed count, it selects the two ranks among their values
+(``_select_quantile``: two partitions, not a sort).  Order statistics are
+rank-exact, so the value equals a full sort's.  A chunk whose tails hold
+fewer (its sample misjudged it) has every tile multiplied again and walked
+at a second bound, with e + 2Z·σ sampled entries above it; the short
+chunks are walked again in one map.  A chunk with a dropped tail leaves
+the walks.  The two ranks are selected among all the chunk's products, in
+place, only when q is too low for a tail to pay (below 15/16), when a tail
+would exceed 1/8 of its tile, or when the tails at the second bound still
+hold fewer values than the ranks need.
 
 Graph.  An undirected, unweighted graph keeps the node pairs whose inner
 product exceeds the cutoff in either direction.  A grid tile whose kept tail
@@ -92,8 +96,10 @@ tails, a tail over 1/8 of its tile is dropped, ``chunk_median`` can put an
 only on an identical span keeps the graph bit for bit that of a rescan.
 The graph works in keys ``row·N + col``: a tile's flat offsets plus
 ``start·N``, which come out ascending.  The diagonal's keys are the
-multiples of N + 1, the transposed key is ``key % N · N + key // N``, and
-the sorted distinct keys of both directions give the CSR rows and columns.
+multiples of N + 1: a tile's entries are counted against the edge cap,
+the diagonal's included, and its diagonal offsets dropped as they are
+taken.  The transposed key is ``key % N · N + key // N``, and the sorted
+distinct keys of both directions give the CSR rows and columns.
 Both directions go into one array, sorted, deduplicated and turned into
 the columns in place, so the graph holds its tiles' int32 offsets and that
 array, twice the directed count, at most.
@@ -107,7 +113,7 @@ Each scan (each of the estimator's walks, ``_Scan.read``, the graph's
 rescans) is one call of ``_map_products``, which multiplies into one
 buffer per worker thread, reused tile after tile and freed when the scan
 returns: a function given a buffered product keeps no view of it.  Only it
-and the full sort call ``_products``.
+and the fallback call ``_products``.
 
 The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
@@ -117,7 +123,7 @@ when the first stage multiplies it, after that stage took what it needs from
 each block (the estimator its tail, the graph its entries above the cutoff).
 ``_Scan.read`` returns the kept blocks and multiplies only the grid tiles no
 stage has walked.  So ``permute --report`` and ``compare`` multiply a tile
-at most once beyond the estimator, whose second walks, full sort and
+at most once beyond the estimator, whose second walks, fallback and
 off-grid tiles feed no part.  A call without ``_scan=`` walks a fresh scan.
 """
 
@@ -143,7 +149,8 @@ CHUNK_ROWS = 4096
 # count past the needed share.  A 256-side sample costs 1.2-1.7 ms at
 # N = 1536 and 4096 (d = 64, one BLAS thread), a 512-side one 5.5-8 ms.  Keep
 # a tail only while it is at most _MAX_TAIL_SHARE of the tile, else it is
-# dropped and its chunk sorted in place.  Kept pairs cost 12 bytes each
+# dropped and its chunk's ranks are selected among all its products, in
+# place, one chunk at a time.  Kept pairs cost 12 bytes each
 # (``_Tail``), so the cap holds all tails to 3/16 of the bytes of the full
 # product.
 _SAMPLE_SIDE = 256
@@ -153,7 +160,8 @@ _MAX_TAIL_SHARE = 1 / 8
 # Bytes of every bounded temporary: a row block of the tile walk
 # (``_row_blocks``), small enough to stay in a core's cache across the passes
 # over it; a run of the graph's keys; a BFS level's int64 neighbour slots
-# (``bandwidth.cuthill_mckee``); one matmul stack of a report's slot products
+# (``bandwidth.cuthill_mckee``); one matmul stack of a report's slot products,
+# or of its gathered operands where d outweighs the batch
 # (``losses._batch_runs``; a report reads each stack and drops it before the
 # next, so this bounds its in-batch pass).  Each reads it through this module
 # when it runs.  Outputs do not depend on it.
@@ -190,7 +198,8 @@ def _ranks(size: int, q: float) -> tuple[int, int, float]:
 
 
 def _read_quantile(top: np.ndarray, size: int, q: float) -> float:
-    """q-quantile of ``size`` values whose largest ``top.size`` are ``top``, ascending."""
+    """q-quantile of ``size`` values whose largest ``top.size`` are ``top``,
+    ascending, or with its two ranks in place (``_select_quantile``)."""
     lo, hi, t = _ranks(size, q)
     skip = size - top.size
     return float(top[lo - skip] + t * (top[hi - skip] - top[lo - skip]))
@@ -415,15 +424,25 @@ def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, bound:
     return _Tail(bound, *map(np.concatenate, zip(*picked)))
 
 
+def _select_quantile(top: np.ndarray, size: int, q: float) -> float:
+    """``_read_quantile`` of ``top`` with its two ranks selected in place, not
+    sorted: one kth per partition call, as NumPy's partition at two kth costs
+    as much as a sort.  ``top`` is reordered."""
+    lo, hi, _ = _ranks(size, q)
+    skip = size - top.size
+    top.partition(lo - skip)
+    top[hi - skip :].partition(0)
+    return _read_quantile(top, size, q)
+
+
 def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -> float:
-    """Interpolated quantile of a whole chunk, its tiles sorted together in place."""
+    """Interpolated quantile of a whole chunk, its tiles multiplied into one
+    block and its two ranks selected in place."""
     start, stop = chunk
     block = np.empty((stop - start, pair.n))
     for tile in _tiles(chunk, pair.n):
         _products(pair, tile, out=block[tile[0] - start : tile[1] - start])
-    flat = block.reshape(-1)
-    flat.sort()
-    return _read_quantile(flat, flat.size, q)
+    return _select_quantile(block.reshape(-1), block.size, q)
 
 
 def estimate_quantile_threshold(
@@ -444,40 +463,28 @@ def estimate_quantile_threshold(
 
     chunks = chunk_spans(n, chunk_rows)
     scan = _scan or _Scan()
-
-    def tail_need(chunk: tuple[int, int]) -> tuple[int, int]:
-        """(entries, how many of the largest hold both order statistics)"""
-        size = (chunk[1] - chunk[0]) * n
-        return size, size - _ranks(size, q)[0]
-
-    todo = {}  # chunk -> its two tail bounds, while its tiles are to be walked
+    todo = {}  # chunk -> (two tail bounds, entries, how many of the largest hold both ranks)
     for chunk in chunks:
-        size, need = tail_need(chunk)
+        size = (chunk[1] - chunk[0]) * n
+        need = size - _ranks(size, q)[0]
         if 2 * need <= _MAX_TAIL_SHARE * size:  # q >= 15/16: twice the share fits a tail
-            todo[chunk] = _chunk_bounds(pair, chunk, need / size)
+            todo[chunk] = (*_chunk_bounds(pair, chunk, need / size), size, need)
+    read = {}  # chunk -> its quantile, read from its tails
     tails = scan.tails = {}
     for level in (0, 1):  # a chunk whose tails hold too few is walked again at its second bound
         at = {tile: todo[chunk][level] for chunk in todo for tile in _tiles(chunk, n)}
-        # one map over the tiles of every such chunk; its buffers are freed before any full sort
+        # one map over the tiles of every such chunk; its buffers are freed before any fallback
         tails.update(zip(at, _map_products(pair, list(at), lambda span, z: _scan_tail(
             pair, span, z, at[span], scan), threads)))
-        todo = {chunk: todo[chunk] for chunk in todo
-                if all(tails[tile].bound < math.inf for tile in _tiles(chunk, n))
-                and sum(tails[tile].values.size for tile in _tiles(chunk, n)) < tail_need(chunk)[1]}
-
-    def chunk_quantile(chunk: tuple[int, int]) -> float:
-        """The chunk's quantile, read from its tails, else by a full sort."""
-        size, need = tail_need(chunk)
-        parts = [tails.get(tile) for tile in _tiles(chunk, n)]
-        if all(part is not None and part.bound < math.inf for part in parts):
-            top = np.concatenate([part.values for part in parts])
-            # each tile holds all its entries >= the chunk's one bound
-            if top.size >= need:
-                top.sort()
-                return _read_quantile(top, size, q)
-        return _full_sort_quantile(pair, chunk, q)
-
-    per_chunk = ordered_map(chunk_quantile, chunks, threads)
+        for chunk, (_, _, size, need) in list(todo.items()):
+            parts = [tails[tile] for tile in _tiles(chunk, n)]
+            if any(part.bound == math.inf for part in parts):  # a dropped tail: the fallback reads it
+                del todo[chunk]
+            elif sum(part.values.size for part in parts) >= need:  # each holds its entries >= the bound
+                read[chunk] = _select_quantile(np.concatenate([part.values for part in parts]), size, q)
+                del todo[chunk]
+    # the fallback reads the chunks left unread one after another: one chunk is held at a time
+    per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q) for chunk in chunks]
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"
     return SimilarityThreshold(
         quantile_q=q,
@@ -660,21 +667,24 @@ def build_sparse_graph(
     tiles = _tiles((0, n), n)
     taken, lock = 0, threading.Lock()
 
-    def take(offsets: np.ndarray) -> np.ndarray | None:
-        """Count a tile's ``offsets``; None once the count passes the cap."""
+    def take(span: tuple[int, int], offsets: np.ndarray) -> np.ndarray | None:
+        """Count a tile's ``offsets``, the diagonal's included, and return those
+        off the diagonal; None once the count passes the cap."""
         nonlocal taken
         with lock:
             taken += offsets.size
-            return offsets if taken <= _MAX_DIRECTED_ENTRIES else None
+            keep = taken <= _MAX_DIRECTED_ENTRIES
+        # a diagonal key i·(n + 1) is an offset ≡ span[0] mod n + 1; in int64, as span[0]·n is
+        return offsets[(offsets - np.int64(span[0])) % (n + 1) != 0] if keep else None
 
     def rescan(span: tuple[int, int], z: np.ndarray) -> np.ndarray | None:
-        return take(np.concatenate(scan.walk(n, span, z, lambda rows, block: (
+        return take(span, np.concatenate(scan.walk(n, span, z, lambda rows, block: (
             np.flatnonzero(block > cut) + (rows[0] - span[0]) * n).astype(np.int32))))
 
     # each tile's int32 offsets above the cutoff, filtered from its kept tail or rescanned;
     # each tail leaves the scan as it is read, so none is held past its tile
     popped = (scan.tails.popitem() for _ in range(len(scan.tails)))
-    by_span = {span: take(tail.offsets[tail.values > cut])
+    by_span = {span: take(span, tail.offsets[tail.values > cut])
                for span, tail in popped if _on_grid(span, n) and tail.bound <= cut}
     todo = [span for span in tiles if span not in by_span]
     by_span.update(zip(todo, _map_products(pair, todo, rescan, threads)))
@@ -685,19 +695,13 @@ def build_sparse_graph(
             "raise the quantile or the chunk rows, or use fewer rows")
     # the keys row·n + col, in row order, with room for the transposed ones: one call a
     # tile, in int64, as span[0]·n can pass 2³¹
-    keys = np.empty(2 * taken, dtype=np.int64)
+    keys = np.empty(2 * sum(offsets.size for offsets in by_span.values()), dtype=np.int64)
     count = 0
     for span in tiles:
         offsets = by_span.pop(span)
         np.add(offsets, np.int64(span[0] * n), out=keys[count : count + offsets.size])
         count += offsets.size
-    size = 0
-    for a, b in chunk_spans(count, max(1, _BLOCK_BYTES // 8)):  # a run is read before it is written
-        run = keys[a:b]
-        run = run[run % (n + 1) != 0]  # the diagonal's keys are i·(n + 1)
-        keys[size : size + run.size] = run
-        size += run.size
-    return SparseSimilarityGraph._from_keys(n, keys, size, size)._seal()
+    return SparseSimilarityGraph._from_keys(n, keys, count, count)._seal()
 
 
 def expected_retained_fraction(graph: SparseSimilarityGraph) -> float:

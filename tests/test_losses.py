@@ -443,6 +443,20 @@ class TestRunBudget:
             tracemalloc.stop()
         assert peak <= 5 * similarity._BLOCK_BYTES
 
+    @pytest.mark.parametrize("mined", [False, True])
+    def test_a_wide_pair_sizes_runs_by_their_gathered_operands(self, mined):
+        """At d = 768 a batch of 64 gathers 24 times its products' bytes in
+        operands, so a run sized by the products alone holds about 24 MiB."""
+        pair = random_pair(4096, 768, seed=22)
+        assignment = hard_negative_batches(pair, 64, seed=1) if mined else random_batches(4096, 64, seed=1)
+        tracemalloc.start()
+        try:
+            losses._in_batch(pair, assignment, 0.05, 1, objectives=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * similarity._BLOCK_BYTES
+
 
 class TestProductCalls:
     """Each run's slot products are multiplied once; an oversampled run's

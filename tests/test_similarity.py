@@ -3,11 +3,13 @@
 import dataclasses
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contrabatch import bandwidth, batching, losses, similarity
@@ -369,6 +371,28 @@ class TestTailSelection:
         graph = build_sparse_graph(pair, t, threads=threads, _scan=scan)
         assert calls == []  # every tail has the second bound, at or below the cutoff
         assert graph == build_sparse_graph(pair, SimilarityThreshold(0.999, t.value, 256, t.estimator))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_chunk_is_read_after_the_walk_that_completes_it(self, monkeypatch, threads):
+        # only the second chunk's first bound misjudges: the first chunk is read
+        # right after the first walk, and only the second chunk's tiles are walked
+        # again, at its second bound, then read
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
+        bounds, select = similarity._chunk_bounds, similarity._select_quantile
+        monkeypatch.setattr(similarity, "_chunk_bounds", lambda pair, chunk, share: (
+            (2.0, bounds(pair, chunk, share)[1]) if chunk == (128, 256) else bounds(pair, chunk, share)))
+        events = count_products(monkeypatch)
+        monkeypatch.setattr(similarity, "_select_quantile",
+                            lambda *args: events.append("read") or select(*args))
+        sorts = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        pair = random_pair(256, 16, seed=35)
+        t = estimate_quantile_threshold(pair, 0.999, 128, threads=threads)
+        tiles = [(0, 64), (64, 128), (128, 192), (192, 256)]
+        assert sorts == []
+        assert [i for i, event in enumerate(events) if event == "read"] == [4, 7]
+        assert sorted(events[:4]) == tiles and sorted(events[5:7]) == tiles[2:]
+        assert t.value == chunk_oracle(pair, 0.999, 128)
 
     def test_tail_over_its_share_sorts_the_chunk(self, monkeypatch):
         # at q = 0.95 the first tile holds the chunk's top 5% nearly alone: at
@@ -822,6 +846,30 @@ class TestMemory:
         assert kept > 0
         assert peak <= max(1.25 * 256 * n * 8 + kept, 2 * csr_bytes(graph))
 
+    def test_fallback_sorts_one_chunk_at_a_time_at_any_worker_count(self, monkeypatch):
+        # below q = 15/16 every chunk is sorted whole; the sorts run one after
+        # another, so at most one chunk's products are held whatever --threads is
+        live, most, lock = 0, 0, threading.Lock()
+        full_sort = similarity._full_sort_quantile
+
+        def counted(*args):
+            nonlocal live, most
+            with lock:
+                live += 1
+                most = max(most, live)
+            time.sleep(0.05)
+            try:
+                return full_sort(*args)
+            finally:
+                with lock:
+                    live -= 1
+
+        monkeypatch.setattr(similarity, "_full_sort_quantile", counted)
+        pair = random_pair(512, 16, seed=64)
+        t = estimate_quantile_threshold(pair, 0.9, 128, threads=2)
+        assert most == 1
+        assert t.value == chunk_oracle(pair, 0.9, 128)
+
     def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):
         # at q = 0.95 the first tile's tail passes 1/8 of the tile and is
         # dropped, so the chunk is sorted after the scan, whose tile buffer
@@ -892,3 +940,40 @@ MEDIAN_VALUES = st.one_of(
 def test_cutoff_median_is_np_median_bit_for_bit(values):
     got = np.array(similarity._median(values))
     assert got.view(np.int64) == np.array(np.median(values)).view(np.int64)
+
+
+# the values a tail can hold: signed zeros, ties, duplicates, Gaussians
+TAIL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),  # a small pool repeats
+    st.floats(-1e300, 1e300),
+    st.integers(0, 2**32).map(lambda seed: float(np.random.default_rng(seed).standard_normal())),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(top=st.one_of(
+           st.lists(TAIL_VALUES, min_size=1, max_size=40),
+           st.tuples(st.integers(1, 3000), st.integers(0, 2**32)).map(
+               lambda drawn: np.random.default_rng(drawn[1]).standard_normal(drawn[0]).tolist())),
+       skip=st.integers(0, 1000),
+       q=st.one_of(st.sampled_from([0.5, 0.9, 0.999, 0.9999999999999999]), st.floats(0.0, 1.0)))
+@example(top=[-0.0, 0.0, -0.0], skip=0, q=0.5)
+@example(top=[0.0, -0.0], skip=0, q=0.9999999999999999)
+@example(top=[3.0], skip=0, q=0.5)  # one value: hi == lo, the last rank
+@example(top=[2.0, 1.0, 2.0, 1.0], skip=96, q=0.99)  # top shorter than size
+def test_select_quantile_reads_the_sorted_ranks_bit_for_bit(top, skip, q):
+    size = len(top) + skip
+    assume(0.0 < q < 1.0 and similarity._ranks(size, q)[0] >= skip)
+    want = similarity._read_quantile(np.sort(top), size, q)
+    got = similarity._select_quantile(np.array(top), size, q)
+    assert np.array(got).view(np.int64) == np.array(want).view(np.int64)
+
+
+@pytest.mark.parametrize("n, q, seed", [(5000, 0.95, 81), (2000, 0.9, 196), (1000, 0.5, 117)])
+def test_select_quantile_places_the_upper_rank_too(n, q, seed):
+    # NumPy's partition at the lower rank mostly leaves the upper rank next to
+    # it, but not always: on these Gaussians NumPy 2.4 (x86-64, AVX-512) leaves
+    # a larger value there, so the upper rank needs a partition of its own
+    top = np.random.default_rng(seed).standard_normal(n)
+    want = similarity._read_quantile(np.sort(top), n, q)
+    assert similarity._select_quantile(top, n, q) == want

@@ -54,9 +54,9 @@ MUTANTS = {
         "the estimator's and the graph's walks keep no part, so a report multiplies again"),
     "diagonal-mod-n": Mutant(
         "similarity.py",
-        (("run = run[run % (n + 1) != 0]", "run = run[run % n != 0]"),),
+        (("(offsets - np.int64(span[0])) % (n + 1) != 0", "(offsets - np.int64(span[0])) % n != 0"),),
         ("tests/test_graph_reference.py",),
-        "the graph drops the keys of column 0 instead of the diagonal's"),
+        "the graph drops each tile's column at its first row instead of the diagonal"),
     "transposed-keys-dropped": Mutant(
         "similarity.py",
         (("np.add(cols, rows, out=keys[count + a : count + b])",
@@ -65,7 +65,7 @@ MUTANTS = {
         "the graph keeps one direction of each entry: not symmetric"),
     "tail-filter-ge": Mutant(
         "similarity.py",
-        (("take(tail.offsets[tail.values > cut])", "take(tail.offsets[tail.values >= cut])"),),
+        (("take(span, tail.offsets[tail.values > cut])", "take(span, tail.offsets[tail.values >= cut])"),),
         ("tests/test_graph_reference.py",),
         "a kept tail's entries equal to the cutoff become edges"),
     "rescan-ge": Mutant(
@@ -147,11 +147,24 @@ MUTANTS = {
         "the isolated vertices are placed last instead of first"),
     "edge-cap-uncounted": Mutant(
         "similarity.py",
-        (("return offsets if taken <= _MAX_DIRECTED_ENTRIES else None", "return offsets"),
+        (("keep = taken <= _MAX_DIRECTED_ENTRIES", "keep = True"),
          ("if taken > _MAX_DIRECTED_ENTRIES:", "if False:")),
         ("tests/test_similarity.py::TestGraphConstruction",
          "tests/test_cli.py::TestPermute::test_edge_cap_holds_on_the_entries_the_graph_finds"),
         "the graph holds every entry above a chunk-median cutoff, whatever the cap"),
+    "fallback-in-the-chunk-map": Mutant(
+        "similarity.py",
+        (("per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q) for chunk in chunks]",
+          "per_chunk = ordered_map(lambda chunk: read[chunk] if chunk in read else "
+          "_full_sort_quantile(pair, chunk, q), chunks, threads)"),),
+        ("tests/test_similarity.py::TestMemory::test_fallback_sorts_one_chunk_at_a_time_at_any_worker_count",),
+        "the unread chunks are sorted in a map over the workers, each holding a whole chunk"),
+    "select-one-rank": Mutant(
+        "similarity.py",
+        (("    top[hi - skip :].partition(0)\n", ""),),
+        ("tests/test_similarity.py::test_select_quantile_reads_the_sorted_ranks_bit_for_bit",
+         "tests/test_similarity.py::test_select_quantile_places_the_upper_rank_too"),
+        "the selection places the lower rank only, so the upper one is any larger value"),
     "graph-keeps-the-tails": Mutant(
         "similarity.py",
         (("popped = (scan.tails.popitem() for _ in range(len(scan.tails)))",
@@ -166,9 +179,14 @@ MUTANTS = {
         "the prediction binds its own cap, so a lower cap is found only after the tiles"),
     "run-budget-ignores-batch-rows": Mutant(
         "losses.py",
-        (("// (8 * m * c)", "// (8 * c)"),),
+        (("8 * max(m * c, ", "8 * max(c, "),),
         ("tests/test_losses.py::TestRunBudget",),
         "a report run is sized for one row a batch: m times the budget's bytes"),
+    "run-budget-ignores-operands": Mutant(
+        "losses.py",
+        (("max(m * c, (m + c) * pair.dim)", "m * c"),),
+        ("tests/test_losses.py::TestRunBudget::test_a_wide_pair_sizes_runs_by_their_gathered_operands",),
+        "a report run is sized by its products alone, so at d = 768 its operands hold 24 times the budget"),
     "report-keeps-its-products": Mutant(
         "losses.py",
         (("    return np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))\n",
