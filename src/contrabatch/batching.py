@@ -54,11 +54,12 @@ class BatchAssignment:
     def __post_init__(self):
         if not self.batches:
             raise ParameterError("an assignment needs at least one batch")
+        if not all(b.size for b in self.batches):
+            raise ParameterError("every batch needs at least one sample")
+        flat = np.concatenate(self.batches)  # one pass checks every index
+        if int(flat.min()) < 0 or int(flat.max()) >= self.n:
+            raise ParameterError("batch references an index outside 0..N-1")
         for b in self.batches:
-            if not b.size:
-                raise ParameterError("every batch needs at least one sample")
-            if int(b.min()) < 0 or int(b.max()) >= self.n:
-                raise ParameterError("batch references an index outside 0..N-1")
             b.setflags(write=False)
 
 

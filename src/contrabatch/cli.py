@@ -132,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_normalized(args) -> EmbeddingPair:
-    """The one place the CLI normalizes: every row of X and Y, on load."""
-    return load_pair(args.x, args.y).normalized()
+    """The one place the CLI normalizes: every row of X and Y, in place on load."""
+    return load_pair(args.x, args.y, normalize=True)
 
 
 def _epoch(args, strategies, report: bool = True):

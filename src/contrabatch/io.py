@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._parallel import chunk_spans
 from .errors import (
     CapacityError,
     DataError,
@@ -128,12 +129,27 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     listing the offending row indices; silently keeping them would poison
     every inner-product comparison downstream.
     """
-    matrix = _as_matrix(matrix)
-    norms = np.linalg.norm(matrix, axis=1)
+    return _normalize_in_place(_as_matrix(np.array(matrix, dtype=np.float64)))
+
+
+def _normalize_in_place(matrix: np.ndarray) -> np.ndarray:
+    """Rescale every row of the checked float64 ``matrix`` to unit norm in
+    place, and return it; see :func:`normalize_rows`.
+
+    The norms are taken in row blocks of about ``similarity._BLOCK_BYTES``,
+    so no temporary as large as ``matrix`` is held; a row's norm reduces
+    that row alone, so the blocks change no bit.
+    """
+    from .similarity import _BLOCK_BYTES  # read at call time; similarity imports this module
+
+    rows = max(1, _BLOCK_BYTES // matrix[0].nbytes)
+    norms = np.concatenate([np.linalg.norm(matrix[a:b], axis=1)
+                            for a, b in chunk_spans(len(matrix), rows)])
     bad = np.nonzero(norms < MIN_ROW_NORM)[0]
     if bad.size:
         raise DegenerateRowError(bad)
-    return matrix / norms[:, None]
+    matrix /= norms[:, None]
+    return matrix
 
 
 def _as_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -159,10 +175,7 @@ class EmbeddingPair:
     y: np.ndarray
 
     def __post_init__(self):
-        x = _as_matrix(self.x)
-        y = _as_matrix(self.y)
-        if x.shape != y.shape:
-            raise DataError(f"paired matrices must share a shape: {x.shape} vs {y.shape}")
+        x, y = _paired(self.x, self.y)
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -181,11 +194,28 @@ class EmbeddingPair:
         return EmbeddingPair(normalize_rows(self.x), normalize_rows(self.y))
 
 
-def load_pair(x_path: str | Path, y_path: str | Path, format: str | None = None) -> EmbeddingPair:
-    """Load two row-aligned matrices; ``format=None`` sniffs each file."""
+def _paired(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as checked matrices of one shape."""
+    x, y = _as_matrix(x), _as_matrix(y)
+    if x.shape != y.shape:
+        raise DataError(f"paired matrices must share a shape: {x.shape} vs {y.shape}")
+    return x, y
+
+
+def load_pair(x_path: str | Path, y_path: str | Path, format: str | None = None, *,
+              normalize: bool = False) -> EmbeddingPair:
+    """Load two row-aligned matrices; ``format=None`` sniffs each file.
+
+    With ``normalize``, the rows of the loaded matrices are rescaled in place
+    once both are checked: the bytes of ``load_pair(...).normalized()``,
+    without holding the raw pair beside its normalized copy.
+    """
     fmt_x = format or detect_format(x_path)
     fmt_y = format or detect_format(y_path)
-    return EmbeddingPair(load_embeddings(x_path, fmt_x), load_embeddings(y_path, fmt_y))
+    x, y = _paired(load_embeddings(x_path, fmt_x), load_embeddings(y_path, fmt_y))
+    if normalize:
+        x, y = _normalize_in_place(x), _normalize_in_place(y)
+    return EmbeddingPair(x, y)
 
 
 def validate_permutation(order: np.ndarray, n: int | None = None) -> np.ndarray:

@@ -28,11 +28,23 @@ most ``similarity._BLOCK_BYTES`` of products, or of the gathered operands
 where d outweighs the batch, and multiplies each run with
 one ``np.matmul``, which still makes one BLAS call per batch, so every
 batch's products have the bits of its own ``x[batch] @ y[candidates].T``.
-A report reads both objectives' per-batch values from a run's raw products,
-then its slot statistics from the same products scaled in place, before
-the next run is multiplied: the budget bounds the whole pass.  For a
-partition the objectives' candidate products are the slot products
-themselves; an oversampled run multiplies its candidates once more.
+
+A run's rows are short (k entries), and NumPy reduces short rows slowly,
+so each run copies its raw products once with the candidates first, (c, g,
+m), and reduces element-wise across that copy: each row's maximum, then,
+with the copy's diagonal masked, each row's off-diagonal minimum.  For a
+partition a slot's minimum is the smaller of that and its positive, read
+off the diagonal, and each batch's bottleneck value is the least of its
+rows' off-diagonal minima; each batch's total is summed from the raw
+products.  Maxima, minima and positives are then divided by tau (monotone,
+so they equal the reads of the scaled products bit for bit), and only the
+exp-sums scale the products in place, summing along their contiguous rows
+as before.  That copy replaces the one ``_batch_minima`` made, so a run
+still holds its products and one copy of them, each within the budget,
+and drops both before the next run is multiplied.  For a partition the
+objectives' candidate products are the slot products themselves; an
+oversampled run multiplies its distinct candidates once more and reads
+their minima the same way.
 
 Two scalar objectives summarize how hard a batch assignment is:
 
@@ -65,16 +77,15 @@ def _check_tau(tau: float) -> float:
     return float(tau)
 
 
-def _logsumexp_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-sum-exp and maximum of each row (along the last axis) of ``z``.
+def _logsumexp_rows(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row (along the last axis) of ``z``, ``m`` its maxima.
 
     Exponentiates in place, so ``z`` is overwritten: read anything else
     from it before calling.
     """
-    m = z.max(axis=-1)
     np.subtract(z, m[..., None], out=z)
     np.exp(z, out=z)
-    return m + np.log(z.sum(axis=-1)), m
+    return m + np.log(z.sum(axis=-1))
 
 
 class _GlobalStats:
@@ -100,7 +111,8 @@ def _global_part(rows: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.n
     with np.errstate(all="ignore"):
         z /= tau
         positive = z.diagonal(rows[0]).copy()
-        return (*_logsumexp_rows(z), positive)
+        m = z.max(axis=-1)
+        return _logsumexp_rows(z, m), m, positive
 
 
 def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1,
@@ -147,7 +159,7 @@ def _stacked_products(pair: EmbeddingPair, rows: np.ndarray, cols: np.ndarray) -
     The operands are fresh contiguous stacks, so matmul makes for each b the
     call ``pair.x[rows[b]] @ pair.y[cols[b]].T`` makes, with its bits.
     """
-    return np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))
+    return np.matmul(pair.x.take(rows, axis=0), pair.y.take(cols, axis=0).transpose(0, 2, 1))
 
 
 def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Stack]:
@@ -171,6 +183,7 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Stack
     candidates = [_sorted_unique(b) for b in batches] if assignment.oversampled else batches
     sizes = np.array([b.size for b in batches], dtype=np.int64)
     first_slot = np.cumsum(sizes) - sizes
+    sample = np.concatenate(batches)  # each slot's row
     groups: dict = {}
     for position, (b, c) in enumerate(zip(batches, candidates)):
         groups.setdefault((b.size, c.size), []).append(position)
@@ -179,44 +192,76 @@ def _batch_runs(pair: EmbeddingPair, assignment: BatchAssignment) -> list[_Stack
         per_run = max(1, similarity._BLOCK_BYTES // (8 * max(m * c, (m + c) * pair.dim)))
         for start, stop in chunk_spans(len(positions), per_run):
             chosen = np.array(positions[start:stop])
-            rows = np.stack([batches[p] for p in chosen])
+            slot_index = first_slot[chosen, None] + np.arange(m)
+            rows = sample[slot_index]
             cands = np.stack([candidates[p] for p in chosen]) if assignment.oversampled else rows
-            runs.append(_Stack(chosen, rows, cands, first_slot[chosen, None] + np.arange(m)))
+            runs.append(_Stack(chosen, rows, cands, slot_index))
     return runs
 
 
 def _positive_columns(run: _Stack, n: int) -> np.ndarray:
-    """(g, m): the column of each slot's own row among its candidates."""
+    """(g, m): the column of each slot's own row among an oversampled run's
+    candidates."""
     g, m = run.rows.shape
-    if run.candidates is run.rows:
-        return np.broadcast_to(np.arange(m), (g, m))
     shift = np.arange(g)[:, None] * n  # one sorted sequence, batch after batch
     found = np.searchsorted((run.candidates + shift).ravel(), (run.rows + shift).ravel())
     return found.reshape(g, m) - np.arange(g)[:, None] * run.candidates.shape[1]
 
 
+def _columns_first(z: np.ndarray) -> np.ndarray:
+    """A copy of ``z`` (g, m, c) laid out (c, g, m), so each row's reduction
+    runs element-wise over contiguous (g, m) planes: NumPy reduces short rows
+    slowly."""
+    return z.transpose(2, 0, 1).copy()
+
+
+def _off_diagonal_minima(t: np.ndarray) -> np.ndarray:
+    """Per row i of a columns-first copy ``t`` of square batches, the smallest
+    entry j != i; masks ``t``'s diagonal in place."""
+    diagonal = np.arange(len(t))
+    t[diagonal, :, diagonal] = np.inf
+    return t.min(axis=0)
+
+
 def _run_pass(pair: EmbeddingPair, run: _Stack, tau: float | None, objectives: bool) -> tuple:
     """(slot stats, per-batch values) of one run; its products die with the call.
 
-    The slot stats are (lse, positive, cand_min, cand_max), (g, m) each, or
-    none when ``tau`` is None.  With ``objectives``, and two candidates or
-    more a batch, the per-batch values are (minima, totals), (g,) each: read
-    from the raw products, which the slot stats then scale in place.
+    The slot stats are one (4, g, m) array, lse, positive, cand_min and
+    cand_max, or None when ``tau`` is None.  With ``objectives``, and two
+    candidates or more a batch, the per-batch values are (minima, totals),
+    (g,) each.  Every maximum, minimum and positive is read from the raw
+    products, then divided by tau: division by tau > 0 is monotone, so
+    min/max(z)/tau is min/max(z/tau) bit for bit.  Only then are the products
+    scaled in place, for the exp-sums.
     """
     partition = run.candidates is run.rows
-    z = _stacked_products(pair, run.rows, run.candidates) if tau is not None or partition else None
     per_batch = ()
-    if objectives and run.candidates.shape[1] >= 2:
-        cross = z if partition else _stacked_products(pair, run.candidates, run.candidates)
+    pairs = objectives and run.candidates.shape[1] >= 2
+    if pairs and not partition:
+        cross = _stacked_products(pair, run.candidates, run.candidates)
         per_batch = _batch_minima(cross), _batch_totals(cross)
-    if tau is None:
-        return (), per_batch
-    with np.errstate(all="ignore"):  # as in _global_part
-        z /= tau
+    if tau is None and not partition:
+        return None, per_batch
+    z = _stacked_products(pair, run.rows, run.candidates)
+    t = _columns_first(z)
+    top = t.max(axis=0)
+    if partition:  # the slot products are the cross products; positives on the diagonal
+        low = _off_diagonal_minima(t)
+        positive = z.diagonal(0, 1, 2)
+        bottom = np.minimum(low, positive)
+        if pairs:
+            per_batch = low.min(axis=1), _batch_totals(z)
+    else:
         positive = np.take_along_axis(z, _positive_columns(run, pair.n)[..., None], axis=2)[..., 0]
-        cand_min = z.min(axis=2)
-        lse, cand_max = _logsumexp_rows(z)
-    return (lse, positive, cand_min, cand_max), per_batch
+        bottom = t.min(axis=0)
+    if tau is None:
+        return None, per_batch
+    stats = np.empty((4, *run.rows.shape))  # lse, positive, cand_min, cand_max
+    with np.errstate(all="ignore"):  # as in _global_part
+        np.divide((positive, bottom, top), tau, out=stats[1:])
+        z /= tau
+        stats[0] = _logsumexp_rows(z, stats[3])
+    return stats, per_batch
 
 
 def _in_batch(pair: EmbeddingPair, assignment: BatchAssignment, tau: float | None,
@@ -232,15 +277,15 @@ def _in_batch(pair: EmbeddingPair, assignment: BatchAssignment, tau: float | Non
     parts = ordered_map(lambda run: _run_pass(pair, run, tau, objectives), runs, threads)
     batches = assignment.batches
     minima, totals = np.full(len(batches), inf), np.zeros(len(batches))
-    stats = np.empty((4, sum(b.size for b in batches)))
-    count = np.empty(stats.shape[1], dtype=np.int64)
+    sample = np.concatenate(batches)
+    stats, count = np.empty((4, sample.size)), np.empty(sample.size, dtype=np.int64)
     for run, (slot_values, per_batch) in zip(runs, parts):
-        if slot_values:
+        if slot_values is not None:
             stats[:, run.slot_index] = slot_values
             count[run.slot_index] = run.candidates.shape[1]
         if per_batch:
             minima[run.positions], totals[run.positions] = per_batch
-    slots = None if tau is None else _SlotStats(np.concatenate(batches), *stats, count)
+    slots = None if tau is None else _SlotStats(sample, *stats, count)
     return slots, minima, totals
 
 
@@ -317,11 +362,8 @@ def gap_upper_bounds(
 
 def _batch_minima(z: np.ndarray) -> np.ndarray:
     """Per batch of ``z`` (g, c, c), the smallest min(z_ij, z_ji) over i != j:
-    the smallest off-diagonal z_ij, so no transposed pass is needed."""
-    z = z.copy()
-    diagonal = np.arange(z.shape[1])
-    z[:, diagonal, diagonal] = np.inf
-    return z.reshape(len(z), -1).min(axis=1)
+    the smallest off-diagonal z_ij, read from one columns-first copy."""
+    return _off_diagonal_minima(_columns_first(z)).min(axis=1)
 
 
 def _batch_totals(z: np.ndarray) -> np.ndarray:

@@ -153,7 +153,7 @@ def exhaustive_min_gap(pair: EmbeddingPair, k: int, tau: float) -> OracleResult:
             sub = z[np.ix_(block, block)]
             positive = sub.diagonal().copy()
             with np.errstate(all="ignore"):  # as above
-                total += float(np.sum(_logsumexp_rows(sub)[0] - positive))
+                total += float(np.sum(_logsumexp_rows(sub, sub.max(axis=-1)) - positive))
         return -(global_loss - total / pair.n)
 
     result = _maximize(pair, k, negated_gap)

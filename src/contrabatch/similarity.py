@@ -31,9 +31,12 @@ within its inputs plus the larger of its two stages:
             + 12 bytes x kept tail entries,
     graph:  c x CSR bytes,
 
-where the CSR is the graph's ``indptr`` and ``indices`` and c = 2.5: the
-graph stage peaks within 2.5x its CSR, the CSR included (1.3-2.2x measured
-with tracemalloc at N = 4096-16384, q = 0.5-0.99), and the ordering holds
+where workers is the smaller of ``threads`` and the cores the process may
+run on (``_parallel.usable_cores``: a map starts no more, so ``--threads
+256`` on two cores holds two tiles), the CSR is the graph's ``indptr`` and
+``indices``, and c = 2.5: the graph stage peaks within 2.5x its CSR, the
+CSR included (1.3-2.2x measured with tracemalloc at N = 4096-16384,
+q = 0.5-0.99), and the ordering holds
 at most 1.5x beyond it (0.01-0.22x measured).  A graph that rescans tiles
 holds a tile per worker, as the cutoff does.  The stages do not add up:
 the graph takes each tail out of the scan as it reads it, whether it

@@ -40,7 +40,8 @@ def count_loads(monkeypatch) -> list:
     """Record the paths of every pair the CLI loads from now on."""
     loads = []
     load_pair = cli.load_pair
-    monkeypatch.setattr(cli, "load_pair", lambda *paths: loads.append(paths) or load_pair(*paths))
+    monkeypatch.setattr(cli, "load_pair", lambda *paths, **options: loads.append(paths)
+                        or load_pair(*paths, **options))
     return loads
 
 
@@ -479,13 +480,13 @@ class TestNormalizeOnce:
     def test_rows_normalized_once_on_load(self, tmp_path, capsys, monkeypatch, command):
         x, y = write_pair(tmp_path, random_pair(16, 4, seed=13))
         calls = []
-        real = io.normalize_rows
+        real = io._normalize_in_place  # normalize_rows calls it too
 
         def counted(matrix):
             calls.append(matrix.shape)
             return real(matrix)
 
-        monkeypatch.setattr(io, "normalize_rows", counted)
+        monkeypatch.setattr(io, "_normalize_in_place", counted)
         rc = main(command + ["--x", x, "--y", y, "--batch-size", "4", "--quantile", "0.8"])
         assert rc == 0
         assert calls == [(16, 4), (16, 4)]  # X and Y, once each

@@ -1,12 +1,15 @@
 """Embedding/permutation file formats and row normalization."""
 
+import argparse
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contrabatch import cli, similarity
 from contrabatch import (
     CapacityError,
     DataError,
@@ -179,6 +182,55 @@ class TestEmbeddingPair:
         save_embeddings(data, tmp_path / "y.tsv", "tsv")
         pair = load_pair(tmp_path / "x.emb1", tmp_path / "y.tsv")
         np.testing.assert_array_equal(pair.x, pair.y)
+
+
+class TestLoadNormalized:
+    """The CLI rescales the rows of the pair it loads in place."""
+
+    @staticmethod
+    def load(x, y) -> EmbeddingPair:
+        return cli._load_normalized(argparse.Namespace(x=str(x), y=str(y)))
+
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 1000], ids=["one-block", "many-blocks"])
+    @pytest.mark.parametrize("fmt", ["emb1", "tsv"])
+    def test_the_cli_pair_equals_the_normalized_copy_byte_for_byte(self, tmp_path, rng,
+                                                                    monkeypatch, fmt, block_bytes):
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", block_bytes)  # the norms' row blocks
+        x, y = tmp_path / f"x.{fmt}", tmp_path / f"y.{fmt}"
+        save_embeddings(rng.standard_normal((300, 7)), x, fmt)
+        save_embeddings(3 * rng.standard_normal((300, 7)), y, fmt)
+        raw, got = load_pair(x, y), self.load(x, y)
+        for m, a, b in ((raw.x, got.x, raw.normalized().x), (raw.y, got.y, raw.normalized().y)):
+            formula = m / np.linalg.norm(m, axis=1)[:, None]
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.tobytes() == formula.tobytes()
+            assert not a.flags.writeable
+
+    def test_the_checks_run_in_the_same_order(self, tmp_path, rng):
+        m = rng.standard_normal((6, 3))
+        m[4] = 0.0
+        for name, rows in (("x", m), ("y", m[:5]), ("z", rng.standard_normal((6, 3)))):
+            save_embeddings(rows, tmp_path / f"{name}.emb1")
+        with pytest.raises(DataError, match="share a shape"):  # before any row is rescaled
+            self.load(tmp_path / "x.emb1", tmp_path / "y.emb1")
+        with pytest.raises(DegenerateRowError) as err:
+            self.load(tmp_path / "z.emb1", tmp_path / "x.emb1")
+        assert err.value.rows == [4]
+
+    def test_the_load_holds_no_second_copy(self, tmp_path, rng):
+        """X and Y are 2 MiB each: rescaled copies would hold four of them at
+        once; rescaling in place holds both, and loading Y adds its file's
+        float32 bytes."""
+        x, y = tmp_path / "x.emb1", tmp_path / "y.emb1"
+        save_embeddings(rng.standard_normal((4096, 64)), x)
+        save_embeddings(rng.standard_normal((4096, 64)), y)
+        tracemalloc.start()
+        try:
+            pair = self.load(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * pair.x.nbytes
 
 
 class TestPermutationFiles:

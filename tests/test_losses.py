@@ -181,6 +181,15 @@ class TestTrainLoss:
         with pytest.raises(ParameterError):
             BatchAssignment(n=4, k=2, batches=(np.array([0, 5]), np.array([1, 2, 3])))
 
+    @pytest.mark.parametrize("batches", [(np.arange(3), np.array([3, 8]), np.arange(4, 8)),
+                                         (np.arange(4), np.arange(4, 7), np.array([7, -1]))],
+                             ids=["middle-batch", "last-batch"])
+    def test_an_index_outside_any_batch_is_refused(self, batches):
+        from contrabatch import BatchAssignment
+
+        with pytest.raises(ParameterError, match="outside"):
+            BatchAssignment(n=8, k=4, batches=batches)
+
     @pytest.mark.parametrize("batches", [(np.arange(8), np.array([], dtype=np.int64)), ()],
                              ids=["empty-batch", "no-batch"])
     def test_an_empty_batch_or_no_batch_is_refused(self, batches):

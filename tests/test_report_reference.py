@@ -102,6 +102,20 @@ def anti_aligned_pair():
     return EmbeddingPair(x, -x)
 
 
+def duplicated_rows_pair():
+    """One row in three a copy of x's row 0, on both sides: in a copy's row of
+    a batch every copy's column ties for the maximum."""
+    pair = random_pair(300, 8, seed=68)
+    x, y = pair.x.copy(), pair.y.copy()
+    x[::3] = y[::3] = x[0]
+    return EmbeddingPair(x, y)
+
+
+def orthogonal_pair():
+    """x = y = the identity: every product but the positives is exactly 0."""
+    return EmbeddingPair(np.eye(96), np.eye(96))
+
+
 CASES = {
     "n1536-k60": lambda: (random_pair(1536, 16, seed=60), lambda p: random_batches(1536, 60, 1)),
     "n2050-k64": lambda: (random_pair(2050, 16, seed=61), lambda p: random_batches(2050, 64, 2)),
@@ -113,6 +127,11 @@ CASES = {
     "y-minus-x": lambda: (anti_aligned_pair(), lambda p: random_batches(300, 8, 9)),
     "mined-k10": lambda: (duplicated_pair(), lambda p: hard_negative_batches(p, 10, seed=7)),
     "mined-k64": lambda: (duplicated_pair(), lambda p: hard_negative_batches(p, 64, seed=8)),
+    "singletons-n2050": lambda: (random_pair(2050, 8, seed=69), lambda p: random_batches(2050, 1, 10)),
+    "short-last-batch": lambda: (random_pair(1000, 16, seed=70), lambda p: random_batches(1000, 64, 11)),
+    "duplicate-rows": lambda: (duplicated_rows_pair(), lambda p: random_batches(300, 30, 12)),
+    "orthogonal-rows": lambda: (orthogonal_pair(), lambda p: random_batches(96, 8, 13)),
+    "hardneg1-k16": lambda: (random_pair(512, 8, seed=71), lambda p: hard_negative_batches(p, 16, seed=14)),
 }
 
 
@@ -148,6 +167,15 @@ def test_stacked_scans_equal_the_per_batch_reference(monkeypatch, case, tau, thr
         for r in (report, reference):
             with pytest.raises(ParameterError):
                 r.to_json()
+
+
+@pytest.mark.parametrize("case, extreme", [("duplicate-rows", np.max), ("orthogonal-rows", np.min)])
+def test_tie_cases_tie_at_a_row_extreme(case, extreme):
+    # the premise of the tie cases: rows of a batch that reach their extreme twice
+    pair, assign = CASES[case]()
+    for batch in assign(pair).batches:
+        z = pair.x[batch] @ pair.y[batch].T
+        assert ((z == extreme(z, axis=1, keepdims=True)).sum(axis=1) > 1).any()
 
 
 def test_mined_cases_repeat_samples_within_a_batch():

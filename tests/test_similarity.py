@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import sys
 import threading
 import time
@@ -29,6 +30,7 @@ from contrabatch import (
     ntxent_global,
     save_embeddings,
 )
+from contrabatch._parallel import ordered_map
 from contrabatch.cli import main
 from conftest import (
     cluster_sorted_pair,
@@ -687,6 +689,51 @@ class TestTileBuffers:
         products = similarity._products  # every tile fresh; q = 0.999 runs no full sort into ``out``
         monkeypatch.setattr(similarity, "_products", lambda pair, span, out=None: products(pair, span))
         assert scan_outputs(pair, threads) == buffered
+
+
+class TestWorkerCap:
+    """A map starts at most one worker per usable core, whatever it is asked
+    for, so the tile buffers follow the cores, not ``--threads``."""
+
+    @staticmethod
+    def record_pools(monkeypatch) -> list:
+        """Record the ``max_workers`` of every pool a map starts from now on."""
+        import concurrent.futures
+
+        asked, pool = [], concurrent.futures.ThreadPoolExecutor
+
+        class Recorded(pool):
+            def __init__(self, max_workers=None, **options):
+                asked.append(max_workers)
+                super().__init__(max_workers, **options)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        return asked
+
+    @pytest.mark.parametrize("cores, threads, workers",
+                             [(2, 8, 2), (2, 256, 2), (3, 2, 2), (1, 8, 1)])
+    def test_a_map_gets_at_most_the_usable_cores(self, monkeypatch, cores, threads, workers):
+        asked = self.record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert ordered_map(lambda v: v * v, range(10), threads) == [v * v for v in range(10)]
+        assert asked == [workers]
+
+    def test_without_an_affinity_mask_the_core_count_caps(self, monkeypatch):
+        asked = self.record_pools(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ordered_map(abs, range(-5, 5), 8) == [abs(v) for v in range(-5, 5)]
+        assert asked == [3]
+
+    def test_a_cutoff_at_256_threads_holds_one_buffer_per_core(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        asked = self.record_pools(monkeypatch)
+        outs = []
+        count_products(monkeypatch, outs)
+        estimate_quantile_threshold(random_pair(512, 16, seed=53), 0.999, 512, threads=256)
+        assert asked and set(asked) == {2}
+        assert len({id(out.base) for out in outs}) <= 2
 
 
 class TestBlockHeight:

@@ -189,19 +189,58 @@ MUTANTS = {
         "a report run is sized by its products alone, so at d = 768 its operands hold 24 times the budget"),
     "report-keeps-its-products": Mutant(
         "losses.py",
-        (("    return np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))\n",
-          "    z = np.matmul(pair.x[rows], pair.y[cols].transpose(0, 2, 1))\n"
+        (("    return np.matmul(pair.x.take(rows, axis=0), pair.y.take(cols, axis=0).transpose(0, 2, 1))\n",
+          "    z = np.matmul(pair.x.take(rows, axis=0), pair.y.take(cols, axis=0).transpose(0, 2, 1))\n"
           "    _stacked_products.__dict__.setdefault(\"kept\", []).append(z)\n"
           "    return z\n"),),
         ("tests/test_losses.py::TestRunBudget::test_the_in_batch_pass_peaks_within_five_blocks",),
         "every run's products outlive its pass, so a report holds N·k of them (2N·k mined)"),
     "objectives-read-scaled-products": Mutant(
         "losses.py",
-        (("        z /= tau\n        positive = np.take_along_axis",
-          "        positive = np.take_along_axis"),
-         ("    per_batch = ()\n", "    if tau is not None:\n        z /= tau\n    per_batch = ()\n")),
+        (("    t = _columns_first(z)\n", "    if tau is not None:\n        z /= tau\n    t = _columns_first(z)\n"),
+         ("np.divide((positive, bottom, top), tau, out=stats[1:])\n        z /= tau\n",
+          "stats[1:] = positive, bottom, top\n")),
         ("tests/test_report_reference.py",),
         "a partition's minima and totals are read from the products after they are scaled by 1/tau"),
+    "batch-minima-keep-the-diagonal": Mutant(
+        "losses.py",
+        (("    t[diagonal, :, diagonal] = np.inf\n", ""),),
+        ("tests/test_report_reference.py", "tests/test_losses.py::TestBatchMinima"),
+        "each batch's minimum ranges over its positives too"),
+    "slot-minimum-skips-the-positive": Mutant(
+        "losses.py",
+        (("bottom = np.minimum(low, positive)", "bottom = low"),),
+        ("tests/test_report_reference.py",),
+        "a partition slot's candidate minimum leaves out its own positive"),
+    "row-maxima-after-the-mask": Mutant(
+        "losses.py",
+        (("    top = t.max(axis=0)\n", ""),
+         ("        low = _off_diagonal_minima(t)\n",
+          "        low = _off_diagonal_minima(t)\n        top = t.max(axis=0)\n"),
+         ("        bottom = t.min(axis=0)\n", "        top, bottom = t.max(axis=0), t.min(axis=0)\n")),
+        ("tests/test_report_reference.py",),
+        "a partition's row maxima are read after the diagonal is masked with +inf"),
+    "extremes-of-columns": Mutant(
+        "losses.py",
+        (("return z.transpose(2, 0, 1).copy()", "return z.transpose(1, 0, 2).copy()"),),
+        ("tests/test_report_reference.py",),
+        "the copy puts rows first, so a run's maxima and minima are its columns'"),
+    "no-worker-cap": Mutant(
+        "_parallel.py",
+        (("max_workers=min(threads, usable_cores())", "max_workers=threads"),),
+        ("tests/test_similarity.py::TestWorkerCap",),
+        "a map starts as many workers as asked, each with its own tile buffer, whatever the cores"),
+    "assignment-checks-its-first-batch": Mutant(
+        "batching.py",
+        (("flat = np.concatenate(self.batches)", "flat = self.batches[0]"),),
+        ("tests/test_losses.py::TestTrainLoss",),
+        "an index outside 0..N-1 passes the check unless it sits in the first batch"),
+    "load-normalizes-copies": Mutant(
+        "io.py",
+        (("x, y = _normalize_in_place(x), _normalize_in_place(y)",
+          "x, y = normalize_rows(x), normalize_rows(y)"),),
+        ("tests/test_io.py::TestLoadNormalized",),
+        "the load holds the raw pair beside its normalized copy"),
     "freeze-in-process": Mutant(
         "cli.py",
         (("atexit.register(gc.freeze)", "gc.freeze()"),),
