@@ -39,7 +39,7 @@ from .similarity import (
     expected_retained_fraction,
     interpolated_quantile,
 )
-from .bandwidth import cuthill_mckee, exhaustive_min_bandwidth, matrix_bandwidth
+from .bandwidth import cuthill_mckee, matrix_bandwidth
 from .batching import (
     BatchAssignment,
     bandwidth_pipeline,
@@ -119,6 +119,7 @@ _LAZY_NAMES = {
     }),
     "oracle": frozenset({
         "OracleResult",
+        "exhaustive_min_bandwidth",
         "exhaustive_min_gap",
         "exhaustive_qap",
         "exhaustive_qbap",

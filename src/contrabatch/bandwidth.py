@@ -10,18 +10,12 @@ factorizations; reversal never changes the bandwidth.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import similarity
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .io import validate_permutation
-from .similarity import SparseSimilarityGraph, _sorted_unique
-
-# n! explodes past this; the exhaustive searches here and in oracle.py are
-# test oracles, not solvers.
-_MAX_EXHAUSTIVE_NODES = 10
+from .similarity import SparseSimilarityGraph, _compact_sorted
 
 
 def _unvisited_neighbors(graph: SparseSimilarityGraph, level: np.ndarray,
@@ -35,7 +29,9 @@ def _unvisited_neighbors(graph: SparseSimilarityGraph, level: np.ndarray,
     slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
     slots += np.arange(slots.size)
     found = graph.indices[slots]
-    found = _sorted_unique(found[~visited[found]])
+    found = found[~visited[found]]
+    found.sort()  # a fresh array: sorted and compacted in place
+    found = found[: _compact_sorted(found, found.size)]
     visited[found] = True
     return found
 
@@ -96,38 +92,3 @@ def matrix_bandwidth(graph: SparseSimilarityGraph, order: np.ndarray) -> int:
     position[order] = np.arange(graph.n)
     rows = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
     return int(np.abs(position[rows] - position[graph.indices]).max())
-
-
-def exhaustive_min_bandwidth(graph: SparseSimilarityGraph) -> tuple[np.ndarray, int]:
-    """Exact minimum bandwidth by trying all n! orders (n <= 10).
-
-    Returns the lexicographically smallest minimizing order and its
-    bandwidth.  Test oracle only.
-    """
-    n = graph.n
-    if n > _MAX_EXHAUSTIVE_NODES:
-        raise CapacityError(f"exhaustive search limited to {_MAX_EXHAUSTIVE_NODES} nodes, got {n}")
-    graph.validate()
-    identity = np.arange(n, dtype=np.int64)
-    if graph.indices.size == 0:
-        return identity, 0
-
-    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    keep = rows < graph.indices
-    eu, ev = rows[keep], graph.indices[keep]
-
-    best_bw = n  # any order has bandwidth <= n-1
-    best_order = identity
-    perms = itertools.permutations(range(n))
-    while True:
-        block = np.array(list(itertools.islice(perms, 40320)), dtype=np.int64)
-        if block.size == 0:
-            break
-        # argsort of the order array is the position lookup for each node
-        position = np.argsort(block, axis=1)
-        bw = np.abs(position[:, eu] - position[:, ev]).max(axis=1)
-        idx = int(np.argmin(bw))
-        if bw[idx] < best_bw:  # strict: keeps the lexicographically first
-            best_bw = int(bw[idx])
-            best_order = block[idx].copy()
-    return best_order, best_bw

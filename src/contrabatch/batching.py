@@ -106,8 +106,8 @@ def random_batches(n: int, k: int, seed: int) -> BatchAssignment:
     return sequential_batches(order, k)
 
 
-def _nearest_part(rows: tuple[int, int], z: np.ndarray) -> np.ndarray:
-    """Row argmax over j != i of the products ``z`` of rows ``rows`` (ties:
+def _nearest_part(rows: tuple[int, int], z: np.ndarray) -> tuple[np.ndarray]:
+    """(row argmax over j != i,) of the products ``z`` of rows ``rows`` (ties:
     lowest j); ``z`` is left as it was."""
     cols = np.arange(*rows)
     at = (cols - rows[0], cols)
@@ -115,7 +115,7 @@ def _nearest_part(rows: tuple[int, int], z: np.ndarray) -> np.ndarray:
     z[at] = -np.inf
     nearest = np.argmax(z, axis=1)
     z[at] = diagonal
-    return nearest
+    return (nearest,)
 
 
 def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1, *,
@@ -127,8 +127,7 @@ def nearest_cross_neighbors(pair: EmbeddingPair, threads: int = 1, *,
     below two rows, where no j != i exists.
     """
     _check_two_samples(pair.n)
-    parts = (_scan or _Scan()).read(pair, (_nearest_part, ()), threads)
-    return np.concatenate(parts).astype(np.int64)
+    return (_scan or _Scan()).read(pair, (_nearest_part, ()), threads)[0].astype(np.int64)
 
 
 def hard_negative_batches(

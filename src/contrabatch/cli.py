@@ -47,8 +47,10 @@ _IO_EXIT = 1
 # object; every output is closed before main returns, so no byte moves
 atexit.register(gc.freeze)
 
-# Most worker threads a run may ask for: a map starts one per tile, and a
-# large N has thousands of tiles.
+# Most worker threads a run may ask for; more exits 2.  A map starts at most
+# one worker per usable core, whatever it is asked (``_parallel.ordered_map``),
+# so the ceiling bounds neither threads nor memory: it keeps the accepted range
+# the same on every host, so an argv valid on one host is valid on all.
 _MAX_THREADS = 256
 
 # The names taken from ``losses``, bound on first use (``_load_losses``):

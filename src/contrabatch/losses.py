@@ -20,9 +20,10 @@ log(N/k) when every batch is full.
 
 Every loss and bound derives from two scans: one over all N candidates
 per sample, one over the in-batch candidates per slot.  The first reads
-row blocks through ``similarity._Scan.read``, so it multiplies no tile that
-an earlier stage of the epoch walked, and each report of an epoch given the
-epoch's scan reads the blocks it kept.  The second stacks
+its per-row terms through ``similarity._Scan.read``, so it multiplies no
+tile that an earlier stage of the epoch walked, and every report of an
+epoch given the epoch's scan reads the one join of them the scan made on
+its first read.  The second stacks
 the batches of one shape (rows and candidates per batch) into runs of at
 most ``similarity._BLOCK_BYTES`` of products, or of the gathered operands
 where d outweighs the batch, and multiplies each run with
@@ -97,11 +98,6 @@ class _GlobalStats:
         self.lse, self.row_max, self.positive = lse, row_max, positive
 
 
-def _joined(parts) -> tuple[np.ndarray, ...]:
-    """Concatenate per-row parts, field by field, in the order given."""
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
 def _global_part(rows: tuple[int, int], z: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
     """(lse, row_max, positive) of the product rows ``rows`` in ``z``; overwrites ``z``.
 
@@ -120,7 +116,7 @@ def _global_stats(pair: EmbeddingPair, tau: float, threads: int = 1,
     """Global stats of every row, in row order; blocks the epoch's ``_scan``
     kept for :func:`_global_part` at this tau are not multiplied again."""
     tau = _check_tau(tau)
-    return _GlobalStats(*_joined((_scan or _Scan()).read(pair, (_global_part, (tau,)), threads)))
+    return _GlobalStats(*(_scan or _Scan()).read(pair, (_global_part, (tau,)), threads))
 
 
 class _SlotStats:

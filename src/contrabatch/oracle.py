@@ -1,30 +1,34 @@
-"""Exhaustive solvers over all fixed-block-size partitions at toy scale.
+"""Exhaustive searches at toy scale: over all fixed-block-size partitions,
+and over all node orders for the minimum bandwidth.
 
-Each solver enumerates every way to split {0..N-1} into unordered blocks of
-size k (one short block of size N mod k when k does not divide N) and picks
-the partition optimizing its objective.  Enumeration is canonical -- the
-smallest unassigned index opens each new block -- so every partition is
-produced exactly once, in lexicographic order; ties therefore resolve to
+Each partition solver enumerates every way to split {0..N-1} into unordered
+blocks of size k (one short block of size N mod k when k does not divide N)
+and picks the partition optimizing its objective.  Enumeration is canonical
+-- the smallest unassigned index opens each new block -- so every partition
+is produced exactly once, in lexicographic order; ties therefore resolve to
 the lexicographically smallest optimum.
 
 These exist to validate the heuristics and objective definitions, not to
-solve anything at production size: factorial growth is capped hard.
+solve anything at production size: factorial growth is capped hard.  No
+epoch command imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice, permutations
 from math import factorial
 
 import numpy as np
 
-from .bandwidth import _MAX_EXHAUSTIVE_NODES
 from .batching import BatchAssignment
 from .errors import CapacityError, ObjectiveUndefined, ParameterError
 from .io import EmbeddingPair
 from .losses import _check_tau, _logsumexp_rows, ntxent_global
+from .similarity import SparseSimilarityGraph
 
+# n! explodes past this; the exhaustive searches here are test oracles, not solvers.
+_MAX_EXHAUSTIVE_NODES = 10
 _MAX_PARTITIONS = 10**6
 
 
@@ -177,3 +181,30 @@ def _maximize(pair: EmbeddingPair, k: int, value) -> OracleResult:
         best_assignment=_assignment_from_partition(best_partition, pair.n, k),
         enumerated_count=count,
     )
+
+
+def exhaustive_min_bandwidth(graph: SparseSimilarityGraph) -> tuple[np.ndarray, int]:
+    """Exact minimum bandwidth by trying all n! orders (n <= 10).
+
+    Returns the lexicographically smallest minimizing order and its
+    bandwidth.  Test oracle only.
+    """
+    n = graph.n
+    if n > _MAX_EXHAUSTIVE_NODES:
+        raise CapacityError(f"exhaustive search limited to {_MAX_EXHAUSTIVE_NODES} nodes, got {n}")
+    graph.validate()
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    keep = rows < graph.indices
+    eu, ev = rows[keep], graph.indices[keep]
+
+    best_order, best_bw = np.arange(n, dtype=np.int64), n  # any order has bandwidth <= n-1
+    perms = permutations(range(n))
+    while (block := np.array(list(islice(perms, 40320)), dtype=np.int64)).size:
+        # argsort of the order array is the position lookup for each node
+        position = np.argsort(block, axis=1)
+        bw = np.abs(position[:, eu] - position[:, ev]).max(axis=1, initial=0)  # 0 without edges
+        idx = int(np.argmin(bw))
+        if bw[idx] < best_bw:  # strict: keeps the lexicographically first
+            best_bw = int(bw[idx])
+            best_order = block[idx].copy()
+    return best_order, best_bw

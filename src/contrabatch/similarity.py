@@ -46,7 +46,8 @@ follow it, as the allocator may keep the freed tail pages.  The
 exception is the fallback (``_full_sort_quantile``), which holds a whole
 chunk of products (``chunk_rows`` x N): it runs only below q = 15/16, or
 for a chunk with a tail over 1/8 of its tile, and it reads one chunk after
-another, so it holds one chunk whatever the worker count.
+another, its tiles multiplied on the workers straight into the chunk's
+block, so it holds one chunk and no tile buffer whatever the worker count.
 
 Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice, and both checks
 live here, reading the cap when they run.  Before the cutoff,
@@ -116,18 +117,22 @@ Each scan (each of the estimator's walks, ``_Scan.read``, the graph's
 rescans) is one call of ``_map_products``, which multiplies into one
 buffer per worker thread, reused tile after tile and freed when the scan
 returns: a function given a buffered product keeps no view of it.  Only it
-and the fallback call ``_products``.
+and the fallback call ``_products``; the fallback maps its chunk's tiles at
+``threads`` too, into the chunk's own block.
 
 The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
-*args)`` listed in an epoch's one ``_Scan``, which each stage takes as
-``_scan=``.  One rule: a grid tile feeds each listed part once, in order,
-when the first stage multiplies it, after that stage took what it needs from
-each block (the estimator its tail, the graph its entries above the cutoff).
-``_Scan.read`` returns the kept blocks and multiplies only the grid tiles no
-stage has walked.  So ``permute --report`` and ``compare`` multiply a tile
-at most once beyond the estimator, whose second walks, fallback and
-off-grid tiles feed no part.  A call without ``_scan=`` walks a fresh scan.
+*args)`` that returns a tuple of per-row fields, listed in an epoch's one
+``_Scan``, which each stage takes as ``_scan=``.  One rule: a grid tile
+feeds each listed part once, in order, when the first stage multiplies it,
+after that stage took what it needs from each block (the estimator its tail,
+the graph its entries above the cutoff).  ``_Scan.read`` multiplies only the
+grid tiles no stage has walked and, on a part's first read, joins its kept
+blocks into one read-only array per field; every later read of the part
+returns that same tuple, so an epoch's reports join their global terms
+once.  So ``permute --report`` and ``compare`` multiply a tile at most once
+beyond the estimator, whose second walks, fallback and off-grid tiles feed
+no part.  A call without ``_scan=`` walks a fresh scan.
 """
 
 from __future__ import annotations
@@ -260,6 +265,21 @@ class SimilarityThreshold:
     estimator: str
 
 
+def _compact_sorted(keys: np.ndarray, size: int) -> int:
+    """Move the distinct values of the sorted ``keys[:size]`` to its front, in
+    order, in runs of ``_BLOCK_BYTES``; returns how many there are."""
+    count, run = min(size, 1), max(1, _BLOCK_BYTES // 8)  # keys[0] stays where it is
+    for a in range(0, size, run):  # a run is read before any write reaches it
+        b = min(a + run, size)
+        if a and keys[a] != keys[count - 1]:  # a run's first key, unless the last run ended on it
+            keys[count] = keys[a]
+            count += 1
+        fresh = keys[a + 1 : b][keys[a + 1 : b] != keys[a : b - 1]]
+        keys[count : count + fresh.size] = fresh
+        count += fresh.size
+    return count
+
+
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique`` of a 1-D array by sort and compare.
 
@@ -267,9 +287,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     of magnitude slower on the integer keys of graph construction.
     """
     values = np.sort(values)
-    if values.size:
-        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    return values
+    return values[: _compact_sorted(values, values.size)]
 
 
 def _products(pair: EmbeddingPair, span: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
@@ -332,13 +350,15 @@ class _Scan:
 
     Every multiplied tile is walked by :meth:`walk`, so each grid tile feeds
     each listed ``(fn, args)`` part once, whichever stage multiplied it; the
-    estimator's tails are kept by span until the graph takes them.  Use it
+    estimator's tails are kept by span until the graph takes them.  A part
+    returns a tuple of per-row fields, which :meth:`read` joins once.  Use it
     only on the pair it read.
     """
 
     def __init__(self, *parts):
         self.tails: dict = {}  # span -> _Tail
         self.parts = {part: {} for part in parts}  # (fn, args) -> span -> one result per block
+        self.joined: dict = {}  # (fn, args) -> its fields over every row, once read
 
     def walk(self, n: int, span: tuple[int, int], z: np.ndarray, select=None) -> list:
         """``select(rows, block)`` of each row block of the product ``z`` of
@@ -354,16 +374,23 @@ class _Scan:
                 out.append(fn(rows, block, *args))
         return picked
 
-    def read(self, pair: EmbeddingPair, part: tuple, threads: int = 1) -> list:
-        """The kept ``fn(rows, block, *args)`` of every row block, ``part = (fn,
-        args)``; the grid tiles not yet walked are multiplied and walked now.
-        A part the scan does not list is read through a fresh ``_Scan(part)``."""
+    def read(self, pair: EmbeddingPair, part: tuple, threads: int = 1) -> tuple:
+        """The fields of ``fn(rows, block, *args)`` over every row, ``part = (fn,
+        args)``, each one read-only array.  The first read multiplies and walks
+        the grid tiles not yet walked and joins the kept blocks; every later
+        read returns that same tuple.  A part the scan does not list is read
+        through a fresh ``_Scan(part)``."""
         if part not in self.parts:
             return _Scan(part).read(pair, part, threads)
-        tiles = _tiles((0, pair.n), pair.n)
-        todo = [span for span in tiles if span not in self.parts[part]]
-        _map_products(pair, todo, lambda span, z: self.walk(pair.n, span, z), threads)
-        return [block for span in tiles for block in self.parts[part][span]]
+        if part not in self.joined:
+            kept, tiles = self.parts[part], _tiles((0, pair.n), pair.n)
+            _map_products(pair, [span for span in tiles if span not in kept],
+                          lambda span, z: self.walk(pair.n, span, z), threads)
+            self.joined[part] = joined = tuple(map(np.concatenate, zip(*(
+                block for span in tiles for block in kept[span]))))
+            for field in joined:
+                field.flags.writeable = False
+        return self.joined[part]
 
 
 def _chunk_bounds(pair: EmbeddingPair, chunk: tuple[int, int], share: float) -> tuple[float, float]:
@@ -438,13 +465,12 @@ def _select_quantile(top: np.ndarray, size: int, q: float) -> float:
     return _read_quantile(top, size, q)
 
 
-def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float) -> float:
+def _full_sort_quantile(pair: EmbeddingPair, chunk: tuple[int, int], q: float, threads: int) -> float:
     """Interpolated quantile of a whole chunk, its tiles multiplied into one
-    block and its two ranks selected in place."""
-    start, stop = chunk
-    block = np.empty((stop - start, pair.n))
-    for tile in _tiles(chunk, pair.n):
-        _products(pair, tile, out=block[tile[0] - start : tile[1] - start])
+    block on ``threads`` workers and its two ranks selected in place."""
+    block = np.empty((chunk[1] - chunk[0], pair.n))
+    ordered_map(lambda tile: _products(pair, tile, out=block[tile[0] - chunk[0] : tile[1] - chunk[0]]),
+                _tiles(chunk, pair.n), threads)
     return _select_quantile(block.reshape(-1), block.size, q)
 
 
@@ -486,8 +512,10 @@ def estimate_quantile_threshold(
             elif sum(part.values.size for part in parts) >= need:  # each holds its entries >= the bound
                 read[chunk] = _select_quantile(np.concatenate([part.values for part in parts]), size, q)
                 del todo[chunk]
-    # the fallback reads the chunks left unread one after another: one chunk is held at a time
-    per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q) for chunk in chunks]
+    # the fallback reads the chunks left unread one after another, each on the workers: one
+    # chunk is held at a time
+    per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q, threads)
+                 for chunk in chunks]
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"
     return SimilarityThreshold(
         quantile_q=q,
@@ -527,7 +555,7 @@ class SparseSimilarityGraph:
         self._sealed = None  # (n, indptr, indices) as built, once sealed
 
     @classmethod
-    def from_edges(cls, n: int, edges, directed_entry_count: int | None = None):
+    def from_edges(cls, n: int, edges):
         """Build from an iterable of undirected (i, j) pairs.
 
         Raises GraphError when a pair has an index outside 0..n-1.
@@ -538,7 +566,7 @@ class SparseSimilarityGraph:
             raise GraphError(f"edge {bad} has an index outside 0..{n - 1}")
         keys = np.empty(2 * len(pairs), dtype=np.int64)
         keys[: len(pairs)] = [i * n + j for i, j in pairs]
-        return cls._from_keys(n, keys, len(pairs), directed_entry_count)
+        return cls._from_keys(n, keys, len(pairs))
 
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray, count: int, directed_entry_count: int | None = None):
@@ -550,19 +578,12 @@ class SparseSimilarityGraph:
         keys of both directions and shrunk in place, in runs of ``_BLOCK_BYTES``,
         so it becomes the CSR's columns.  No view of it may be kept.
         """
-        run = max(1, _BLOCK_BYTES // 8)
-        for a, b in chunk_spans(count, run):
+        for a, b in chunk_spans(count, max(1, _BLOCK_BYTES // 8)):
             rows, cols = np.divmod(keys[a:b], n)
             cols *= n
             np.add(cols, rows, out=keys[count + a : count + b])
         keys[: 2 * count].sort()
-        size, last = 0, None
-        for a, b in chunk_spans(2 * count, run):  # a run is read before any write reaches it
-            new = np.concatenate(([a == 0 or keys[a] != last], keys[a + 1 : b] != keys[a : b - 1]))
-            fresh = keys[a:b][new]
-            last = keys[b - 1]
-            keys[size : size + fresh.size] = fresh
-            size += fresh.size
+        size = _compact_sorted(keys, 2 * count)
         indptr = np.searchsorted(keys[:size], np.arange(n + 1, dtype=np.int64) * n)
         np.remainder(keys[:size], n, out=keys[:size])
         keys.resize(size, refcheck=False)

@@ -14,7 +14,7 @@ def load_tool():
 
 def test_every_mutant_applies_once_and_names_existing_tests():
     tool = load_tool()
-    assert len(tool.MUTANTS) == 35
+    assert len(tool.MUTANTS) == 38
     for name, mutant in tool.MUTANTS.items():
         text = tool.mutated(mutant)  # each old text occurs exactly once in turn
         compile(text, mutant.path, "exec")

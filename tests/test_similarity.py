@@ -736,6 +736,71 @@ class TestWorkerCap:
         assert len({id(out.base) for out in outs}) <= 2
 
 
+class TestScanRead:
+    """``_Scan.read`` joins a part's kept blocks once: every later read of the
+    part returns the same read-only fields, with no multiply and no join."""
+
+    def test_a_second_read_returns_the_same_read_only_fields(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
+        pair = random_pair(512, 16, seed=71)
+        part = (losses._global_part, (0.05,))
+        scan = similarity._Scan(part)
+        estimate_quantile_threshold(pair, 0.999, 512, _scan=scan)
+        calls = count_products(monkeypatch)
+        first = scan.read(pair, part)
+        assert calls == []  # the estimate walked every tile
+        assert len(first) == 3 and all(field.shape == (512,) for field in first)
+        assert not any(field.flags.writeable for field in first)
+        with pytest.raises(ValueError):
+            first[0][0] = 0.0
+        assert scan.read(pair, part, threads=2) is first
+        assert calls == []
+        fresh = losses._global_stats(pair, 0.05)
+        for got, want in zip(first, (fresh.lse, fresh.row_max, fresh.positive)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_neighbours_read_twice_are_one_join(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
+        pair = random_pair(512, 16, seed=72)
+        part = (batching._nearest_part, ())
+        scan = similarity._Scan(part)
+        nearest = nearest_cross_neighbors(pair, _scan=scan)
+        assert scan.read(pair, part) is scan.read(pair, part)
+        assert nearest.flags.writeable  # the public result is the caller's own copy
+        np.testing.assert_array_equal(nearest, nearest_cross_neighbors(pair))
+
+
+class TestCompactSorted:
+    """The one compaction of sorted integer keys, in bounded runs, gives
+    ``np.unique`` whatever the run length, also when a run ends inside a
+    repeat."""
+
+    ARRAYS = {
+        "empty": np.empty(0, dtype=np.int64),
+        "single": np.array([7], dtype=np.int64),
+        "all-equal": np.full(50, -3, dtype=np.int64),
+        "random": np.random.default_rng(73).integers(-20, 20, 500),
+        "wide": np.random.default_rng(74).integers(0, 1 << 40, 300),
+    }
+
+    @pytest.mark.parametrize("block_bytes", [8, 24, 40, 1 << 20])
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    def test_distinct_count_and_front_equal_np_unique(self, monkeypatch, name, block_bytes):
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", block_bytes)  # runs of 1, 3, 5 keys
+        keys = np.sort(self.ARRAYS[name])
+        size = similarity._compact_sorted(keys, keys.size)
+        np.testing.assert_array_equal(keys[:size], np.unique(self.ARRAYS[name]))
+        np.testing.assert_array_equal(similarity._sorted_unique(self.ARRAYS[name]),
+                                      np.unique(self.ARRAYS[name]))
+
+    def test_only_the_first_size_keys_are_read(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_BLOCK_BYTES", 24)
+        keys = np.array([1, 1, 1, 2, 2, 5, 5, 5, 0, 0], dtype=np.int64)  # room past size
+        assert similarity._compact_sorted(keys, 8) == 3
+        np.testing.assert_array_equal(keys[:3], [1, 2, 5])
+        np.testing.assert_array_equal(keys[8:], [0, 0])
+
+
 class TestBlockHeight:
     """The tile walk's row blocks split only element-wise and per-row work,
     so no block height changes a bit of any output."""
@@ -915,6 +980,22 @@ class TestMemory:
         pair = random_pair(512, 16, seed=64)
         t = estimate_quantile_threshold(pair, 0.9, 128, threads=2)
         assert most == 1
+        assert t.value == chunk_oracle(pair, 0.9, 128)
+
+    def test_fallback_multiplies_a_chunk_on_the_workers(self, monkeypatch):
+        # each fallback chunk's tiles go through one map at --threads, into the
+        # chunk's one block: two tiles a chunk, two workers, the same cutoff
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        asked = TestWorkerCap.record_pools(monkeypatch)
+        maps, real = [], similarity.ordered_map
+        monkeypatch.setattr(similarity, "ordered_map", lambda fn, items, threads=1: (
+            maps.append((list(items), threads)) or real(fn, items, threads)))
+        pair = random_pair(512, 16, seed=64)
+        t = estimate_quantile_threshold(pair, 0.9, 128, threads=2)
+        chunks = similarity.chunk_spans(512, 128)
+        assert [m for m in maps if m[0]] == [(similarity._tiles(chunk, 512), 2) for chunk in chunks]
+        assert asked and max(asked) <= 2
         assert t.value == chunk_oracle(pair, 0.9, 128)
 
     def test_fallback_sort_holds_no_scan_buffer(self, monkeypatch):

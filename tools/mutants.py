@@ -154,11 +154,27 @@ MUTANTS = {
         "the graph holds every entry above a chunk-median cutoff, whatever the cap"),
     "fallback-in-the-chunk-map": Mutant(
         "similarity.py",
-        (("per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q) for chunk in chunks]",
-          "per_chunk = ordered_map(lambda chunk: read[chunk] if chunk in read else "
-          "_full_sort_quantile(pair, chunk, q), chunks, threads)"),),
+        (("""    per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q, threads)
+                 for chunk in chunks]""",
+          """    per_chunk = ordered_map(lambda chunk: read[chunk] if chunk in read else
+                            _full_sort_quantile(pair, chunk, q, threads), chunks, threads)"""),),
         ("tests/test_similarity.py::TestMemory::test_fallback_sorts_one_chunk_at_a_time_at_any_worker_count",),
         "the unread chunks are sorted in a map over the workers, each holding a whole chunk"),
+    "fallback-ignores-threads": Mutant(
+        "similarity.py",
+        (("_tiles(chunk, pair.n), threads)", "_tiles(chunk, pair.n), 1)"),),
+        ("tests/test_similarity.py::TestMemory::test_fallback_multiplies_a_chunk_on_the_workers",),
+        "a fallback chunk's tiles are multiplied on one thread, whatever --threads"),
+    "read-joins-every-call": Mutant(
+        "similarity.py",
+        (("        if part not in self.joined:\n", "        if True:\n"),),
+        ("tests/test_similarity.py::TestScanRead",),
+        "every read of a part joins its kept blocks again: 22 joins for one compare epoch"),
+    "compact-loses-run-boundary": Mutant(
+        "similarity.py",
+        (("if a and keys[a] != keys[count - 1]:", "if a:"),),
+        ("tests/test_similarity.py::TestCompactSorted",),
+        "a run's first key is kept even when it repeats the previous run's last"),
     "select-one-rank": Mutant(
         "similarity.py",
         (("    top[hi - skip :].partition(0)\n", ""),),
