@@ -44,10 +44,11 @@ reuses the tail or multiplies that tile again, so no tail is held with the
 graph's keys.  This bounds the traced peak; a process's max RSS need not
 follow it, as the allocator may keep the freed tail pages.  The
 exception is the fallback (``_full_sort_quantile``), which holds a whole
-chunk of products (``chunk_rows`` x N): it runs only below q = 15/16, or
-for a chunk with a tail over 1/8 of its tile, and it reads one chunk after
-another, its tiles multiplied on the workers straight into the chunk's
-block, so it holds one chunk and no tile buffer whatever the worker count.
+chunk of products (``chunk_rows`` x N): it runs only below q = 15/16, for
+a chunk with a tail over 1/8 of its tile, or for one whose tails hold too
+few, and it reads one chunk after another, its tiles multiplied on the
+workers straight into the chunk's block, so it holds one chunk and no tile
+buffer whatever the worker count.
 
 Edge cap.  ``_MAX_DIRECTED_ENTRIES`` caps the graph twice, and both checks
 live here, reading the cap when they run.  Before the cutoff,
@@ -69,35 +70,33 @@ it sets the cutoff value, while the tile sets the memory.
 
 A high quantile reads two order statistics near the top, so tiles are not
 sorted (expected-time selection, Floyd & Rivest 1975).  Each chunk draws
-one deterministic sample of its products (``_chunk_bounds``): its rows and
+one deterministic sample of its products (``_chunk_bound``): its rows and
 Y's columns, each at a stride of about 1/``_SAMPLE_SIDE``, multiplied as one
-small product that sets bounds and nothing else.  In it e entries are
+small product that sets the bound and nothing else.  In it e entries are
 expected above the chunk's quantile.  The chunk's lower bound ``lb`` leaves
 e + Z·σ sampled entries above it (Z = ``_TAIL_Z``), where σ is the count's
 standard error with the design effect of sampling whole rows and columns
 (Kish, *Survey Sampling*, 1965): products of one row are correlated, as
-when rows arrive sorted by cluster.  Every tile of the chunk keeps its
-entries >= ``lb`` as (offset, value) pairs: its tail.  The tiles share
-``lb``, so their tails hold every entry of the chunk >= ``lb``.  Each chunk
-is decided right after the walk that completes its tiles: once its tails
-hold the needed count, it selects the two ranks among their values
-(``_select_quantile``: two partitions, not a sort).  Order statistics are
-rank-exact, so the value equals a full sort's.  A chunk whose tails hold
-fewer (its sample misjudged it) has every tile multiplied again and walked
-at a second bound, with e + 2Z·σ sampled entries above it; the short
-chunks are walked again in one map.  A chunk with a dropped tail leaves
-the walks.  The two ranks are selected among all the chunk's products, in
-place, only when q is too low for a tail to pay (below 15/16), when a tail
-would exceed 1/8 of its tile, or when the tails at the second bound still
-hold fewer values than the ranks need.
+when rows arrive sorted by cluster.  Every tile of every chunk is walked
+once, in one map, and keeps its entries >= ``lb`` as (offset, value) pairs:
+its tail.  The tiles share ``lb``, so their tails hold every entry of the
+chunk >= ``lb``.  A chunk whose tails were all kept and hold the needed
+count selects the two ranks among their values (``_select_quantile``: two
+partitions, not a sort).  Order statistics are rank-exact, so the value
+equals a full sort's.  Every other chunk selects its two ranks among all
+its products, in place, one chunk after another (``_full_sort_quantile``):
+when q is too low for a tail to pay (below 15/16), when a tail would
+exceed 1/8 of its tile, or when its tails hold fewer values than the ranks
+need (its sample misjudged it, which no benchmark input has done).
 
 Graph.  An undirected, unweighted graph keeps the node pairs whose inner
 product exceeds the cutoff in either direction.  A grid tile whose kept tail
 has exactly its span and an ``lb`` at or below the cutoff is filtered with
 ``> cut``; any other tile is multiplied again (q below about 15/16 keeps no
-tails, a tail over 1/8 of its tile is dropped, ``chunk_median`` can put an
-``lb`` above the cutoff, off-grid chunks have other spans).  Reusing a tail
-only on an identical span keeps the graph bit for bit that of a rescan.
+tails, a tail over 1/8 of its tile is dropped, a misjudged chunk or
+``chunk_median`` can put an ``lb`` above the cutoff, off-grid chunks have
+other spans).  Reusing a tail only on an identical span keeps the graph
+bit for bit that of a rescan.
 The graph works in keys ``row·N + col``: a tile's flat offsets plus
 ``start·N``, which come out ascending.  The diagonal's keys are the
 multiples of N + 1: a tile's entries are counted against the edge cap,
@@ -113,12 +112,12 @@ block by row block (``_row_blocks``, about ``_BLOCK_BYTES`` each), so a block
 is still in cache for each pass after its first.  A block only splits
 element-wise work and per-row maxima, argmaxima and sums, whose bits do not
 depend on how many rows share a call, so the block height changes no output.
-Each scan (each of the estimator's walks, ``_Scan.read``, the graph's
-rescans) is one call of ``_map_products``, which multiplies into one
-buffer per worker thread, reused tile after tile and freed when the scan
-returns: a function given a buffered product keeps no view of it.  Only it
-and the fallback call ``_products``; the fallback maps its chunk's tiles at
-``threads`` too, into the chunk's own block.
+Each scan (the estimator's walk, ``_Scan.read``, the graph's rescans) is
+one call of ``_map_products``, which multiplies into one buffer per worker
+thread, reused tile after tile and freed when the scan returns: a function
+given a buffered product keeps no view of it.  Only it and the fallback
+call ``_products``; the fallback maps its chunk's tiles at ``threads`` too,
+into the chunk's own block.
 
 The epoch scan.  Every per-row reduction of X·Yᵀ outside this module (the
 global-loss terms, the mined baseline's argmax) is a part ``fn(rows, block,
@@ -128,11 +127,12 @@ feeds each listed part once, in order, when the first stage multiplies it,
 after that stage took what it needs from each block (the estimator its tail,
 the graph its entries above the cutoff).  ``_Scan.read`` multiplies only the
 grid tiles no stage has walked and, on a part's first read, joins its kept
-blocks into one read-only array per field; every later read of the part
-returns that same tuple, so an epoch's reports join their global terms
-once.  So ``permute --report`` and ``compare`` multiply a tile at most once
-beyond the estimator, whose second walks, fallback and off-grid tiles feed
-no part.  A call without ``_scan=`` walks a fresh scan.
+blocks into one read-only array per field and frees them, keeping each
+span as walked; every later read of the part returns that same tuple, so
+an epoch's reports join their global terms once.  So ``permute --report``
+and ``compare`` multiply a tile at most once beyond the estimator, whose
+fallback and off-grid tiles feed no part.  A call without ``_scan=`` walks
+a fresh scan.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ from .io import EmbeddingPair
 # (a median of per-chunk quantiles), so changing it changes outputs.
 CHUNK_ROWS = 4096
 
-# Tail selection per chunk (``_chunk_bounds``): sample the chunk's rows and
+# Tail selection per chunk (``_chunk_bound``): sample the chunk's rows and
 # Y's columns at strides of about 1/_SAMPLE_SIDE, whatever the tile's shape,
-# and set two bounds, _TAIL_Z and 2·_TAIL_Z standard errors of the sampled
-# count past the needed share.  A 256-side sample costs 1.2-1.7 ms at
+# and set one bound, _TAIL_Z standard errors of the sampled count past the
+# needed share.  A 256-side sample costs 1.2-1.7 ms at
 # N = 1536 and 4096 (d = 64, one BLAS thread), a 512-side one 5.5-8 ms.  Keep
 # a tail only while it is at most _MAX_TAIL_SHARE of the tile, else it is
 # dropped and its chunk's ranks are selected among all its products, in
@@ -351,8 +351,8 @@ class _Scan:
     Every multiplied tile is walked by :meth:`walk`, so each grid tile feeds
     each listed ``(fn, args)`` part once, whichever stage multiplied it; the
     estimator's tails are kept by span until the graph takes them.  A part
-    returns a tuple of per-row fields, which :meth:`read` joins once.  Use it
-    only on the pair it read.
+    returns a tuple of per-row fields, which :meth:`read` joins once, freeing
+    the blocks.  Use it only on the pair it read.
     """
 
     def __init__(self, *parts):
@@ -377,9 +377,9 @@ class _Scan:
     def read(self, pair: EmbeddingPair, part: tuple, threads: int = 1) -> tuple:
         """The fields of ``fn(rows, block, *args)`` over every row, ``part = (fn,
         args)``, each one read-only array.  The first read multiplies and walks
-        the grid tiles not yet walked and joins the kept blocks; every later
-        read returns that same tuple.  A part the scan does not list is read
-        through a fresh ``_Scan(part)``."""
+        the grid tiles not yet walked, joins the kept blocks and frees them;
+        every later read returns that same tuple.  A part the scan does not
+        list is read through a fresh ``_Scan(part)``."""
         if part not in self.parts:
             return _Scan(part).read(pair, part, threads)
         if part not in self.joined:
@@ -390,23 +390,24 @@ class _Scan:
                 block for span in tiles for block in kept[span]))))
             for field in joined:
                 field.flags.writeable = False
+            kept.update(dict.fromkeys(kept, ()))  # joined: each span stays walked, its blocks freed
         return self.joined[part]
 
 
-def _chunk_bounds(pair: EmbeddingPair, chunk: tuple[int, int], share: float) -> tuple[float, float]:
-    """Two lower bounds, the second lower, for the top ``share`` of the
-    products of ``chunk``, read from one sample of them: the chunk's rows and
-    Y's columns, each at a stride of about 1/_SAMPLE_SIDE.
+def _chunk_bound(pair: EmbeddingPair, chunk: tuple[int, int], share: float) -> float:
+    """A lower bound for the top ``share`` of the products of ``chunk``, read
+    from one sample of them: the chunk's rows and Y's columns, each at a
+    stride of about 1/_SAMPLE_SIDE.
 
     With e = share × sample size and c the sampled entries >= the sample's
-    e-th largest, the bounds leave e + _TAIL_Z·σ and e + 2·_TAIL_Z·σ sampled
-    entries at or above them, σ² = max(e, R·var(c per row) + C·var(c per
-    column) - e) over R rows and C columns: products of one row, or of one
-    column, are correlated, so the count varies more than a Poisson count
-    (Kish's design effect).  The sample sets bounds only, never an output
-    value, so it is not a tile product.  Its diagonal products are -inf:
-    aligned strides would over-weight them, and they are the largest when
-    y ≈ x; that can only lower the bounds.
+    e-th largest, the bound leaves e + _TAIL_Z·σ sampled entries at or above
+    it, σ² = max(e, R·var(c per row) + C·var(c per column) - e) over R rows
+    and C columns: products of one row, or of one column, are correlated, so
+    the count varies more than a Poisson count (Kish's design effect).  The
+    sample sets the bound only, never an output value, so it is not a tile
+    product.  Its diagonal products are -inf: aligned strides would
+    over-weight them, and they are the largest when y ≈ x; that can only
+    lower the bound.
     """
     start, stop = chunk
     rows = np.arange(start, stop, max(1, (stop - start) // _SAMPLE_SIDE))
@@ -422,11 +423,10 @@ def _chunk_bounds(pair: EmbeddingPair, chunk: tuple[int, int], share: float) -> 
     variance = (len(rows) * np.bincount(hit_rows, minlength=len(rows)).var()
                 + len(cols) * np.bincount(hit_cols, minlength=len(cols)).var() - expected)
     sigma = math.sqrt(max(expected, variance))
-    first, second = (size - min(size, math.ceil(expected + z * sigma)) for z in (_TAIL_Z, 2 * _TAIL_Z))
+    first = size - min(size, math.ceil(expected + _TAIL_Z * sigma))
     # one kth per partition call: NumPy's partition at two kth costs as much as a sort
-    part[: kth + 1].partition(second)
-    part[second : kth + 1].partition(first - second)
-    return float(part[first]), float(part[second])
+    part[: kth + 1].partition(first)
+    return float(part[first])
 
 
 def _scan_tail(pair: EmbeddingPair, span: tuple[int, int], z: np.ndarray, bound: float,
@@ -492,28 +492,24 @@ def estimate_quantile_threshold(
 
     chunks = chunk_spans(n, chunk_rows)
     scan = _scan or _Scan()
-    todo = {}  # chunk -> (two tail bounds, entries, how many of the largest hold both ranks)
+    tailed = {}  # chunk -> (tail bound, entries, how many of the largest hold both ranks)
     for chunk in chunks:
         size = (chunk[1] - chunk[0]) * n
         need = size - _ranks(size, q)[0]
         if 2 * need <= _MAX_TAIL_SHARE * size:  # q >= 15/16: twice the share fits a tail
-            todo[chunk] = (*_chunk_bounds(pair, chunk, need / size), size, need)
+            tailed[chunk] = (_chunk_bound(pair, chunk, need / size), size, need)
+    at = {tile: tailed[chunk][0] for chunk in tailed for tile in _tiles(chunk, n)}
+    # one map over the tiles of every such chunk; its buffers are freed before any fallback
+    tails = scan.tails = dict(zip(at, _map_products(pair, list(at), lambda span, z: _scan_tail(
+        pair, span, z, at[span], scan), threads)))
     read = {}  # chunk -> its quantile, read from its tails
-    tails = scan.tails = {}
-    for level in (0, 1):  # a chunk whose tails hold too few is walked again at its second bound
-        at = {tile: todo[chunk][level] for chunk in todo for tile in _tiles(chunk, n)}
-        # one map over the tiles of every such chunk; its buffers are freed before any fallback
-        tails.update(zip(at, _map_products(pair, list(at), lambda span, z: _scan_tail(
-            pair, span, z, at[span], scan), threads)))
-        for chunk, (_, _, size, need) in list(todo.items()):
-            parts = [tails[tile] for tile in _tiles(chunk, n)]
-            if any(part.bound == math.inf for part in parts):  # a dropped tail: the fallback reads it
-                del todo[chunk]
-            elif sum(part.values.size for part in parts) >= need:  # each holds its entries >= the bound
-                read[chunk] = _select_quantile(np.concatenate([part.values for part in parts]), size, q)
-                del todo[chunk]
-    # the fallback reads the chunks left unread one after another, each on the workers: one
-    # chunk is held at a time
+    for chunk, (_, size, need) in tailed.items():
+        parts = [tails[tile] for tile in _tiles(chunk, n)]
+        # each kept tail holds its entries >= the bound; a dropped one holds none
+        if all(part.bound < math.inf for part in parts) and sum(part.values.size for part in parts) >= need:
+            read[chunk] = _select_quantile(np.concatenate([part.values for part in parts]), size, q)
+    # the fallback reads every other chunk, one after another, each on the workers: one chunk
+    # is held at a time
     per_chunk = [read[chunk] if chunk in read else _full_sort_quantile(pair, chunk, q, threads)
                  for chunk in chunks]
     estimator = "exact" if len(per_chunk) == 1 else "chunk_median"

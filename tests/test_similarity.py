@@ -352,48 +352,44 @@ class TestTailSelection:
         assert bool(scan.tails) == (q == 0.999)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_misjudged_chunk_walks_its_tiles_again_not_sorted(self, monkeypatch, threads):
-        # a first bound above every product keeps nothing: each tile of the chunk
-        # is multiplied again and walked at the second bound, and no chunk is sorted
+    def test_misjudged_chunk_is_selected_whole(self, monkeypatch, threads):
+        # a bound above every product keeps nothing: the chunk's tails hold too
+        # few, so the fallback multiplies its tiles again and selects among all
         monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
-        bounds = similarity._chunk_bounds
-        monkeypatch.setattr(similarity, "_chunk_bounds",
-                            lambda *args: (2.0, bounds(*args)[1]))  # rows are unit-norm
+        monkeypatch.setattr(similarity, "_chunk_bound", lambda *args: 2.0)  # rows are unit-norm
         sorts = []
-        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        full_sort = similarity._full_sort_quantile
+        monkeypatch.setattr(similarity, "_full_sort_quantile",
+                            lambda *args: sorts.append(args[1]) or full_sort(*args))
         pair = random_pair(256, 16, seed=33)
         calls = count_products(monkeypatch)
         scan = similarity._Scan()
         t = estimate_quantile_threshold(pair, 0.999, 256, threads=threads, _scan=scan)
-        assert sorts == []
-        assert sorted(calls) == [(0, 128), (0, 128), (128, 256), (128, 256)]
+        assert sorts == [(0, 256)]
+        assert sorted(calls) == [(0, 128), (0, 128), (128, 256), (128, 256)]  # walk, fallback
         assert t.value == chunk_oracle(pair, 0.999, 256)
         assert_tails_hold_their_entries(pair, scan)  # before the graph takes them
-        calls.clear()
-        graph = build_sparse_graph(pair, t, threads=threads, _scan=scan)
-        assert calls == []  # every tail has the second bound, at or below the cutoff
-        assert graph == build_sparse_graph(pair, SimilarityThreshold(0.999, t.value, 256, t.estimator))
+        assert build_sparse_graph(pair, t, threads=threads, _scan=scan) == \
+            build_sparse_graph(pair, SimilarityThreshold(0.999, t.value, 256, t.estimator))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_chunk_is_read_after_the_walk_that_completes_it(self, monkeypatch, threads):
-        # only the second chunk's first bound misjudges: the first chunk is read
-        # right after the first walk, and only the second chunk's tiles are walked
-        # again, at its second bound, then read
+    def test_only_the_misjudged_chunk_is_selected_whole(self, monkeypatch, threads):
+        # only the second chunk's bound misjudges: the first chunk is read from
+        # its tails, and only the second goes to the fallback
         monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
-        bounds, select = similarity._chunk_bounds, similarity._select_quantile
-        monkeypatch.setattr(similarity, "_chunk_bounds", lambda pair, chunk, share: (
-            (2.0, bounds(pair, chunk, share)[1]) if chunk == (128, 256) else bounds(pair, chunk, share)))
-        events = count_products(monkeypatch)
-        monkeypatch.setattr(similarity, "_select_quantile",
-                            lambda *args: events.append("read") or select(*args))
+        bound = similarity._chunk_bound
+        monkeypatch.setattr(similarity, "_chunk_bound", lambda pair, chunk, share: (
+            2.0 if chunk == (128, 256) else bound(pair, chunk, share)))
         sorts = []
-        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        full_sort = similarity._full_sort_quantile
+        monkeypatch.setattr(similarity, "_full_sort_quantile",
+                            lambda *args: sorts.append(args[1]) or full_sort(*args))
+        calls = count_products(monkeypatch)
         pair = random_pair(256, 16, seed=35)
         t = estimate_quantile_threshold(pair, 0.999, 128, threads=threads)
         tiles = [(0, 64), (64, 128), (128, 192), (192, 256)]
-        assert sorts == []
-        assert [i for i, event in enumerate(events) if event == "read"] == [4, 7]
-        assert sorted(events[:4]) == tiles and sorted(events[5:7]) == tiles[2:]
+        assert sorts == [(128, 256)]
+        assert sorted(calls[:4]) == tiles and sorted(calls[4:]) == tiles[2:]
         assert t.value == chunk_oracle(pair, 0.999, 128)
 
     def test_tail_over_its_share_sorts_the_chunk(self, monkeypatch):
@@ -414,6 +410,50 @@ class TestTailSelection:
         assert calls == tiles + tiles  # the tiles, then the full sort's
         assert scan.tails[(0, 128)].bound == math.inf
         assert t.value == chunk_oracle(pair, 0.95, 384)
+
+    def test_a_dropped_tail_sorts_the_chunk_though_the_others_hold_its_need(self, monkeypatch):
+        # the bound leaves exactly the chunk's need in the second and third
+        # tiles, while the first tile's tail passes 1/8 of it and is dropped:
+        # the dropped tail held the chunk's largest entries, so only the
+        # fallback reads the chunk right
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
+        pair = one_hot_tile()
+        size = 384 * 384
+        need = size - similarity._ranks(size, 0.95)[0]
+        rest = np.concatenate([similarity._products(pair, tile).reshape(-1)
+                               for tile in ((128, 256), (256, 384))])
+        monkeypatch.setattr(similarity, "_chunk_bound", lambda *args: float(np.sort(rest)[-need]))
+        sorts = []
+        full_sort = similarity._full_sort_quantile
+        monkeypatch.setattr(similarity, "_full_sort_quantile",
+                            lambda *args: sorts.append(args[1]) or full_sort(*args))
+        scan = similarity._Scan()
+        t = estimate_quantile_threshold(pair, 0.95, 384, _scan=scan)
+        assert scan.tails[(0, 128)].bound == math.inf
+        assert sum(scan.tails[tile].values.size for tile in ((128, 256), (256, 384))) == need
+        assert sorts == [(0, 384)]
+        assert t.value == chunk_oracle(pair, 0.95, 384)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_bound_equal_to_a_product_keeps_it(self, monkeypatch, threads):
+        # a bound at the chunk's need-th largest product: the tails hold it and
+        # exactly the need, so the chunk is read from them, not selected whole
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 64)
+        pair = random_pair(256, 16, seed=36)
+        size = 256 * 256
+        need = size - similarity._ranks(size, 0.999)[0]
+        products = np.concatenate([similarity._products(pair, tile).reshape(-1)
+                                   for tile in similarity._tiles((0, 256), 256)])
+        monkeypatch.setattr(similarity, "_chunk_bound",
+                            lambda *args: float(np.sort(products)[-need]))
+        sorts = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        scan = similarity._Scan()
+        t = estimate_quantile_threshold(pair, 0.999, 256, threads=threads, _scan=scan)
+        assert sorts == []
+        assert sum(tail.values.size for tail in scan.tails.values()) == need
+        assert_tails_hold_their_entries(pair, scan)
+        assert t.value == chunk_oracle(pair, 0.999, 256)
 
     def test_diagonal_of_an_aligned_sample_keeps_the_tail_path(self, monkeypatch):
         # X = Y: each x_i·y_i = 1 is the largest product, and the chunk's rows
@@ -482,6 +522,37 @@ class TestClusterSortedRows:
         t = estimate_quantile_threshold(pair, 0.99, 2048)
         assert calls == similarity._tiles((0, 2048), 2048)
         assert t.value == chunk_oracle(pair, 0.99, 2048)
+
+
+def dense_permute_pair(n: int, seed: int) -> EmbeddingPair:
+    """perfbench's dense-permute shape: ``cluster_sorted_pair`` with its rows,
+    on both sides, in a seeded random order rather than by cluster."""
+    pair = cluster_sorted_pair(n, seed)
+    order = np.random.default_rng(seed).permutation(n)
+    return EmbeddingPair(pair.x[order], pair.y[order])
+
+
+class TestMargin:
+    """A misjudged chunk is selected whole, one chunk block, so the bound's
+    margin must hold on the inputs the benchmark runs: no fallback, and each
+    tile multiplied once."""
+
+    PAIRS = {"gaussian": lambda seed: random_pair(2048, 64, seed=100 + seed),
+             "duplicate-rows": lambda seed: dense_permute_pair(2048, seed)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_no_chunk_is_selected_whole(self, monkeypatch, kind, seed):
+        sorts = []
+        monkeypatch.setattr(similarity, "_full_sort_quantile", lambda *args: sorts.append(args))
+        calls = count_products(monkeypatch)
+        pair = self.PAIRS[kind](seed)
+        for q in (0.99, 0.999):
+            for threads in (1, 2):
+                calls.clear()
+                estimate_quantile_threshold(pair, q, 2048, threads=threads)
+                assert sorts == []
+                assert sorted(calls) == similarity._tiles((0, 2048), 2048), (q, threads)
 
 
 @pytest.mark.parametrize("cls, names", [
@@ -768,6 +839,28 @@ class TestScanRead:
         assert scan.read(pair, part) is scan.read(pair, part)
         assert nearest.flags.writeable  # the public result is the caller's own copy
         np.testing.assert_array_equal(nearest, nearest_cross_neighbors(pair))
+
+    def test_a_read_frees_the_joined_blocks(self, monkeypatch):
+        # the read keeps each span, so no later walk feeds the part, but no block
+        monkeypatch.setattr(similarity, "_MAX_TILE_ROWS", 128)
+        pair = random_pair(512, 16, seed=73)
+        fed = []
+
+        def part(rows, block):
+            fed.append(rows)
+            return (block.max(axis=1),)
+
+        scan = similarity._Scan((part, ()))
+        t = estimate_quantile_threshold(pair, 0.9, 512, _scan=scan)  # the fallback feeds no part
+        first = scan.read(pair, (part, ()))
+        kept = scan.parts[(part, ())]
+        assert sorted(kept) == similarity._tiles((0, 512), 512)
+        assert all(len(blocks) == 0 for blocks in kept.values())
+        fed.clear()
+        build_sparse_graph(pair, t, _scan=scan)  # q = 0.9 keeps no tails: every tile is walked
+        assert fed == []
+        assert scan.read(pair, (part, ())) is first
+        np.testing.assert_array_equal(first[0], (pair.x @ pair.y.T).max(axis=1))
 
 
 class TestCompactSorted:

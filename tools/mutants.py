@@ -88,7 +88,7 @@ MUTANTS = {
         "similarity.py",
         (("hits = np.flatnonzero(block >= bound)", "hits = np.flatnonzero(block > bound)"),),
         ("tests/test_similarity.py::TestTailSelection",),
-        "a tail, first or second walk, loses its entries equal to its bound"),
+        "a tail loses its entries equal to its chunk's bound"),
     "chunk-sample-keeps-the-diagonal": Mutant(
         "similarity.py",
         (("    sample[on_row, on_col] = -np.inf\n", ""),),
@@ -99,12 +99,18 @@ MUTANTS = {
         (("sigma = math.sqrt(max(expected, variance))", "sigma = math.sqrt(expected)"),),
         ("tests/test_similarity.py::TestClusterSortedRows",),
         "the margin ignores that products of one row are correlated, so clustered chunks misjudge"),
-    "rescan-at-the-first-bound": Mutant(
+    "short-chunk-read-from-its-tails": Mutant(
         "similarity.py",
-        (("at = {tile: todo[chunk][level] for chunk",
-          "at = {tile: todo[chunk][0] for chunk"),),
-        ("tests/test_similarity.py::TestTailSelection",),
-        "a chunk whose tails came up short is walked again at the same bound, then sorted"),
+        ((" and sum(part.values.size for part in parts) >= need:", ":"),),
+        ("tests/test_similarity.py::TestTailSelection::test_misjudged_chunk_is_selected_whole",),
+        "a chunk whose tails hold fewer entries than its ranks need is read from them anyway"),
+    "dropped-tail-read": Mutant(
+        "similarity.py",
+        (("if all(part.bound < math.inf for part in parts) and ", "if "),),
+        ("tests/test_similarity.py::TestTailSelection::test_tail_over_its_share_sorts_the_chunk",
+         "tests/test_similarity.py::TestTailSelection::"
+         "test_a_dropped_tail_sorts_the_chunk_though_the_others_hold_its_need"),
+        "a chunk with a dropped tail, which holds none of its entries, is read from the others"),
     "no-tile-row-cap": Mutant(
         "similarity.py",
         (("rows = min(_MAX_TILE_ROWS, max(1, _TILE_BYTES // (8 * n)))",
@@ -170,6 +176,12 @@ MUTANTS = {
         (("        if part not in self.joined:\n", "        if True:\n"),),
         ("tests/test_similarity.py::TestScanRead",),
         "every read of a part joins its kept blocks again: 22 joins for one compare epoch"),
+    "read-keeps-joined-blocks": Mutant(
+        "similarity.py",
+        (("            kept.update(dict.fromkeys(kept, ()))  # joined: each span stays walked, its blocks freed\n",
+          ""),),
+        ("tests/test_similarity.py::TestScanRead::test_a_read_frees_the_joined_blocks",),
+        "a part's blocks outlive their join, so the scan holds every row's fields twice"),
     "compact-loses-run-boundary": Mutant(
         "similarity.py",
         (("if a and keys[a] != keys[count - 1]:", "if a:"),),
